@@ -13,15 +13,12 @@ from .agents import (
     Strategy,
     enumerate_actions,
     exploration_rate,
-    global_reward,
-    local_reward,
     select_action,
     update,
 )
-from .engine import IterationRecord, RunResult, min_rate_timeseries, run_scenario
+from .engine import RunResult, min_rate_timeseries, run_scenario
 from .errors import (
     ConfigError,
-    ContractError,
     DomainError,
     EmptyInputError,
     GeometryError,
@@ -43,12 +40,9 @@ from .radio import (
     LinkSet,
     achieved_rate_bps,
     dbm_to_mw,
-    interference_mw,
-    mw_to_dbm,
     pathloss_db,
-    received_power_dbm,
 )
-from .scenario import PhysicalConfig, Scenario, neighbors_of, sample_scenario
+from .scenario import PhysicalConfig, Scenario, sample_scenario
 
 __version__ = "0.1.0"
 
@@ -58,12 +52,10 @@ __all__ = [
     "AgentState",
     "BatchSummary",
     "ConfigError",
-    "ContractError",
     "DomainError",
     "EmptyInputError",
     "ExperimentConfig",
     "GeometryError",
-    "IterationRecord",
     "LinkSet",
     "MlosimError",
     "PhysicalConfig",
@@ -78,15 +70,9 @@ __all__ = [
     "density_sweep",
     "enumerate_actions",
     "exploration_rate",
-    "global_reward",
-    "interference_mw",
-    "local_reward",
     "min_rate_timeseries",
-    "mw_to_dbm",
-    "neighbors_of",
     "pathloss_db",
     "percentile",
-    "received_power_dbm",
     "run_batch",
     "run_experiment",
     "run_scenario",

@@ -4,8 +4,8 @@ The learning strategies are epsilon-greedy multi-armed bandits over the
 2**k - 1 nonempty link subsets, with epsilon = 1/sqrt(t). The local model
 scores arms by the AP's own average achieved rate; the federated model
 scores them by the average of the minimum instant rate seen across the
-AP's neighborhood (itself included by default), which pushes the joint
-behavior toward max-min fair activations.
+AP's neighborhood (itself included), which pushes the joint behavior
+toward max-min fair activations.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .radio import LinkSet
 from .scenario import MAX_LINKS
 
@@ -51,9 +51,6 @@ class ActionSpace:
     @property
     def full_index(self) -> int:
         return self.p - 1  # ascending order puts the all-links mask last
-
-    def index_of(self, action: LinkSet) -> int:
-        return action.mask - 1
 
     def mask_matrix(self) -> np.ndarray:
         """(p, k) boolean matrix: row a is the bit pattern of action a."""
@@ -116,8 +113,6 @@ class AgentState:
     rng: np.random.Generator
     local_table: RewardTable
     global_table: RewardTable | None = None
-    last_action: LinkSet | None = None
-    last_action_index: int | None = None
 
     @classmethod
     def create(
@@ -141,66 +136,28 @@ def _argmax_random_tie(values: np.ndarray, rng: np.random.Generator) -> int:
     return int(best[rng.integers(len(best))])
 
 
-def select_action(agent: AgentState, space: ActionSpace, t: int) -> LinkSet:
-    """Pick this iteration's link subset and record it as the last action."""
+def select_action(agent: AgentState, space: ActionSpace, t: int) -> int:
+    """Pick this iteration's link subset; returns its index into `space`."""
     strat = agent.strategy
     if strat is Strategy.FIXED:
-        index = space.full_index
-    elif strat is Strategy.RANDOM:
-        index = int(agent.rng.integers(space.p))
-    else:
-        table = agent.global_table if strat is Strategy.FEDERATED_RL else agent.local_table
-        if agent.rng.random() < exploration_rate(t):
-            index = int(agent.rng.integers(space.p))
-        else:
-            index = _argmax_random_tie(table.means, agent.rng)
-    action = space.actions[index]
-    agent.last_action = action
-    agent.last_action_index = index
-    return action
-
-
-def local_reward(rate_bps: float) -> float:
-    """Instant reward is the achieved rate itself, unnormalized."""
-    return rate_bps
-
-
-def global_reward(
-    own_instant: float, neighbor_instants, include_self: bool = True
-) -> float:
-    """Minimum instant reward across the sharing neighborhood.
-
-    With no neighbors (and self included) this degrades to the local
-    reward, so isolated APs behave like the purely local learner.
-    """
-    values = list(neighbor_instants)
-    if include_self:
-        values.append(own_instant)
-    if not values:
-        return own_instant
-    return min(values)
+        return space.full_index
+    if strat is Strategy.RANDOM:
+        return int(agent.rng.integers(space.p))
+    table = agent.global_table if strat is Strategy.FEDERATED_RL else agent.local_table
+    if agent.rng.random() < exploration_rate(t):
+        return int(agent.rng.integers(space.p))
+    return _argmax_random_tie(table.means, agent.rng)
 
 
 def update(
-    agent: AgentState,
-    action: LinkSet,
-    local_r: float,
-    global_r: float | None = None,
-) -> AgentState:
-    """Credit the iteration's rewards to the agent's tables.
+    agent: AgentState, index: int, local_r: float, global_r: float | None = None
+) -> None:
+    """Credit the iteration's rewards to action `index` of the agent's tables.
 
     Every strategy records local statistics (fixed/random only for
     reporting); the federated strategy additionally credits the shared
     minimum to its global table.
     """
-    if action != agent.last_action:
-        raise ContractError(
-            f"update for action {action} but agent {agent.ap_index} last selected "
-            f"{agent.last_action}"
-        )
-    agent.local_table.credit(agent.last_action_index, local_r)
+    agent.local_table.credit(index, local_r)
     if agent.strategy is Strategy.FEDERATED_RL:
-        if global_r is None:
-            raise ContractError("federated agents require a global reward each update")
-        agent.global_table.credit(agent.last_action_index, global_r)
-    return agent
+        agent.global_table.credit(index, global_r)

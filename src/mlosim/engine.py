@@ -16,36 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as streams
-from .agents import (
-    AgentState,
-    Strategy,
-    enumerate_actions,
-    local_reward,
-    select_action,
-    update,
-)
+from .agents import AgentState, Strategy, enumerate_actions, select_action, update
 from .errors import ConfigError
-from .radio import ActivationProfile, LinkSet, dbm_to_mw, link_budget_matrix_mw
-from .scenario import Scenario, all_neighbor_sets
-
-
-@dataclass(frozen=True)
-class IterationRecord:
-    """One iteration of the trace: joint action, rates, rewards."""
-
-    t: int
-    actions: ActivationProfile
-    rates_bps: tuple[float, ...]
-    local_rewards: tuple[float, ...]
-    global_rewards: tuple[float, ...] | None
+from .radio import all_neighbor_sets, dbm_to_mw, link_budget_matrix_mw, rates_bps
+from .scenario import Scenario
 
 
 @dataclass
 class RunResult:
     """A full simulation of one world under one strategy.
 
-    Per-iteration data is stored columnar (arrays of shape (T, n)); the
-    `trace` property materializes IterationRecord views on demand.
+    Per-iteration data is stored columnar (arrays of shape (T, n)). An
+    agent's local reward is its rate, so `rates_bps` is also the local
+    reward trace.
     """
 
     scenario: Scenario
@@ -54,7 +37,6 @@ class RunResult:
     neighbor_sets: tuple[frozenset[int], ...]
     action_masks: np.ndarray  # (T, n) uint16
     rates_bps: np.ndarray  # (T, n) float64
-    local_rewards: np.ndarray  # (T, n) float64
     global_rewards: np.ndarray | None  # (T, n) float64, federated runs only
 
     @property
@@ -64,28 +46,6 @@ class RunResult:
     @property
     def n(self) -> int:
         return self.action_masks.shape[1]
-
-    @property
-    def trace(self) -> list[IterationRecord]:
-        k = self.scenario.num_links
-        out = []
-        for t in range(self.T):
-            out.append(
-                IterationRecord(
-                    t=t + 1,
-                    actions=ActivationProfile(
-                        tuple(LinkSet(int(m), k) for m in self.action_masks[t])
-                    ),
-                    rates_bps=tuple(self.rates_bps[t]),
-                    local_rewards=tuple(self.local_rewards[t]),
-                    global_rewards=(
-                        tuple(self.global_rewards[t])
-                        if self.global_rewards is not None
-                        else None
-                    ),
-                )
-            )
-        return out
 
     def mean_rates_bps(self) -> np.ndarray:
         """Each AP's rate averaged over the whole run, shape (n,)."""
@@ -99,7 +59,6 @@ class RunResult:
             "neighbor_sets": [sorted(s) for s in self.neighbor_sets],
             "action_masks": self.action_masks.tolist(),
             "rates_bps": self.rates_bps.tolist(),
-            "local_rewards": self.local_rewards.tolist(),
             "global_rewards": (
                 self.global_rewards.tolist() if self.global_rewards is not None else None
             ),
@@ -117,9 +76,7 @@ class RunResult:
         has_global = self.global_rewards is not None
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["t", "ap", "action_mask", "rate_bps", "local_reward", "global_reward"]
-            )
+            writer.writerow(["t", "ap", "action_mask", "rate_bps", "global_reward"])
             for t in range(self.T):
                 for i in range(self.n):
                     writer.writerow(
@@ -128,42 +85,23 @@ class RunResult:
                             i,
                             format(int(self.action_masks[t, i]), f"0{self.scenario.num_links}b"),
                             repr(float(self.rates_bps[t, i])),
-                            repr(float(self.local_rewards[t, i])),
                             repr(float(self.global_rewards[t, i])) if has_global else "",
                         ]
                     )
 
 
-def run_scenario(
-    scenario: Scenario,
-    strategy: Strategy,
-    T: int,
-    seed: int,
-    *,
-    min_includes_self: bool = True,
-    share_averaged: bool = False,
-    share_period: int = 1,
-) -> RunResult:
+def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> RunResult:
     """Simulate `T` iterations of one world under one strategy.
 
     Identical inputs produce bitwise-identical results; every agent draws
-    from its own child stream of `seed`.
-
-    The keyword knobs cover alternative federated-reward readings: whether
-    the minimum includes the AP's own reward, whether neighbors share
-    their running average instead of the instant reward, and how often the
-    exchange happens (neighbor contributions are only visible every
-    `share_period`-th iteration; in between, agents fall back to their own
-    reward).
+    from its own child stream of `seed`. A federated agent's global reward
+    is the minimum instant rate over itself and its neighbors.
     """
     if T < 1:
         raise ConfigError(f"need at least one iteration, got T={T}")
-    if share_period < 1:
-        raise ConfigError(f"share period must be >= 1, got {share_period}")
 
     n = scenario.n
-    k = scenario.num_links
-    space = enumerate_actions(k)
+    space = enumerate_actions(scenario.num_links)
     mask_bits = space.mask_matrix()  # (p, k)
     agents = [
         AgentState.create(
@@ -173,74 +111,32 @@ def run_scenario(
     ]
     neighbor_sets = all_neighbor_sets(scenario)
     federated = strategy is Strategy.FEDERATED_RL
+    shares = np.eye(n, dtype=bool)  # shares[i, j]: i's minimum covers j
+    for i, nbrs in enumerate(neighbor_sets):
+        shares[i, list(nbrs)] = True
 
     # Static link budget: P[j, i] is AP j's power at STA i in mW.
     power = link_budget_matrix_mw(scenario)
-    signal = power.diagonal().copy()  # (n,)
     noise_mw = dbm_to_mw(scenario.physical.noise_floor_dbm)
     bandwidth = scenario.physical.bandwidth_hz_per_link
-    share_mat = None
-    if federated:
-        share_mat = np.zeros((n, n), dtype=bool)  # share_mat[i, j]: i hears j
-        for i, nbrs in enumerate(neighbor_sets):
-            share_mat[i, list(nbrs)] = True
-            share_mat[i, i] = min_includes_self
 
     action_masks = np.empty((T, n), dtype=np.uint16)
     rates_hist = np.empty((T, n), dtype=np.float64)
     global_hist = np.empty((T, n), dtype=np.float64) if federated else None
-    indices = np.empty(n, dtype=np.intp)
+    no_globals = [None] * n
 
     for t in range(1, T + 1):
-        for i, agent in enumerate(agents):
-            select_action(agent, space, t)
-            indices[i] = agent.last_action_index
-
-        active = mask_bits[indices]  # (n, k) bool
-        active_f = active.astype(np.float64)
-        # received[l, i] = total power on link l at STA i from every active AP
-        received = active_f.T @ power
-        interference = received.T - active_f * signal[:, None]
-        sinr = signal[:, None] / (interference + noise_mw)
-        rates = (active_f * np.log2(1.0 + sinr)).sum(axis=1) * bandwidth
-
-        globals_t = None
+        chosen = [select_action(agent, space, t) for agent in agents]
+        rates = rates_bps(power, mask_bits[chosen], noise_mw, bandwidth)
+        globals_t = no_globals
         if federated:
-            if share_averaged:
-                # Alternative reading: neighbors contribute their running
-                # average for their current arm (current sample included,
-                # so a first visit degrades to the instant rate).
-                shared = np.empty(n)
-                for j, agent in enumerate(agents):
-                    a = indices[j]
-                    c = agent.local_table.counts[a]
-                    m = agent.local_table.means[a]
-                    shared[j] = m + (rates[j] - m) / (c + 1)
-            else:
-                shared = rates
-            if t % share_period == 0:
-                contrib = np.where(share_mat, shared[None, :], np.inf)
-                globals_t = contrib.min(axis=1)
-                if not min_includes_self:
-                    # An AP with no neighbors still needs a defined reward.
-                    isolated = ~share_mat.any(axis=1)
-                    if isolated.any():
-                        globals_t = np.where(isolated, rates, globals_t)
-            else:
-                globals_t = rates.copy()
-
-        for i, agent in enumerate(agents):
-            update(
-                agent,
-                agent.last_action,
-                local_reward(float(rates[i])),
-                float(globals_t[i]) if federated else None,
-            )
-
-        action_masks[t - 1] = np.asarray(indices, dtype=np.uint16) + 1
+            global_hist[t - 1] = np.where(shares, rates, np.inf).min(axis=1)
+            globals_t = global_hist[t - 1].tolist()
+        for agent, index, local_r, global_r in zip(agents, chosen, rates.tolist(), globals_t):
+            update(agent, index, local_r, global_r)
+        action_masks[t - 1] = chosen
         rates_hist[t - 1] = rates
-        if federated:
-            global_hist[t - 1] = globals_t
+    action_masks += 1  # action index a is link mask a + 1
 
     return RunResult(
         scenario=scenario,
@@ -249,7 +145,6 @@ def run_scenario(
         neighbor_sets=neighbor_sets,
         action_masks=action_masks,
         rates_bps=rates_hist,
-        local_rewards=rates_hist.copy(),
         global_rewards=global_hist,
     )
 

@@ -17,9 +17,5 @@ class DomainError(MlosimError):
     """An RF arithmetic input is outside the function's domain (e.g. d <= 0)."""
 
 
-class ContractError(MlosimError):
-    """A caller broke an API contract (e.g. updating a stale action)."""
-
-
 class EmptyInputError(MlosimError):
     """An aggregation was asked to operate on an empty collection."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from . import rng as streams
 from .agents import Strategy
 from .engine import RunResult, min_rate_timeseries, run_scenario
 from .errors import ConfigError, EmptyInputError
-from .scenario import PhysicalConfig, Scenario, sample_scenario
+from .scenario import MAX_LINKS, PhysicalConfig, Scenario, sample_scenario
 
 ALL_STRATEGIES = tuple(Strategy)
 
@@ -60,6 +61,14 @@ class ExperimentConfig:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ConfigError(f"every AP count must be >= 1, got {self.n_values}")
+        if len(set(self.n_values)) != len(self.n_values):
+            raise ConfigError(f"AP counts must be distinct, got {self.n_values}")
+        if not 1 <= self.k <= MAX_LINKS:
+            raise ConfigError(f"k must be in [1, {MAX_LINKS}], got {self.k}")
+        if not (math.isfinite(self.area_side_m) and self.area_side_m > 0):
+            raise ConfigError(f"area side must be finite and positive, got {self.area_side_m}")
+        if not 0 < self.d_m < self.area_side_m:
+            raise ConfigError(f"AP-STA distance must satisfy 0 < d < area side, got d={self.d_m}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
 

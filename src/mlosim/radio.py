@@ -1,4 +1,4 @@
-"""RF arithmetic: pathloss, received power, interference, achievable rate.
+"""RF arithmetic: pathloss, link budget, neighborhoods, achievable rates.
 
 All SINR math happens in linear milliwatts; dBm appears only at the
 boundaries. Rates follow the per-link Shannon form
@@ -36,25 +36,9 @@ class LinkSet:
     def full(cls, width: int) -> "LinkSet":
         return cls((1 << width) - 1, width)
 
-    @classmethod
-    def from_links(cls, links, width: int) -> "LinkSet":
-        mask = 0
-        for link in links:
-            if not 0 <= link < width:
-                raise ConfigError(f"link index {link} out of range for width {width}")
-            mask |= 1 << link
-        return cls(mask, width)
-
     @property
     def is_empty(self) -> bool:
         return self.mask == 0
-
-    @property
-    def num_active(self) -> int:
-        return self.mask.bit_count()
-
-    def contains(self, link: int) -> bool:
-        return bool(self.mask >> link & 1)
 
     def active_links(self) -> tuple[int, ...]:
         return tuple(j for j in range(self.width) if self.mask >> j & 1)
@@ -84,29 +68,26 @@ class ActivationProfile:
         return len(self.per_ap)
 
 
-def dbm_to_mw(dbm: float) -> float:
+def dbm_to_mw(dbm):
     return 10.0 ** (dbm / 10.0)
 
 
-def mw_to_dbm(mw: float) -> float:
-    if mw <= 0:
-        raise DomainError(f"power must be positive to express in dBm, got {mw} mW")
-    return 10.0 * math.log10(mw)
-
-
-def pathloss_db(d: float, physical: PhysicalConfig) -> float:
-    """Pathloss over d meters: intercept + 10*gamma*log10(d) + wall term."""
-    if d <= 0:
-        raise DomainError(f"pathloss needs a positive distance, got {d} m")
+def pathloss_db(d, physical: PhysicalConfig):
+    """Pathloss over d meters (scalar or array): intercept +
+    10*gamma*log10(d) + wall term. The only place the formula is written."""
+    d = np.asarray(d, dtype=np.float64)
+    if np.any(d <= 0):
+        raise DomainError(f"pathloss needs positive distances, got min {d.min()} m")
     return (
         physical.pathloss_intercept_db
-        + 10.0 * physical.attenuation_factor * math.log10(d)
+        + 10.0 * physical.attenuation_factor * np.log10(d)
         + physical.wall_attenuation_db_per_wall * physical.walls_per_meter * d
     )
 
 
-def received_power_dbm(tx_dbm: float, d: float, physical: PhysicalConfig) -> float:
-    return tx_dbm - pathloss_db(d, physical)
+def _distances(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """dist[j, i]: Euclidean distance from point src[j] to point dst[i]."""
+    return np.sqrt(((src[:, None, :] - dst[None, :, :]) ** 2).sum(axis=-1))
 
 
 def link_budget_matrix_mw(scenario: Scenario) -> np.ndarray:
@@ -116,60 +97,63 @@ def link_budget_matrix_mw(scenario: Scenario) -> np.ndarray:
     potential interference contributions. Geometry is static, so this is
     computed once per world.
     """
-    ap = scenario.ap_array()
-    sta = scenario.sta_array()
-    dist = np.sqrt(((ap[:, None, :] - sta[None, :, :]) ** 2).sum(axis=-1))
-    if np.any(dist <= 0):
-        raise DomainError("co-located AP/STA nodes have no defined pathloss")
     phys = scenario.physical
-    loss = (
-        phys.pathloss_intercept_db
-        + 10.0 * phys.attenuation_factor * np.log10(dist)
-        + phys.wall_attenuation_db_per_wall * phys.walls_per_meter * dist
-    )
-    return 10.0 ** ((phys.tx_power_dbm - loss) / 10.0)
+    dist = _distances(scenario.ap_array(), scenario.sta_array())
+    return dbm_to_mw(phys.tx_power_dbm - pathloss_db(dist, phys))
 
 
-def interference_mw(
-    scenario: Scenario, profile: ActivationProfile, i: int, link: int
-) -> float:
-    """Aggregate power (mW) at STA i from every other AP active on `link`.
+def all_neighbor_sets(scenario: Scenario) -> tuple[frozenset[int], ...]:
+    """Neighbor sets for every AP, in index order: the APs whose
+    transmissions reach it at or above the sensitivity threshold (AP-to-AP
+    distance, full TX power). Symmetric and irreflexive.
+    """
+    phys = scenario.physical
+    ap = scenario.ap_array()
+    dist = _distances(ap, ap)
+    np.fill_diagonal(dist, np.inf)  # infinite pathloss: no AP hears itself
+    hears = phys.tx_power_dbm - pathloss_db(dist, phys) >= phys.sensitivity_dbm
+    return tuple(frozenset(np.flatnonzero(row).tolist()) for row in hears)
 
-    Summed in linear milliwatts over all other APs, with no sensitivity
-    cutoff; returns 0.0 when no other AP uses the link.
+
+def rates_bps(
+    power: np.ndarray, active: np.ndarray, noise_mw: float, bandwidth: float
+) -> np.ndarray:
+    """Rates (bits/second) of all n APs under one joint action, shape (n,).
+
+    `power` is the (n, n) link budget of link_budget_matrix_mw and
+    `active[i, l]` says whether AP i transmits on link l, shape (n, k).
+    """
+    signal = power.diagonal()
+    active_f = active.astype(np.float64)
+    # received[l, i] = total power on link l at STA i from every active AP
+    received = active_f.T @ power
+    interference = received.T - active_f * signal[:, None]
+    sinr = signal[:, None] / (interference + noise_mw)
+    return (active_f * np.log2(1.0 + sinr)).sum(axis=1) * bandwidth
+
+
+def achieved_rate_bps(scenario: Scenario, profile: ActivationProfile, i: int) -> float:
+    """Downlink rate of AP i under the joint profile, in bits/second.
+
+    The scalar reference that rates_bps is checked against: one link at a
+    time, with the interference summed in linear milliwatts over every
+    other AP active on that link (no sensitivity cutoff).
     """
     if profile.n != scenario.n:
         raise ConfigError(f"profile covers {profile.n} APs, scenario has {scenario.n}")
     if not 0 <= i < scenario.n:
         raise IndexError(f"AP index {i} out of range for n={scenario.n}")
-    if not 0 <= link < scenario.num_links:
-        raise IndexError(f"link index {link} out of range for k={scenario.num_links}")
     phys = scenario.physical
-    sta_i = scenario.sta_positions[i]
-    total = 0.0
-    for j in range(scenario.n):
-        if j == i or not profile.per_ap[j].contains(link):
-            continue
-        d = math.dist(scenario.ap_positions[j], sta_i)
-        total += dbm_to_mw(received_power_dbm(phys.tx_power_dbm, d, phys))
-    return total
-
-
-def achieved_rate_bps(scenario: Scenario, profile: ActivationProfile, i: int) -> float:
-    """Downlink rate of AP i under the joint profile, in bits/second."""
-    if profile.n != scenario.n:
-        raise ConfigError(f"profile covers {profile.n} APs, scenario has {scenario.n}")
-    if not 0 <= i < scenario.n:
-        raise IndexError(f"AP index {i} out of range for n={scenario.n}")
-    own = profile.per_ap[i]
-    if own.is_empty:
-        raise ConfigError(f"AP {i} has no active links")
-    phys = scenario.physical
-    d_own = math.dist(scenario.ap_positions[i], scenario.sta_positions[i])
-    signal_mw = dbm_to_mw(received_power_dbm(phys.tx_power_dbm, d_own, phys))
+    sta = scenario.sta_positions[i]
+    dist = [math.dist(ap, sta) for ap in scenario.ap_positions]
+    rx_mw = dbm_to_mw(phys.tx_power_dbm - pathloss_db(dist, phys)).tolist()
     noise_mw = dbm_to_mw(phys.noise_floor_dbm)
     rate = 0.0
-    for link in own.active_links():
-        sinr = signal_mw / (interference_mw(scenario, profile, i, link) + noise_mw)
-        rate += phys.bandwidth_hz_per_link * math.log2(1.0 + sinr)
+    for link in profile.per_ap[i].active_links():
+        interference = sum(
+            rx_mw[j]
+            for j, other in enumerate(profile.per_ap)
+            if j != i and other.mask >> link & 1
+        )
+        rate += phys.bandwidth_hz_per_link * math.log2(1.0 + rx_mw[i] / (interference + noise_mw))
     return rate

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -54,6 +54,12 @@ class PhysicalConfig:
     sensitivity_dbm: float = DEFAULT_SENSITIVITY_DBM
 
     def __post_init__(self) -> None:
+        for name, value in self.to_json_dict().items():
+            if not math.isfinite(value):
+                raise ConfigError(f"physical {name} must be finite, got {value}")
+        for name in ("attenuation_factor", "wall_attenuation_db_per_wall", "walls_per_meter"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"physical {name} must be >= 0, got {getattr(self, name)}")
         if self.bandwidth_hz_per_link <= 0:
             raise ConfigError(f"bandwidth must be positive, got {self.bandwidth_hz_per_link}")
         if self.sensitivity_dbm <= self.noise_floor_dbm:
@@ -63,20 +69,17 @@ class PhysicalConfig:
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "pathloss_intercept_db": self.pathloss_intercept_db,
-            "attenuation_factor": self.attenuation_factor,
-            "wall_attenuation_db_per_wall": self.wall_attenuation_db_per_wall,
-            "walls_per_meter": self.walls_per_meter,
-            "tx_power_dbm": self.tx_power_dbm,
-            "bandwidth_hz_per_link": self.bandwidth_hz_per_link,
-            "noise_floor_dbm": self.noise_floor_dbm,
-            "sensitivity_dbm": self.sensitivity_dbm,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PhysicalConfig":
-        return cls(**{k: float(v) for k, v in data.items()})
+        unknown = set(data) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(f"unknown physical fields: {sorted(unknown)}")
+        try:
+            return cls(**{k: float(v) for k, v in data.items()})
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"physical values must be numbers: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -196,26 +199,3 @@ def sample_scenario(
         physical=physical,
     )
 
-
-def neighbors_of(scenario: Scenario, i: int) -> set[int]:
-    """APs whose transmissions reach AP `i` at or above the sensitivity
-    threshold (AP-to-AP distance, full TX power). Symmetric and irreflexive.
-    """
-    from .radio import received_power_dbm  # local import: radio depends on this module
-
-    if not 0 <= i < scenario.n:
-        raise IndexError(f"AP index {i} out of range for n={scenario.n}")
-    phys = scenario.physical
-    out: set[int] = set()
-    for j in range(scenario.n):
-        if j == i:
-            continue
-        dist = math.dist(scenario.ap_positions[i], scenario.ap_positions[j])
-        if received_power_dbm(phys.tx_power_dbm, dist, phys) >= phys.sensitivity_dbm:
-            out.add(j)
-    return out
-
-
-def all_neighbor_sets(scenario: Scenario) -> tuple[frozenset[int], ...]:
-    """Neighbor sets for every AP, in index order."""
-    return tuple(frozenset(neighbors_of(scenario, i)) for i in range(scenario.n))

@@ -41,8 +41,8 @@ from mlosim import (
 )
 from mlosim.agents import RewardTable
 from mlosim.harness import run_seed, scenario_for_index
+from mlosim.radio import all_neighbor_sets
 from mlosim.rng import generator
-from mlosim.scenario import all_neighbor_sets
 
 WORKERS = min(8, os.cpu_count() or 1)
 
@@ -312,7 +312,7 @@ class TestCriterion7Invariants:
         for seed in range(4):
             sc = sample_scenario(generator(730 + seed), n=5, k=3, area_side_m=100.0, d=10.0)
             res = run_scenario(sc, Strategy.FEDERATED_RL, T=100, seed=seed)
-            assert np.all(res.global_rewards <= res.local_rewards + 1e-9)
+            assert np.all(res.global_rewards <= res.rates_bps + 1e-9)
             frl_cases += res.T * res.n
 
         # neighbor symmetry/irreflexivity over 1000 sampled worlds

@@ -1,4 +1,4 @@
-"""Policy tests: action space, epsilon-greedy selection, reward tables."""
+"""Policy tests: action space, epsilon-greedy selection, rewards, reward tables."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from mlosim import (
     AgentState,
     ConfigError,
-    ContractError,
+    Scenario,
     Strategy,
     enumerate_actions,
     exploration_rate,
-    global_reward,
-    local_reward,
+    run_scenario,
+    sample_scenario,
     select_action,
     update,
 )
@@ -53,7 +53,7 @@ class TestActionSpace:
         space = enumerate_actions(3)
         mat = space.mask_matrix()
         for idx, action in enumerate(space.actions):
-            assert [bool(b) for b in mat[idx]] == [action.contains(j) for j in range(3)]
+            assert [bool(b) for b in mat[idx]] == [bool(action.mask >> j & 1) for j in range(3)]
 
 
 class TestExplorationRate:
@@ -73,21 +73,20 @@ class TestSelection:
     def test_fixed_always_full_mask(self):
         agent, space = make_agent(Strategy.FIXED)
         for t in (1, 7, 2000):
-            assert select_action(agent, space, t).mask == 0b1111
+            assert space.actions[select_action(agent, space, t)].mask == 0b1111
 
     def test_fixed_ignores_rewards(self):
         agent, space = make_agent(Strategy.FIXED)
-        select_action(agent, space, 1)
-        update(agent, agent.last_action, 1e9)
+        update(agent, select_action(agent, space, 1), 1e9)
         agent.local_table.means[3] = 1e12  # poison another arm
-        assert select_action(agent, space, 2).mask == 0b1111
+        assert space.actions[select_action(agent, space, 2)].mask == 0b1111
 
     def test_random_covers_the_space_uniformly(self):
         agent, space = make_agent(Strategy.RANDOM, seed=5)
         counts = np.zeros(space.p)
         trials = 15000
         for t in range(1, trials + 1):
-            counts[space.index_of(select_action(agent, space, t))] += 1
+            counts[select_action(agent, space, t)] += 1
         assert counts.min() > 0
         # each arm ~1000 draws; 5 sigma ~ 155
         assert np.all(np.abs(counts - trials / space.p) < 160)
@@ -98,7 +97,7 @@ class TestSelection:
         for seed in range(400):
             agent, space = make_agent(Strategy.LOCAL_RL, seed=seed)
             agent.local_table.means[7] = 1e12
-            if select_action(agent, space, 1).mask == 8:
+            if space.actions[select_action(agent, space, 1)].mask == 8:
                 hits += 1
         # uniform would give ~400/15 ~ 27; exploitation would give 400
         assert hits < 80
@@ -107,9 +106,7 @@ class TestSelection:
         agent, space = make_agent(Strategy.LOCAL_RL, seed=9)
         agent.local_table.means[:] = 0.0
         agent.local_table.means[4] = 5e8
-        picks = {
-            space.index_of(select_action(agent, space, t)) for t in range(10**6, 10**6 + 50)
-        }
+        picks = {select_action(agent, space, t) for t in range(10**6, 10**6 + 50)}
         # epsilon(1e6) = 0.001: all 50 picks exploit with high probability
         assert picks == {4}
 
@@ -117,9 +114,7 @@ class TestSelection:
         agent, space = make_agent(Strategy.FEDERATED_RL, seed=9)
         agent.local_table.means[2] = 9e9  # must be ignored
         agent.global_table.means[11] = 1e9
-        picks = {
-            space.index_of(select_action(agent, space, t)) for t in range(10**6, 10**6 + 50)
-        }
+        picks = {select_action(agent, space, t) for t in range(10**6, 10**6 + 50)}
         assert picks == {11}
 
     def test_tiebreak_splits_evenly(self):
@@ -131,7 +126,7 @@ class TestSelection:
         t = 10**9  # epsilon ~ 3e-5: effectively pure exploitation
         counts = np.zeros(3)
         for _ in range(10**4):
-            counts[space.index_of(select_action(agent, space, t))] += 1
+            counts[select_action(agent, space, t)] += 1
         assert counts[0] <= 5  # only explorations can hit the losing arm
         assert abs(counts[1] / 1e4 - 0.5) < 0.03
         assert abs(counts[2] / 1e4 - 0.5) < 0.03
@@ -148,46 +143,62 @@ class TestSelection:
             agent, _ = make_agent(Strategy.LOCAL_RL, seed=1000 + bin_idx)
             agent.local_table.means[6] = 1e9
             observed = sum(
-                select_action(agent, space, t).mask != space.actions[6].mask
+                select_action(agent, space, t) != 6
                 for _ in range(trials)
             )
             expected = trials * exploration_rate(t) * (space.p - 1) / space.p
             chi2 += (observed - expected) ** 2 / (expected * (1 - expected / trials))
         assert chi2 < 13.277
 
-    def test_selection_records_last_action(self):
-        agent, space = make_agent(Strategy.RANDOM, seed=2)
-        action = select_action(agent, space, 1)
-        assert agent.last_action == action
-        assert space.actions[agent.last_action_index] == action
+
+def clique(n=4):
+    """n APs 2 m apart in a row: every AP hears every other."""
+    pts = [(48.0 + 2 * i, 50.0) for i in range(n)]
+    return Scenario(
+        area_side_m=100.0,
+        ap_positions=tuple(pts),
+        sta_positions=tuple((x, 60.0) for x, _ in pts),
+        ap_sta_distance_m=10.0,
+        num_links=2,
+    )
 
 
 class TestRewards:
+    """The rewards the agents are credited with, as the engine computes them:
+    the local reward is the AP's own rate, the federated (global) reward the
+    minimum rate over the AP and its neighbors."""
+
     def test_local_reward_is_identity(self):
-        assert local_reward(865.9e6) == 865.9e6
-        assert local_reward(0.0) == 0.0
+        agent, space = make_agent(Strategy.LOCAL_RL)
+        index = select_action(agent, space, 1)
         value = 123.456789e6
-        assert local_reward(value) is value
+        update(agent, index, value)
+        assert agent.local_table.means[index] == value
 
     def test_global_reward_takes_minimum(self):
-        assert global_reward(300e6, [150e6, 420e6]) == 150e6
+        res = run_scenario(clique(), Strategy.FEDERATED_RL, T=40, seed=3)
+        expected = np.repeat(res.rates_bps.min(axis=1, keepdims=True), 4, axis=1)
+        assert np.array_equal(res.global_rewards, expected)
 
     def test_global_reward_isolated_ap(self):
-        assert global_reward(100e6, []) == 100e6
+        sc = sample_scenario(generator(17), n=1, k=4, area_side_m=100.0, d=10.0)
+        res = run_scenario(sc, Strategy.FEDERATED_RL, T=20, seed=10)
+        assert np.array_equal(res.global_rewards, res.rates_bps)
 
     def test_global_reward_includes_self_by_default(self):
-        assert global_reward(50e6, [80e6, 90e6]) == 50e6
-
-    def test_global_reward_can_exclude_self(self):
-        assert global_reward(50e6, [80e6, 90e6], include_self=False) == 80e6
-        assert global_reward(50e6, [], include_self=False) == 50e6
+        # Whenever AP 0 is the worst of the clique, its own rate is the minimum.
+        res = run_scenario(clique(), Strategy.FEDERATED_RL, T=200, seed=4)
+        worst_is_self = res.rates_bps.argmin(axis=1) == 0
+        assert worst_is_self.any()
+        assert np.array_equal(
+            res.global_rewards[worst_is_self, 0], res.rates_bps[worst_is_self, 0]
+        )
 
     def test_never_above_local(self):
-        rng = np.random.default_rng(3)
-        for _ in range(1000):
-            own = float(rng.uniform(0, 1e9))
-            nbrs = rng.uniform(0, 1e9, size=rng.integers(0, 6)).tolist()
-            assert global_reward(own, nbrs) <= own
+        for seed in range(5):
+            sc = sample_scenario(generator(300 + seed), n=6, k=3, area_side_m=60.0, d=10.0)
+            res = run_scenario(sc, Strategy.FEDERATED_RL, T=100, seed=seed)
+            assert np.all(res.global_rewards <= res.rates_bps)
 
 
 class TestRewardTable:
@@ -244,45 +255,39 @@ class TestRewardTable:
 
 
 class TestUpdate:
-    def test_stale_action_rejected(self):
-        agent, space = make_agent(Strategy.LOCAL_RL)
-        select_action(agent, space, 1)
-        wrong = space.actions[(agent.last_action_index + 1) % space.p]
-        with pytest.raises(ContractError):
-            update(agent, wrong, 1.0)
-
     def test_federated_requires_global_reward(self):
         agent, space = make_agent(Strategy.FEDERATED_RL)
-        select_action(agent, space, 1)
-        with pytest.raises(ContractError):
-            update(agent, agent.last_action, 1.0, None)
+        with pytest.raises(TypeError):
+            update(agent, select_action(agent, space, 1), 1.0, None)
 
     def test_fixed_still_records_statistics(self):
         agent, space = make_agent(Strategy.FIXED)
         for t, reward in enumerate([4.0, 8.0], start=1):
-            action = select_action(agent, space, t)
-            update(agent, action, reward)
+            update(agent, select_action(agent, space, t), reward)
         assert agent.local_table.counts[space.full_index] == 2
         assert agent.local_table.means[space.full_index] == 6.0
 
     def test_federated_updates_both_tables(self):
         agent, space = make_agent(Strategy.FEDERATED_RL)
-        action = select_action(agent, space, 1)
-        update(agent, action, 10.0, 4.0)
-        idx = agent.last_action_index
+        idx = select_action(agent, space, 1)
+        update(agent, idx, 10.0, 4.0)
         assert agent.local_table.means[idx] == 10.0
         assert agent.global_table.means[idx] == 4.0
 
 
 class TestArgmaxProperties:
+    # Scaling by a power of two only shifts the exponent, so it is exact and
+    # keeps distinct maxima distinct (a general scale like 9.005 can round
+    # 1e9 and its float predecessor to the same value). Values stay far from
+    # the subnormal range, where scaling down would round.
     @given(
-        st.lists(st.floats(0, 1e9), min_size=1, max_size=15),
-        st.floats(min_value=1e-3, max_value=1e3),
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e9)), min_size=1, max_size=15),
+        st.integers(-10, 10),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=300)
-    def test_scale_invariance(self, means, scale, seed):
+    def test_scale_invariance(self, means, exponent, seed):
         values = np.asarray(means)
         a = _argmax_random_tie(values, generator(seed))
-        b = _argmax_random_tie(values * scale, generator(seed))
+        b = _argmax_random_tie(values * 2.0**exponent, generator(seed))
         assert a == b

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from mlosim import ConfigError
 from mlosim.cli import config_from_args, build_parser, main
 
 
@@ -89,3 +90,41 @@ class TestMain:
         a = json.loads((out_a / "summary.json").read_text())
         b = json.loads((out_b / "summary.json").read_text())
         assert a["batches"] != b["batches"]
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"physical": {"bogus": 1}},
+            {"physical": {"noise_floor_dbm": "nan"}},
+            {"physical": {"tx_power_dbm": "inf"}},
+            {"physical": {"attenuation_factor": "-inf"}},
+            {"physical": {"walls_per_meter": -0.1}},
+            {"physical": {"bandwidth_hz_per_link": None}},
+            {"k": 0},
+            {"k": 17},
+            {"area_side_m": "nan"},
+            {"area_side_m": -100.0},
+            {"d_m": "nan"},
+            {"d_m": 0.0},
+            {"d_m": 100.0},
+        ],
+    )
+    def test_unknown_or_out_of_range_config_exits_with_error(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        # Rejected while the config is built, before any world is sampled.
+        with pytest.raises(ConfigError):
+            config_from_args(build_parser().parse_args(["--config", str(cfg)]))
+        code = run_cli("--config", str(cfg), "--scenarios", "1", "--iterations", "5",
+                       "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("simulate: error:") and "Traceback" not in err
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_duplicate_aps_rejected(self, tmp_path, capsys):
+        code = run_cli("--aps", "4,4", "--scenarios", "1", "--iterations", "5",
+                       "--out", str(tmp_path))
+        assert code == 1
+        assert "AP counts must be distinct" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()

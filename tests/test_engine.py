@@ -21,8 +21,8 @@ from mlosim import (
     sample_scenario,
 )
 from mlosim.engine import RunResult
+from mlosim.radio import all_neighbor_sets
 from mlosim.rng import generator
-from mlosim.scenario import all_neighbor_sets
 
 
 def world(seed=42, n=4, k=4):
@@ -84,23 +84,22 @@ class TestTrace:
         sc = world(n=3)
         res = run_scenario(sc, Strategy.FEDERATED_RL, T=25, seed=4)
         assert res.T == 25 and res.n == 3
-        trace = res.trace
-        assert len(trace) == 25
-        assert [r.t for r in trace] == list(range(1, 26))
-        rec = trace[7]
-        assert isinstance(rec.actions, ActivationProfile)
-        assert rec.actions.per_ap[1].mask == res.action_masks[7, 1]
-        assert rec.rates_bps == tuple(res.rates_bps[7])
-        assert rec.global_rewards == tuple(res.global_rewards[7])
+        assert res.action_masks.shape == res.rates_bps.shape == res.global_rewards.shape
+        assert res.action_masks.dtype == np.uint16
+        data = res.to_json_dict()
+        assert set(data) == {
+            "scenario", "strategy", "seed", "neighbor_sets",
+            "action_masks", "rates_bps", "global_rewards",
+        }
+        assert len(data["action_masks"]) == 25
+        assert data["action_masks"][7][1] == res.action_masks[7, 1]
+        assert data["rates_bps"][7] == res.rates_bps[7].tolist()
+        assert data["global_rewards"][7] == res.global_rewards[7].tolist()
 
     def test_non_federated_runs_have_no_global_rewards(self):
         res = run_scenario(world(n=2), Strategy.LOCAL_RL, T=10, seed=1)
         assert res.global_rewards is None
-        assert res.trace[0].global_rewards is None
-
-    def test_local_rewards_equal_rates(self):
-        res = run_scenario(world(n=3), Strategy.RANDOM, T=30, seed=6)
-        assert np.array_equal(res.local_rewards, res.rates_bps)
+        assert res.to_json_dict()["global_rewards"] is None
 
     def test_neighbor_sets_frozen_and_symmetric(self):
         sc = world(n=6, seed=10)
@@ -150,13 +149,13 @@ class TestFederatedExchange:
         for t in range(res.T):
             for i in range(res.n):
                 members = {i} | set(res.neighbor_sets[i])
-                expected = min(res.local_rewards[t, j] for j in members)
+                expected = min(res.rates_bps[t, j] for j in members)
                 assert res.global_rewards[t, i] == pytest.approx(expected, rel=1e-12)
 
     def test_global_never_exceeds_local(self):
         sc = world(n=8, seed=15)
         res = run_scenario(sc, Strategy.FEDERATED_RL, T=200, seed=6)
-        assert np.all(res.global_rewards <= res.local_rewards + 1e-9)
+        assert np.all(res.global_rewards <= res.rates_bps + 1e-9)
 
     def test_clique_world_agrees_on_global_reward(self):
         # All APs within coverage of each other: every agent must compute
@@ -174,46 +173,6 @@ class TestFederatedExchange:
         res = run_scenario(sc, Strategy.FEDERATED_RL, T=40, seed=7)
         spread = res.global_rewards.max(axis=1) - res.global_rewards.min(axis=1)
         assert np.all(spread == 0.0)
-
-    def test_share_period_without_exchange_falls_back_to_local(self):
-        sc = world(n=5, seed=16)
-        res = run_scenario(sc, Strategy.FEDERATED_RL, T=30, seed=8, share_period=10**9)
-        assert np.array_equal(res.global_rewards, res.local_rewards)
-
-    def test_share_period_exchanges_on_schedule(self):
-        sc = world(n=5, seed=16)
-        res = run_scenario(sc, Strategy.FEDERATED_RL, T=40, seed=8, share_period=10)
-        for t in range(res.T):
-            if (t + 1) % 10 == 0:
-                for i in range(res.n):
-                    members = {i} | set(res.neighbor_sets[i])
-                    expected = min(res.local_rewards[t, j] for j in members)
-                    assert res.global_rewards[t, i] == pytest.approx(expected)
-            else:
-                assert np.array_equal(res.global_rewards[t], res.local_rewards[t])
-
-    def test_min_can_exclude_self(self):
-        sc = crossed_pair()
-        res = run_scenario(
-            sc, Strategy.FEDERATED_RL, T=30, seed=9, min_includes_self=False
-        )
-        # both APs are mutual neighbors: each AP's global reward is the
-        # other's local reward
-        assert np.allclose(res.global_rewards[:, 0], res.local_rewards[:, 1])
-        assert np.allclose(res.global_rewards[:, 1], res.local_rewards[:, 0])
-
-    def test_isolated_ap_with_self_excluded_uses_own_reward(self):
-        sc = world(n=1, seed=17)
-        res = run_scenario(
-            sc, Strategy.FEDERATED_RL, T=20, seed=10, min_includes_self=False
-        )
-        assert np.array_equal(res.global_rewards, res.local_rewards)
-
-    def test_share_averaged_variant_runs_and_differs(self):
-        sc = crossed_pair()
-        inst = run_scenario(sc, Strategy.FEDERATED_RL, T=300, seed=12)
-        avg = run_scenario(sc, Strategy.FEDERATED_RL, T=300, seed=12, share_averaged=True)
-        assert not np.array_equal(inst.global_rewards, avg.global_rewards)
 
 
 class TestConvergence:
@@ -257,7 +216,6 @@ class TestMinRateTimeseries:
             neighbor_sets=all_neighbor_sets(sc),
             action_masks=np.full((3, 2), 0b1111, dtype=np.uint16),
             rates_bps=rates,
-            local_rewards=rates.copy(),
             global_rewards=None,
         )
         assert min_rate_timeseries(res).tolist() == [1.0, 2.0, 2.0]
@@ -293,7 +251,7 @@ class TestSerializationOutputs:
         assert len(rows) == 7 * 3
         assert rows[0]["t"] == "1" and rows[0]["ap"] == "0"
         assert set(rows[0]) == {
-            "t", "ap", "action_mask", "rate_bps", "local_reward", "global_reward",
+            "t", "ap", "action_mask", "rate_bps", "global_reward",
         }
         assert float(rows[4]["rate_bps"]) == res.rates_bps[1, 1]
         assert len(rows[0]["action_mask"]) == 4  # zero-padded to k bits

@@ -105,6 +105,7 @@ class TestConfig:
             dict(n_values=(0,)),
             dict(strategies=()),
             dict(workers=0),
+            dict(n_values=(4, 2, 4)),
         ],
     )
     def test_validation(self, kwargs):

@@ -16,11 +16,9 @@ from mlosim import (
     Scenario,
     achieved_rate_bps,
     dbm_to_mw,
-    interference_mw,
-    mw_to_dbm,
     pathloss_db,
-    received_power_dbm,
 )
+from mlosim.radio import link_budget_matrix_mw, rates_bps
 
 PHYS = PhysicalConfig()
 
@@ -58,43 +56,51 @@ class TestPathloss:
         with pytest.raises(DomainError):
             pathloss_db(d, PHYS)
 
+    def test_array_valued(self):
+        values = pathloss_db(np.array([[1.0, 10.0], [100.0, 20.0]]), PHYS)
+        assert values == pytest.approx(np.array([[PL_1, PL_10], [PL_100, PL_20]]), abs=1e-9)
+        with pytest.raises(DomainError):
+            pathloss_db(np.array([10.0, 0.0]), PHYS)
+
     @given(st.floats(min_value=0.01, max_value=5000.0))
     def test_matches_direct_formula(self, d):
         expected = 54.12 + 10 * 2.06067 * math.log10(d) + 5.25 * 0.1467 * d
         assert pathloss_db(d, PHYS) == pytest.approx(expected, rel=1e-12)
 
 
+def own_signal_dbm(d, physical=PHYS):
+    """Power (dBm) a lone STA d meters from its AP receives, per the link budget."""
+    world = make_world([(50.0, 50.0)], [(50.0, 50.0 + d)], d=d, physical=physical)
+    return 10.0 * math.log10(link_budget_matrix_mw(world)[0, 0])
+
+
 class TestReceivedPower:
     def test_twenty_dbm_at_ten_meters(self):
-        assert received_power_dbm(20.0, 10.0, PHYS) == pytest.approx(-62.42845, abs=1e-9)
+        assert own_signal_dbm(10.0) == pytest.approx(-62.42845, abs=1e-9)
 
     def test_twenty_dbm_at_one_meter(self):
-        assert received_power_dbm(20.0, 1.0, PHYS) == pytest.approx(-34.890175, abs=1e-9)
+        assert own_signal_dbm(1.0) == pytest.approx(-34.890175, abs=1e-9)
 
     def test_linearity_in_tx_power(self):
-        assert received_power_dbm(0.0, 1.0, PHYS) == pytest.approx(-54.890175, abs=1e-9)
+        zero_dbm = PhysicalConfig(tx_power_dbm=0.0)
+        assert own_signal_dbm(1.0, zero_dbm) == pytest.approx(-54.890175, abs=1e-9)
 
 
 class TestUnitConversions:
     @given(st.floats(min_value=-200.0, max_value=100.0))
     @settings(max_examples=1000)
     def test_dbm_roundtrip(self, dbm):
-        assert mw_to_dbm(dbm_to_mw(dbm)) == pytest.approx(dbm, rel=1e-12, abs=1e-12)
-
-    def test_nonpositive_power_has_no_dbm(self):
-        with pytest.raises(DomainError):
-            mw_to_dbm(0.0)
+        assert 10.0 * math.log10(dbm_to_mw(dbm)) == pytest.approx(dbm, rel=1e-12, abs=1e-12)
 
 
 class TestLinkSet:
     def test_full_mask(self):
         ls = LinkSet.full(4)
-        assert ls.mask == 0b1111 and ls.num_active == 4
+        assert ls.mask == 0b1111 and ls.active_links() == (0, 1, 2, 3)
 
     def test_active_links_order(self):
-        ls = LinkSet.from_links([2, 0], width=4)
-        assert ls.active_links() == (0, 2)
-        assert ls.contains(0) and not ls.contains(1)
+        assert LinkSet(0b0101, width=4).active_links() == (0, 2)
+        assert str(LinkSet(0b0101, width=4)) == "0101"
 
     def test_mask_must_fit_width(self):
         with pytest.raises(ConfigError):
@@ -113,47 +119,59 @@ class TestLinkSet:
             ActivationProfile((LinkSet(1, 2), LinkSet(1, 3)))
 
 
+def profile_of(*masks, k=4):
+    return ActivationProfile(tuple(LinkSet(int(m), k) for m in masks))
+
+
 class TestInterference:
+    """Interference enters the rates through the link budget's off-diagonal."""
+
     def test_single_ap_sees_none(self):
         world = make_world([(50.0, 50.0)], [(50.0, 60.0)])
-        profile = ActivationProfile((LinkSet.full(4),))
-        for link in range(4):
-            assert interference_mw(world, profile, 0, link) == 0.0
+        power = link_budget_matrix_mw(world)
+        assert power.shape == (1, 1)
+        rates = rates_bps(power, np.ones((1, 4), dtype=bool), dbm_to_mw(-95.0), 80e6)
+        snr = 10 ** ((20.0 - PL_10) / 10.0) / 10 ** (-95.0 / 10.0)
+        assert rates[0] == pytest.approx(4 * 80e6 * math.log2(1.0 + snr), rel=1e-12)
 
     def test_inactive_link_contributes_nothing(self):
         world = make_world([(40.0, 50.0), (60.0, 50.0)], [(40.0, 60.0), (60.0, 60.0)])
-        profile = ActivationProfile((LinkSet(0b01, 4), LinkSet(0b10, 4)))
+        alone = achieved_rate_bps(
+            make_world([(40.0, 50.0)], [(40.0, 60.0)]), profile_of(0b01), 0
+        )
         # AP 1 is active only on link 1, so link 0 at STA 0 is clean.
-        assert interference_mw(world, profile, 0, 0) == 0.0
-        assert interference_mw(world, profile, 0, 1) > 0.0
+        disjoint = achieved_rate_bps(world, profile_of(0b01, 0b10), 0)
+        shared = achieved_rate_bps(world, profile_of(0b01, 0b01), 0)
+        assert disjoint == pytest.approx(alone, rel=1e-12)
+        assert shared < alone
 
     def test_known_geometry_value(self):
         # AP 1 exactly 20 m from STA 0: 10**((20 - PL(20)) / 10) mW.
         world = make_world([(40.0, 50.0), (40.0, 80.0)], [(40.0, 60.0), (40.0, 90.0)])
-        profile = ActivationProfile((LinkSet(0b1, 4), LinkSet(0b1, 4)))
         expected = 10 ** ((20.0 - PL_20) / 10.0)
-        assert interference_mw(world, profile, 0, 0) == pytest.approx(expected, rel=1e-12)
+        assert link_budget_matrix_mw(world)[1, 0] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(2.3262507107729524e-08, rel=1e-12)
+        # ... and it is exactly the interference the scalar reference sees.
+        signal = 10 ** ((20.0 - PL_10) / 10.0)
+        by_hand = 80e6 * math.log2(1.0 + signal / (expected + 10 ** (-95.0 / 10.0)))
+        rate = achieved_rate_bps(world, profile_of(0b1, 0b1), 0)
+        assert rate == pytest.approx(by_hand, rel=1e-12)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(123)
+        noise = dbm_to_mw(-95.0)
         for _ in range(50):
             pts = rng.uniform(0, 90, size=(3, 2))
             stas = pts + [[0, 10.0]] * 3
-            d = 10.0
-            world = make_world([tuple(p) for p in pts], [tuple(s) for s in stas], d=d)
-            masks = [LinkSet(int(m), 4) for m in rng.integers(1, 16, size=3)]
-            profile = ActivationProfile(tuple(masks))
+            world = make_world([tuple(p) for p in pts], [tuple(s) for s in stas])
+            active = rng.integers(0, 2, size=(3, 4)).astype(bool)
             perm = rng.permutation(3)
-            world_p = make_world(
-                [tuple(pts[j]) for j in perm], [tuple(stas[j]) for j in perm], d=d
-            )
-            profile_p = ActivationProfile(tuple(masks[j] for j in perm))
-            for new_i, old_i in enumerate(perm):
-                for link in range(4):
-                    assert interference_mw(world_p, profile_p, new_i, link) == pytest.approx(
-                        interference_mw(world, profile, old_i, link), rel=1e-12
-                    )
+            world_p = make_world([tuple(pts[j]) for j in perm], [tuple(stas[j]) for j in perm])
+            power, power_p = link_budget_matrix_mw(world), link_budget_matrix_mw(world_p)
+            assert power_p == pytest.approx(power[np.ix_(perm, perm)], rel=1e-12)
+            rates = rates_bps(power, active, noise, 80e6)
+            rates_p = rates_bps(power_p, active[perm], noise, 80e6)
+            assert rates_p == pytest.approx(rates[perm], rel=1e-12)
 
 
 class TestAchievedRate:

@@ -7,12 +7,13 @@ import pytest
 
 from mlosim import (
     ConfigError,
+    DomainError,
     GeometryError,
     PhysicalConfig,
     Scenario,
-    neighbors_of,
     sample_scenario,
 )
+from mlosim.radio import all_neighbor_sets
 from mlosim.rng import generator
 
 PHYS = PhysicalConfig()
@@ -66,7 +67,7 @@ class TestSampling:
     def test_single_pair_world(self):
         sc = sample_scenario(generator(3), n=1, k=1, area_side_m=100.0, d=10.0)
         assert sc.n == 1
-        assert neighbors_of(sc, 0) == set()
+        assert all_neighbor_sets(sc) == (frozenset(),)
 
     def test_same_seed_is_bitwise_identical(self):
         a = sample_scenario(generator(42), n=8, k=4, area_side_m=100.0, d=10.0)
@@ -136,36 +137,66 @@ class TestInvariants:
             )
 
 
+def oracle_neighbor_sets(sc):
+    """Scalar oracle: one AP pair at a time, math.dist and the paper's
+    constants written out (20 dBm TX, -82 dBm sensitivity)."""
+    out = []
+    for i, a in enumerate(sc.ap_positions):
+        heard = set()
+        for j, b in enumerate(sc.ap_positions):
+            if j != i:
+                d = math.dist(a, b)
+                pathloss = 54.12 + 10 * 2.06067 * math.log10(d) + 5.25 * 0.1467 * d
+                if 20.0 - pathloss >= -82.0:
+                    heard.add(j)
+        out.append(frozenset(heard))
+    return tuple(out)
+
+
 class TestNeighbors:
     def test_close_pair_hear_each_other(self):
         # At 5 m the received power is 20 - 72.374 = -52.374 dBm >= -82.
-        sc = pair_world(5.0)
-        assert neighbors_of(sc, 0) == {1}
-        assert neighbors_of(sc, 1) == {0}
+        assert all_neighbor_sets(pair_world(5.0)) == ({1}, {0})
 
     def test_distant_pair_do_not(self):
-        sc = pair_world(4000.0)
-        assert neighbors_of(sc, 0) == set()
-        assert neighbors_of(sc, 1) == set()
+        assert all_neighbor_sets(pair_world(4000.0)) == (set(), set())
 
     def test_coverage_edge_is_near_25m(self):
         # 20 - PL(r) crosses -82 dBm between 24 and 26 meters.
-        assert neighbors_of(pair_world(24.0), 0) == {1}
-        assert neighbors_of(pair_world(26.0), 0) == set()
+        assert all_neighbor_sets(pair_world(24.0))[0] == {1}
+        assert all_neighbor_sets(pair_world(26.0))[0] == set()
 
     def test_symmetric_and_irreflexive_on_sampled_worlds(self):
         for seed in range(25):
             sc = sample_scenario(generator(100 + seed), n=7, k=4, area_side_m=100.0, d=10.0)
-            sets = [neighbors_of(sc, i) for i in range(sc.n)]
+            sets = all_neighbor_sets(sc)
             for i, nbrs in enumerate(sets):
                 assert i not in nbrs
                 for j in nbrs:
                     assert i in sets[j]
 
     def test_index_bounds(self):
-        sc = pair_world(5.0)
-        with pytest.raises(IndexError):
-            neighbors_of(sc, 2)
+        # One set per AP, and only AP indices in them.
+        for n in (1, 2, 9, 40):
+            sc = sample_scenario(generator(n), n=n, k=1, area_side_m=60.0, d=10.0)
+            sets = all_neighbor_sets(sc)
+            assert len(sets) == n
+            assert all(0 <= j < n for nbrs in sets for j in nbrs)
+
+    def test_matches_scalar_oracle_on_sampled_worlds(self):
+        worlds = 0
+        for n in range(2, 65):
+            for rep in range(3):
+                sc = sample_scenario(
+                    generator(7000 + 10 * n + rep), n=n, k=1, area_side_m=100.0, d=10.0
+                )
+                assert all_neighbor_sets(sc) == oracle_neighbor_sets(sc), (n, rep)
+                worlds += 1
+        assert worlds == 189
+
+    def test_colocated_aps_rejected(self):
+        with pytest.raises(DomainError):
+            all_neighbor_sets(pair_world(0.0))
 
 
 class TestSerialization:
