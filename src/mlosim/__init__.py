@@ -8,13 +8,9 @@ throughput statistics across Monte Carlo batches of sampled worlds.
 
 from .agents import (
     ActionSpace,
-    AgentState,
-    RewardTable,
     Strategy,
     enumerate_actions,
     exploration_rate,
-    select_action,
-    update,
 )
 from .engine import RunResult, min_rate_timeseries, run_scenario
 from .errors import (
@@ -49,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionSpace",
     "ActivationProfile",
-    "AgentState",
     "BatchSummary",
     "ConfigError",
     "DomainError",
@@ -59,7 +54,6 @@ __all__ = [
     "LinkSet",
     "MlosimError",
     "PhysicalConfig",
-    "RewardTable",
     "RunResult",
     "Scenario",
     "Strategy",
@@ -78,6 +72,4 @@ __all__ = [
     "run_scenario",
     "run_single_scenario",
     "sample_scenario",
-    "select_action",
-    "update",
 ]

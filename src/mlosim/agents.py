@@ -6,20 +6,32 @@ scores arms by the AP's own average achieved rate; the federated model
 scores them by the average of the minimum instant rate seen across the
 AP's neighborhood (itself included), which pushes the joint behavior
 toward max-min fair activations.
+
+The n agents of a world advance together: their tables are (n, p) arrays
+of visit counts and running means. Every agent-iteration of `random`,
+`rl` and `frl` consumes exactly three uniforms from the AP's own stream:
+the explore coin (explore when below epsilon), the explore arm
+floor(u * p), and the tie rank floor(u * #maxima) among the actions of
+largest mean. A federated agent keeps only the table it selects from.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
+from . import rng as streams
 from .errors import ConfigError
 from .radio import LinkSet
 from .scenario import MAX_LINKS
+
+# Iterations whose uniforms are drawn per generator call. Results do not
+# depend on it; it bounds the memory of the draws and of the stacked
+# `random` rate step.
+_BLOCK = 128
 
 
 class Strategy(Enum):
@@ -66,98 +78,61 @@ def enumerate_actions(k: int) -> ActionSpace:
     return ActionSpace(k=k, actions=tuple(LinkSet(m, k) for m in range(1, 2**k)))
 
 
-def exploration_rate(t: int) -> float:
-    """Slow-decaying exploration probability, 1/sqrt(t) for t >= 1."""
-    if t < 1:
-        raise ConfigError(f"iteration index starts at 1, got {t}")
-    return 1.0 / math.sqrt(t)
+def exploration_rate(t):
+    """Slow-decaying exploration probability 1/sqrt(t), for t >= 1 (scalar
+    or array). The only place the schedule is written."""
+    t = np.asarray(t, dtype=np.float64)
+    if np.any(t < 1):
+        raise ConfigError(f"iteration index starts at 1, got {t.min()}")
+    return 1.0 / np.sqrt(t)
 
 
-class RewardTable:
-    """Per-action visit counts and running mean rewards (bits/second).
+def policy_draws(seed: int, n: int, T: int, p: int):
+    """Yield (t0, explore, arm, tie) over T iterations in blocks: row b of
+    each (B, n) array belongs to iteration t0 + b + 1.
 
-    The incremental update keeps each mean exactly equal to the arithmetic
-    mean of all rewards credited to that action.
+    Agent-iteration (t, i) reads three uniforms, in order, from AP i's own
+    stream (seed, i): the explore coin (explore = coin < epsilon(t)), the
+    explore arm pick(u, p) and the tie uniform. So AP i's draws depend only
+    on (seed, i), not on n, on the strategy or on the block size.
     """
-
-    __slots__ = ("counts", "means")
-
-    def __init__(self, num_actions: int):
-        if num_actions < 1:
-            raise ConfigError(f"need at least one action, got {num_actions}")
-        self.counts = np.zeros(num_actions, dtype=np.int64)
-        self.means = np.zeros(num_actions, dtype=np.float64)
-
-    @property
-    def num_actions(self) -> int:
-        return len(self.counts)
-
-    def credit(self, action_index: int, reward: float) -> None:
-        self.counts[action_index] += 1
-        self.means[action_index] += (reward - self.means[action_index]) / self.counts[action_index]
-
-    def to_json_dict(self, space: ActionSpace) -> dict:
-        """Mask-keyed view of the learned statistics, e.g. {"0101": {...}}."""
-        return {
-            str(space.actions[a]): {"count": int(self.counts[a]), "mean": float(self.means[a])}
-            for a in range(self.num_actions)
-        }
+    gens = [streams.generator(seed, streams.PURPOSE_AGENT, i) for i in range(n)]
+    for t0 in range(0, T, _BLOCK):
+        u = np.stack([g.random((min(_BLOCK, T - t0), 3)) for g in gens], axis=1)
+        eps = exploration_rate(np.arange(t0 + 1, t0 + len(u) + 1))
+        yield t0, u[..., 0] < eps[:, None], pick(u[..., 1], p), u[..., 2]
 
 
-@dataclass
-class AgentState:
-    """One AP's policy state: strategy, reward tables, private RNG."""
+def pick(u, count):
+    """floor(u * count) for uniforms u in [0, 1): an index below count.
 
-    ap_index: int
-    strategy: Strategy
-    rng: np.random.Generator
-    local_table: RewardTable
-    global_table: RewardTable | None = None
-
-    @classmethod
-    def create(
-        cls, ap_index: int, strategy: Strategy, num_actions: int, rng: np.random.Generator
-    ) -> "AgentState":
-        return cls(
-            ap_index=ap_index,
-            strategy=strategy,
-            rng=rng,
-            local_table=RewardTable(num_actions),
-            global_table=(
-                RewardTable(num_actions) if strategy is Strategy.FEDERATED_RL else None
-            ),
-        )
+    The product rounds below count for any u < 1, since u is at most
+    1 - 2**-53."""
+    return (u * count).astype(np.intp)
 
 
-def _argmax_random_tie(values: np.ndarray, rng: np.random.Generator) -> int:
-    best = np.flatnonzero(values == values.max())
-    if len(best) == 1:
-        return int(best[0])
-    return int(best[rng.integers(len(best))])
+def select(means: np.ndarray, explore: np.ndarray, arm: np.ndarray, tie: np.ndarray) -> np.ndarray:
+    """One epsilon-greedy step of all n agents; returns their action indices.
 
-
-def select_action(agent: AgentState, space: ActionSpace, t: int) -> int:
-    """Pick this iteration's link subset; returns its index into `space`."""
-    strat = agent.strategy
-    if strat is Strategy.FIXED:
-        return space.full_index
-    if strat is Strategy.RANDOM:
-        return int(agent.rng.integers(space.p))
-    table = agent.global_table if strat is Strategy.FEDERATED_RL else agent.local_table
-    if agent.rng.random() < exploration_rate(t):
-        return int(agent.rng.integers(space.p))
-    return _argmax_random_tie(table.means, agent.rng)
-
-
-def update(
-    agent: AgentState, index: int, local_r: float, global_r: float | None = None
-) -> None:
-    """Credit the iteration's rewards to action `index` of the agent's tables.
-
-    Every strategy records local statistics (fixed/random only for
-    reporting); the federated strategy additionally credits the shared
-    minimum to its global table.
+    `means` (n, p) are the tables the agents exploit. Agent i takes arm[i]
+    where explore[i]; otherwise the pick(tie[i], m)-th of the m actions of
+    largest means[i], in index order.
     """
-    agent.local_table.credit(index, local_r)
-    if agent.strategy is Strategy.FEDERATED_RL:
-        agent.global_table.credit(index, global_r)
+    ties = means == means.max(axis=1, keepdims=True)
+    if np.count_nonzero(ties) == len(means):  # one maximum per row: rank 0
+        greedy = ties.argmax(axis=1)
+    else:
+        greedy = (ties.cumsum(axis=1) > pick(tie, ties.sum(axis=1))[:, None]).argmax(axis=1)
+    return np.where(explore, arm, greedy)
+
+
+def credit(counts: np.ndarray, means: np.ndarray, index: np.ndarray, reward) -> None:
+    """Credit reward[i] to action index[i] of table row i, in place.
+
+    counts and means are (n, p) visit counts and running means; each mean
+    stays the arithmetic mean (up to rounding) of the rewards credited to it.
+    """
+    flat = np.arange(0, counts.size, counts.shape[1]) + index
+    counts, means = counts.reshape(-1), means.reshape(-1)  # views of the tables
+    counts[flat] += 1
+    means[flat] += (reward - means[flat]) / counts[flat]

@@ -1,5 +1,9 @@
 """The iteration loop: joint selection, rates, reward exchange, updates.
 
+The n agents of a world advance together as arrays. Only the learning
+strategies step through t; `fixed` evaluates its one joint action once and
+`random` a block of iterations per rate call.
+
 Moves are simultaneous: every agent commits its link subset before any
 rate is computed, so no agent observes another's current-iteration choice.
 Reward sharing between federated agents is modeled as a lossless,
@@ -15,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng as streams
-from .agents import AgentState, Strategy, enumerate_actions, select_action, update
+from .agents import Strategy, credit, enumerate_actions, policy_draws, select
 from .errors import ConfigError
 from .radio import all_neighbor_sets, dbm_to_mw, link_budget_matrix_mw, rates_bps
 from .scenario import Scenario
@@ -67,10 +70,6 @@ class RunResult:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-
     def write_csv(self, path) -> None:
         """Compact per-iteration trace for plotting tools."""
         has_global = self.global_rewards is not None
@@ -102,48 +101,54 @@ def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> R
 
     n = scenario.n
     space = enumerate_actions(scenario.num_links)
-    mask_bits = space.mask_matrix()  # (p, k)
-    agents = [
-        AgentState.create(
-            i, strategy, space.p, streams.generator(seed, streams.PURPOSE_AGENT, i)
-        )
-        for i in range(n)
-    ]
+    mask_bits = space.mask_matrix().astype(np.float64)  # (p, k), as rates_bps takes it
     neighbor_sets = all_neighbor_sets(scenario)
-    federated = strategy is Strategy.FEDERATED_RL
-    shares = np.eye(n, dtype=bool)  # shares[i, j]: i's minimum covers j
-    for i, nbrs in enumerate(neighbor_sets):
-        shares[i, list(nbrs)] = True
-
     # Static link budget: P[j, i] is AP j's power at STA i in mW.
     power = link_budget_matrix_mw(scenario)
     noise_mw = dbm_to_mw(scenario.physical.noise_floor_dbm)
     bandwidth = scenario.physical.bandwidth_hz_per_link
 
-    action_masks = np.empty((T, n), dtype=np.uint16)
-    rates_hist = np.empty((T, n), dtype=np.float64)
-    global_hist = np.empty((T, n), dtype=np.float64) if federated else None
-    no_globals = [None] * n
+    def rates_of(index: np.ndarray) -> np.ndarray:
+        return rates_bps(power, mask_bits[index], noise_mw, bandwidth)
 
-    for t in range(1, T + 1):
-        chosen = [select_action(agent, space, t) for agent in agents]
-        rates = rates_bps(power, mask_bits[chosen], noise_mw, bandwidth)
-        globals_t = no_globals
+    action_index = np.empty((T, n), dtype=np.uint16)
+    rates_hist = np.empty((T, n), dtype=np.float64)
+    global_hist = None
+    if strategy is Strategy.FIXED:
+        action_index[:] = space.full_index
+        rates_hist[:] = rates_of(action_index[0])
+    elif strategy is Strategy.RANDOM:
+        for t0, _, arm, _ in policy_draws(seed, n, T, space.p):
+            action_index[t0 : t0 + len(arm)] = arm
+            rates_hist[t0 : t0 + len(arm)] = rates_of(arm)
+    else:
+        federated = strategy is Strategy.FEDERATED_RL
         if federated:
-            global_hist[t - 1] = np.where(shares, rates, np.inf).min(axis=1)
-            globals_t = global_hist[t - 1].tolist()
-        for agent, index, local_r, global_r in zip(agents, chosen, rates.tolist(), globals_t):
-            update(agent, index, local_r, global_r)
-        action_masks[t - 1] = chosen
-        rates_hist[t - 1] = rates
-    action_masks += 1  # action index a is link mask a + 1
+            global_hist = np.empty((T, n), dtype=np.float64)
+            # hidden[i, j] is 0 where i's minimum covers j (itself and its
+            # neighbors) and inf elsewhere, so min(rates + hidden[i]) is i's.
+            hidden = np.full((n, n), np.inf)
+            for i, nbrs in enumerate(neighbor_sets):
+                hidden[i, [i, *nbrs]] = 0.0
+        # The table each agent exploits: own rates (rl) or shared minima (frl).
+        counts = np.zeros((n, space.p), dtype=np.int64)
+        means = np.zeros((n, space.p), dtype=np.float64)
+        for t0, explore, arm, tie in policy_draws(seed, n, T, space.p):
+            for b in range(len(arm)):
+                row = t0 + b  # iteration t = row + 1
+                chosen = select(means, explore[b], arm[b], tie[b])
+                rates = rates_hist[row] = rates_of(chosen)
+                if federated:
+                    rates = global_hist[row] = (rates + hidden).min(axis=1)
+                credit(counts, means, chosen, rates)
+                action_index[row] = chosen
 
     return RunResult(
         scenario=scenario,
         strategy=strategy,
         seed=seed,
         neighbor_sets=neighbor_sets,
-        action_masks=action_masks,
+        action_masks=action_index + np.uint16(1),  # action index a is link mask a + 1
         rates_bps=rates_hist,
         global_rewards=global_hist,
     )

@@ -19,7 +19,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -71,43 +71,53 @@ class ExperimentConfig:
             raise ConfigError(f"AP-STA distance must satisfy 0 < d < area side, got d={self.d_m}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "strategies": [s.value for s in self.strategies],
-            "num_scenarios": self.num_scenarios,
-            "iterations": self.iterations,
-            "n_values": list(self.n_values),
-            "k": self.k,
-            "area_side_m": self.area_side_m,
-            "d_m": self.d_m,
-            "physical": self.physical.to_json_dict(),
-            "master_seed": self.master_seed,
-            "output_dir": self.output_dir,
-            "workers": self.workers,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data.update(strategies=[s.value for s in self.strategies], n_values=list(self.n_values),
+                    physical=self.physical.to_json_dict())
+        return data
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "ExperimentConfig":
-        kwargs: dict = {}
-        if "strategies" in data:
-            kwargs["strategies"] = tuple(Strategy.from_name(s) for s in data["strategies"])
-        for name in ("num_scenarios", "iterations", "k", "master_seed", "workers"):
-            if name in data:
-                kwargs[name] = int(data[name])
-        for name in ("area_side_m", "d_m"):
-            if name in data:
-                kwargs[name] = float(data[name])
-        if "n_values" in data:
-            kwargs["n_values"] = tuple(int(n) for n in data["n_values"])
-        if "physical" in data:
-            kwargs["physical"] = PhysicalConfig.from_json_dict(data["physical"])
-        if data.get("output_dir") is not None:
-            kwargs["output_dir"] = str(data["output_dir"])
+    def from_json_dict(cls, data) -> "ExperimentConfig":
+        """Build a config from parsed JSON, rejecting values of the wrong
+        JSON type (bools and fractions for counts, a string for a list)."""
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        kwargs: dict = {}
+        for name, value in data.items():
+            if name in ("strategies", "n_values"):
+                if not isinstance(value, list):
+                    raise ConfigError(f"{name} must be a JSON list, got {value!r}")
+                item = Strategy.from_name if name == "strategies" else lambda v: _json_int(name, v)
+                kwargs[name] = tuple(item(v) for v in value)
+            elif name == "physical":
+                kwargs[name] = PhysicalConfig.from_json_dict(value)
+            elif name == "output_dir":
+                if not isinstance(value, (str, type(None))):
+                    raise ConfigError(f"output_dir must be a string, got {value!r}")
+                kwargs[name] = value
+            elif name in ("area_side_m", "d_m"):
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ConfigError(f"{name} must be a number, got {value!r}")
+                kwargs[name] = float(value)
+            else:
+                kwargs[name] = _json_int(name, value)
         return cls(**kwargs)
+
+
+def _json_int(name: str, value) -> int:
+    """An integer, or a float with an integral value; never a bool."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

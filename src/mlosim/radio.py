@@ -118,18 +118,18 @@ def all_neighbor_sets(scenario: Scenario) -> tuple[frozenset[int], ...]:
 def rates_bps(
     power: np.ndarray, active: np.ndarray, noise_mw: float, bandwidth: float
 ) -> np.ndarray:
-    """Rates (bits/second) of all n APs under one joint action, shape (n,).
+    """Rates (bits/second) of all n APs under joint actions, shape (..., n).
 
     `power` is the (n, n) link budget of link_budget_matrix_mw and
-    `active[i, l]` says whether AP i transmits on link l, shape (n, k).
+    `active[..., i, l]` says whether AP i transmits on link l, shape
+    (..., n, k); leading axes index independent joint actions.
     """
-    signal = power.diagonal()
-    active_f = active.astype(np.float64)
-    # received[l, i] = total power on link l at STA i from every active AP
-    received = active_f.T @ power
-    interference = received.T - active_f * signal[:, None]
-    sinr = signal[:, None] / (interference + noise_mw)
-    return (active_f * np.log2(1.0 + sinr)).sum(axis=1) * bandwidth
+    active_f = np.asarray(active, dtype=np.float64)
+    # total[..., i, l]: power on link l at STA i from every active AP, plus noise
+    total = power.T @ active_f + noise_mw
+    # On an active link 1 + S/(I + N) = total / (total - S); inactive gives 1.
+    ratio = total / (total - active_f * power.diagonal()[:, None])
+    return np.log2(ratio).sum(axis=-1) * bandwidth
 
 
 def achieved_rate_bps(scenario: Scenario, profile: ActivationProfile, i: int) -> float:

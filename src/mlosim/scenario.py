@@ -73,6 +73,8 @@ class PhysicalConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PhysicalConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"physical must be a JSON object, got {data!r}")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown physical fields: {sorted(unknown)}")

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlosim import (
-    AgentState,
     ConfigError,
     Scenario,
     Strategy,
@@ -14,16 +13,29 @@ from mlosim import (
     exploration_rate,
     run_scenario,
     sample_scenario,
-    select_action,
-    update,
 )
-from mlosim.agents import RewardTable, _argmax_random_tie
+from mlosim import rng as streams
+from mlosim.agents import credit, select
 from mlosim.rng import generator
+from oracles import reference_run
 
 
-def make_agent(strategy, k=4, seed=0):
-    space = enumerate_actions(k)
-    return AgentState.create(0, strategy, space.p, generator(seed)), space
+def choices(means, t, seed, trials):
+    """`trials` selections of one agent with a frozen table at iteration t,
+    each from fresh uniforms of stream `seed`."""
+    means = np.asarray(means, dtype=float)[None, :]
+    u = generator(seed).random((trials, 1, 3))
+    explore = u[..., 0] < exploration_rate(t)
+    arm = np.floor(u[..., 1] * means.shape[1]).astype(int)
+    return np.array([select(means, explore[r], arm[r], u[r, :, 2])[0] for r in range(trials)])
+
+
+def table(p):
+    return np.zeros((1, p), dtype=np.int64), np.zeros((1, p))
+
+
+def credit_one(counts, means, action, reward):
+    credit(counts, means, np.array([action]), np.array([reward]))
 
 
 class TestActionSpace:
@@ -63,70 +75,71 @@ class TestExplorationRate:
     def test_inverse_square_root(self):
         assert exploration_rate(4) == 0.5
         assert exploration_rate(10000) == pytest.approx(0.01)
+        assert exploration_rate([1, 4, 100]).tolist() == [1.0, 0.5, 0.1]
 
     def test_rejects_zero(self):
         with pytest.raises(ConfigError):
             exploration_rate(0)
+        with pytest.raises(ConfigError):
+            exploration_rate([3, 0, 5])
 
 
 class TestSelection:
     def test_fixed_always_full_mask(self):
-        agent, space = make_agent(Strategy.FIXED)
-        for t in (1, 7, 2000):
-            assert space.actions[select_action(agent, space, t)].mask == 0b1111
+        sc = sample_scenario(generator(3), n=3, k=4, area_side_m=100.0, d=10.0)
+        res = run_scenario(sc, Strategy.FIXED, T=2000, seed=0)
+        assert np.all(res.action_masks == 0b1111)
 
-    def test_fixed_ignores_rewards(self):
-        agent, space = make_agent(Strategy.FIXED)
-        update(agent, select_action(agent, space, 1), 1e9)
-        agent.local_table.means[3] = 1e12  # poison another arm
-        assert space.actions[select_action(agent, space, 2)].mask == 0b1111
+    def test_fixed_ignores_rewards(self, monkeypatch):
+        # In the crossed pair the full mask is the worst joint action; fixed
+        # keeps it anyway, and draws no random numbers at all.
+        def no_stream(*key):
+            raise AssertionError(f"fixed drew from stream {key}")
+
+        monkeypatch.setattr(streams, "generator", no_stream)
+        res = run_scenario(crossed_pair(), Strategy.FIXED, T=50, seed=1)
+        assert np.all(res.action_masks == 0b11)
 
     def test_random_covers_the_space_uniformly(self):
-        agent, space = make_agent(Strategy.RANDOM, seed=5)
-        counts = np.zeros(space.p)
+        sc = sample_scenario(generator(5), n=1, k=4, area_side_m=100.0, d=10.0)
         trials = 15000
-        for t in range(1, trials + 1):
-            counts[select_action(agent, space, t)] += 1
+        res = run_scenario(sc, Strategy.RANDOM, T=trials, seed=5)
+        counts = np.bincount(res.action_masks[:, 0], minlength=16)[1:]
         assert counts.min() > 0
         # each arm ~1000 draws; 5 sigma ~ 155
-        assert np.all(np.abs(counts - trials / space.p) < 160)
+        assert np.all(np.abs(counts - trials / 15) < 160)
 
     def test_rl_at_t1_is_uniform_regardless_of_table(self):
         # epsilon(1) = 1, so a poisoned table must not matter.
-        hits = 0
-        for seed in range(400):
-            agent, space = make_agent(Strategy.LOCAL_RL, seed=seed)
-            agent.local_table.means[7] = 1e12
-            if space.actions[select_action(agent, space, 1)].mask == 8:
-                hits += 1
+        means = np.zeros(15)
+        means[7] = 1e12
+        hits = sum(int(choices(means, 1, seed, 1)[0]) == 7 for seed in range(400))
         # uniform would give ~400/15 ~ 27; exploitation would give 400
         assert hits < 80
 
     def test_exploitation_prefers_best_mean(self):
-        agent, space = make_agent(Strategy.LOCAL_RL, seed=9)
-        agent.local_table.means[:] = 0.0
-        agent.local_table.means[4] = 5e8
-        picks = {select_action(agent, space, t) for t in range(10**6, 10**6 + 50)}
+        means = np.zeros(15)
+        means[4] = 5e8
         # epsilon(1e6) = 0.001: all 50 picks exploit with high probability
-        assert picks == {4}
+        assert set(choices(means, 10**6, 9, 50).tolist()) == {4}
 
     def test_federated_exploits_global_table(self):
-        agent, space = make_agent(Strategy.FEDERATED_RL, seed=9)
-        agent.local_table.means[2] = 9e9  # must be ignored
-        agent.global_table.means[11] = 1e9
-        picks = {select_action(agent, space, t) for t in range(10**6, 10**6 + 50)}
-        assert picks == {11}
+        # frl credits the shared minimum, rl the own rate: on a contended
+        # world both replay bit for bit from the same uniforms, and the
+        # rewards they credit lead them apart.
+        sc = crossed_pair()
+        frl = run_scenario(sc, Strategy.FEDERATED_RL, T=300, seed=2)
+        masks, _, shared = reference_run(sc, Strategy.FEDERATED_RL, 300, 2)
+        assert np.array_equal(frl.action_masks, masks)
+        assert np.array_equal(frl.global_rewards, shared)
+        local_masks, _, _ = reference_run(sc, Strategy.LOCAL_RL, 300, 2)
+        assert not np.array_equal(frl.action_masks, local_masks)
 
     def test_tiebreak_splits_evenly(self):
         # Spec example: means [5, 9, 9] Mbps -> arms 1 and 2 each picked
         # with frequency 0.5 +- 0.03 over 1e4 forced-exploitation trials.
-        space = enumerate_actions(2)  # p = 3 arms
-        agent, _ = make_agent(Strategy.LOCAL_RL, k=2, seed=31)
-        agent.local_table.means[:] = [5e6, 9e6, 9e6]
         t = 10**9  # epsilon ~ 3e-5: effectively pure exploitation
-        counts = np.zeros(3)
-        for _ in range(10**4):
-            counts[select_action(agent, space, t)] += 1
+        counts = np.bincount(choices([5e6, 9e6, 9e6], t, 31, 10**4), minlength=3)
         assert counts[0] <= 5  # only explorations can hit the losing arm
         assert abs(counts[1] / 1e4 - 0.5) < 0.03
         assert abs(counts[2] / 1e4 - 0.5) < 0.03
@@ -136,19 +149,26 @@ class TestSelection:
         # the best arm must come from exploration, which happens with
         # probability eps * (p-1)/p. Chi-square over four t bins at the 1%
         # level (critical value for df=4 is 13.277).
-        space = enumerate_actions(4)
+        means = np.zeros(15)
+        means[6] = 1e9
         chi2 = 0.0
         trials = 4000
         for bin_idx, t in enumerate((4, 25, 100, 400)):
-            agent, _ = make_agent(Strategy.LOCAL_RL, seed=1000 + bin_idx)
-            agent.local_table.means[6] = 1e9
-            observed = sum(
-                select_action(agent, space, t) != 6
-                for _ in range(trials)
-            )
-            expected = trials * exploration_rate(t) * (space.p - 1) / space.p
+            observed = int((choices(means, t, 1000 + bin_idx, trials) != 6).sum())
+            expected = trials * exploration_rate(t) * 14 / 15
             chi2 += (observed - expected) ** 2 / (expected * (1 - expected / trials))
         assert chi2 < 13.277
+
+
+def crossed_pair():
+    """Two heavily overlapping BSSs: each STA sits 1 m from the other AP."""
+    return Scenario(
+        area_side_m=100.0,
+        ap_positions=((45.0, 50.0), (56.0, 50.0)),
+        sta_positions=((55.0, 50.0), (46.0, 50.0)),
+        ap_sta_distance_m=10.0,
+        num_links=2,
+    )
 
 
 def clique(n=4):
@@ -169,11 +189,13 @@ class TestRewards:
     minimum rate over the AP and its neighbors."""
 
     def test_local_reward_is_identity(self):
-        agent, space = make_agent(Strategy.LOCAL_RL)
-        index = select_action(agent, space, 1)
-        value = 123.456789e6
-        update(agent, index, value)
-        assert agent.local_table.means[index] == value
+        # rl credits each AP's own rate: the engine replays bit for bit as
+        # per-agent bandits that credit the recorded rates.
+        sc = sample_scenario(generator(12), n=4, k=2, area_side_m=40.0, d=10.0)
+        res = run_scenario(sc, Strategy.LOCAL_RL, T=200, seed=12)
+        masks, rates, _ = reference_run(sc, Strategy.LOCAL_RL, 200, 12)
+        assert np.array_equal(res.action_masks, masks)
+        assert np.array_equal(res.rates_bps, rates)
 
     def test_global_reward_takes_minimum(self):
         res = run_scenario(clique(), Strategy.FEDERATED_RL, T=40, seed=3)
@@ -202,22 +224,30 @@ class TestRewards:
 
 
 class TestRewardTable:
+    """agents.credit: the running-mean update of the (n, p) tables."""
+
     def test_first_sample(self):
-        table = RewardTable(15)
-        table.credit(3, 10.0)
-        assert table.counts[3] == 1 and table.means[3] == 10.0
+        counts, means = table(15)
+        credit_one(counts, means, 3, 10.0)
+        assert counts[0, 3] == 1 and means[0, 3] == 10.0
 
     def test_two_samples_average(self):
-        table = RewardTable(15)
-        table.credit(3, 10.0)
-        table.credit(3, 20.0)
-        assert table.counts[3] == 2 and table.means[3] == 15.0
+        counts, means = table(15)
+        credit_one(counts, means, 3, 10.0)
+        credit_one(counts, means, 3, 20.0)
+        assert counts[0, 3] == 2 and means[0, 3] == 15.0
 
     def test_unvisited_actions_stay_zero(self):
-        table = RewardTable(4)
-        table.credit(0, 5.0)
-        assert list(table.counts) == [1, 0, 0, 0]
-        assert list(table.means) == [5.0, 0.0, 0.0, 0.0]
+        counts, means = table(4)
+        credit_one(counts, means, 0, 5.0)
+        assert counts.tolist() == [[1, 0, 0, 0]]
+        assert means.tolist() == [[5.0, 0.0, 0.0, 0.0]]
+
+    def test_rows_are_credited_independently(self):
+        counts, means = np.zeros((3, 4), dtype=np.int64), np.zeros((3, 4))
+        credit(counts, means, np.array([2, 0, 2]), np.array([1.0, 2.0, 3.0]))
+        assert counts.tolist() == [[0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 1, 0]]
+        assert means.tolist() == [[0, 0, 1.0, 0], [2.0, 0, 0, 0], [0, 0, 3.0, 0]]
 
     @given(
         st.lists(
@@ -226,68 +256,21 @@ class TestRewardTable:
     )
     @settings(max_examples=200)
     def test_incremental_equals_batch_mean(self, events):
-        table = RewardTable(7)
+        counts, means = table(7)
         for action, reward in events:
-            table.credit(action, reward)
+            credit_one(counts, means, action, reward)
         for action in range(7):
             rewards = [r for a, r in events if a == action]
-            assert table.counts[action] == len(rewards)
+            assert counts[0, action] == len(rewards)
             if rewards:
                 batch = sum(rewards) / len(rewards)
-                assert table.means[action] == pytest.approx(batch, rel=1e-9, abs=1e-9)
+                assert means[0, action] == pytest.approx(batch, rel=1e-9, abs=1e-9)
 
     def test_thousand_random_sequences_match_batch(self):
         rng = np.random.default_rng(17)
         for _ in range(1000):
             rewards = rng.uniform(0, 1e9, size=rng.integers(1, 50))
-            table = RewardTable(1)
+            counts, means = table(1)
             for r in rewards:
-                table.credit(0, float(r))
-            assert table.means[0] == pytest.approx(rewards.mean(), rel=1e-9)
-
-    def test_json_view_keyed_by_mask(self):
-        space = enumerate_actions(2)
-        table = RewardTable(space.p)
-        table.credit(0, 7.0)
-        data = table.to_json_dict(space)
-        assert data["01"] == {"count": 1, "mean": 7.0}
-        assert data["11"] == {"count": 0, "mean": 0.0}
-
-
-class TestUpdate:
-    def test_federated_requires_global_reward(self):
-        agent, space = make_agent(Strategy.FEDERATED_RL)
-        with pytest.raises(TypeError):
-            update(agent, select_action(agent, space, 1), 1.0, None)
-
-    def test_fixed_still_records_statistics(self):
-        agent, space = make_agent(Strategy.FIXED)
-        for t, reward in enumerate([4.0, 8.0], start=1):
-            update(agent, select_action(agent, space, t), reward)
-        assert agent.local_table.counts[space.full_index] == 2
-        assert agent.local_table.means[space.full_index] == 6.0
-
-    def test_federated_updates_both_tables(self):
-        agent, space = make_agent(Strategy.FEDERATED_RL)
-        idx = select_action(agent, space, 1)
-        update(agent, idx, 10.0, 4.0)
-        assert agent.local_table.means[idx] == 10.0
-        assert agent.global_table.means[idx] == 4.0
-
-
-class TestArgmaxProperties:
-    # Scaling by a power of two only shifts the exponent, so it is exact and
-    # keeps distinct maxima distinct (a general scale like 9.005 can round
-    # 1e9 and its float predecessor to the same value). Values stay far from
-    # the subnormal range, where scaling down would round.
-    @given(
-        st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e9)), min_size=1, max_size=15),
-        st.integers(-10, 10),
-        st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=300)
-    def test_scale_invariance(self, means, exponent, seed):
-        values = np.asarray(means)
-        a = _argmax_random_tie(values, generator(seed))
-        b = _argmax_random_tie(values * 2.0**exponent, generator(seed))
-        assert a == b
+                credit_one(counts, means, 0, float(r))
+            assert means[0, 0] == pytest.approx(rewards.mean(), rel=1e-9)

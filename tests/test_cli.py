@@ -128,3 +128,29 @@ class TestMain:
         assert code == 1
         assert "AP counts must be distinct" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "config,argv,names",
+        [
+            ({"iterations": None}, [], "iterations"),
+            ({"n_values": 5}, [], "n_values"),
+            ([1], [], "JSON object"),
+            ({"strategies": "frl"}, [], "strategies"),
+            ({"iterations": 1.7}, [], "iterations"),
+            ({"num_scenarios": True}, [], "num_scenarios"),
+            ({"workers": 2.9}, [], "workers"),
+            ({"physical": 5}, [], "physical"),
+            ({}, ["--seed", "-1"], "seed"),
+        ],
+    )
+    def test_mistyped_config_exits_with_error(self, tmp_path, capsys, config, argv, names):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code = run_cli("--config", str(cfg), "--scenarios", "1", "--iterations", "5",
+                       "--aps", "2", *argv, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("simulate: error:") and names in err
+        assert "Traceback" not in err
+        assert not out.exists()

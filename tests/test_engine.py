@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,14 +16,15 @@ from mlosim import (
     Scenario,
     Strategy,
     achieved_rate_bps,
-    enumerate_actions,
     min_rate_timeseries,
     run_scenario,
     sample_scenario,
 )
+from mlosim import agents
 from mlosim.engine import RunResult
-from mlosim.radio import all_neighbor_sets
+from mlosim.radio import all_neighbor_sets, dbm_to_mw, link_budget_matrix_mw, rates_bps
 from mlosim.rng import generator
+from oracles import max_min_optima, reference_run
 
 
 def world(seed=42, n=4, k=4):
@@ -188,21 +190,145 @@ class TestConvergence:
         # Brute force over the 9 joint profiles: the max-min optima are the
         # two disjoint single-link assignments.
         sc = crossed_pair()
-        space = enumerate_actions(2)
-        scored = {}
-        for m0, m1 in itertools.product([a.mask for a in space.actions], repeat=2):
-            profile = ActivationProfile((LinkSet(m0, 2), LinkSet(m1, 2)))
-            scored[(m0, m1)] = min(
-                achieved_rate_bps(sc, profile, 0), achieved_rate_bps(sc, profile, 1)
-            )
-        best_value = max(scored.values())
-        optima = {pair for pair, v in scored.items() if v == pytest.approx(best_value)}
+        _, optima = max_min_optima(sc)
         assert optima == {(0b01, 0b10), (0b10, 0b01)}
 
         res = run_scenario(sc, Strategy.FEDERATED_RL, T=2000, seed=14)
         final = res.action_masks[-200:]
         hits = sum(tuple(row) in optima for row in final.tolist())
         assert hits / 200 >= 0.80
+
+
+def tiny_world(n, k, family):
+    """A world of n <= 3 APs in one of three geometries: `isolated` (far
+    apart), `clique` (2 m apart in a row, all within coverage) or `sampled`
+    (uniform in a 30 m square, so they interfere)."""
+    if family == "sampled":
+        return sample_scenario(generator(900 + 10 * n + k), n=n, k=k, area_side_m=30.0, d=10.0)
+    if family == "isolated":
+        pts = [(10.0, 10.0), (90.0, 90.0), (10.0, 80.0)][:n]
+    else:
+        pts = [(48.0 + 2 * i, 50.0) for i in range(n)]
+    return Scenario(
+        area_side_m=100.0,
+        ap_positions=tuple(pts),
+        sta_positions=tuple((x, y + 10.0) for x, y in pts),
+        ap_sta_distance_m=10.0,
+        num_links=k,
+    )
+
+
+LEARNERS = [Strategy.LOCAL_RL, Strategy.FEDERATED_RL]
+
+
+class TestReferenceBandit:
+    """The engine's array agents against per-agent bandits (tests/oracles.py)
+    that read the same uniforms: masks, rates and global rewards must match
+    bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference(sc, strategy, T, seed):
+        res = run_scenario(sc, strategy, T, seed)
+        masks, rates, shared = reference_run(sc, strategy, T, seed)
+        assert np.array_equal(res.action_masks, masks)
+        assert np.array_equal(res.rates_bps, rates)
+        if strategy is Strategy.FEDERATED_RL:
+            assert np.array_equal(res.global_rewards, shared)
+        return res
+
+    @pytest.mark.parametrize("strategy", LEARNERS)
+    @pytest.mark.parametrize("family", ["isolated", "clique", "sampled"])
+    @pytest.mark.parametrize("n,k", list(itertools.product((1, 2, 3), (1, 2))))
+    def test_every_tiny_world_family(self, n, k, family, strategy):
+        sc = tiny_world(n, k, family)
+        res = self.assert_matches_reference(sc, strategy, T=200, seed=7 * n + k)
+        # Sanity anchor: no joint action beats the brute-force max-min optimum.
+        best, _ = max_min_optima(sc)
+        assert res.rates_bps.min(axis=1).max() <= best * (1 + 1e-12)
+
+    @pytest.mark.parametrize("strategy", LEARNERS)
+    @pytest.mark.parametrize("world_seed", [61, 62, 63])
+    def test_sampled_n8_worlds(self, world_seed, strategy):
+        sc = sample_scenario(generator(world_seed), n=8, k=4, area_side_m=100.0, d=10.0)
+        self.assert_matches_reference(sc, strategy, T=300, seed=world_seed)
+
+
+class TestBlockLayout:
+    @pytest.mark.parametrize("strategy", [Strategy.RANDOM, *LEARNERS])
+    def test_results_do_not_depend_on_block_size(self, monkeypatch, strategy):
+        sc = world(n=5, seed=70)
+        default = run_scenario(sc, strategy, T=300, seed=71).to_json()
+        for block in (1, 7, 10**6):
+            monkeypatch.setattr(agents, "_BLOCK", block)
+            assert run_scenario(sc, strategy, T=300, seed=71).to_json() == default
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_stacked_rates_equal_per_iteration_calls(self, n):
+        sc = world(n=n, seed=80 + n)
+        power = link_budget_matrix_mw(sc)
+        noise_mw = dbm_to_mw(sc.physical.noise_floor_dbm)
+        active = generator(81).random((128, n, 4)) < 0.5
+        active[..., 0] = True
+        stacked = rates_bps(power, active, noise_mw, 80e6)
+        single = np.array([rates_bps(power, a, noise_mw, 80e6) for a in active])
+        assert stacked.shape == (128, n)
+        assert np.array_equal(stacked, single)
+
+
+def expected_random_rates(sc):
+    """Exact E[rate_i] under `random`, from README "Model summary" with its
+    literal constants. An AP is active on a given link with probability
+    q = 2**(k-1) / (2**k - 1), independently of the others, so
+    E[rate_i] = k q B sum over subsets A of the other APs of
+    q**|A| (1-q)**(n-1-|A|) log2(1 + S_i / (I_A + N))."""
+
+    def received_mw(ap, sta):
+        d = math.dist(ap, sta)
+        pathloss_db = 54.12 + 20.6067 * math.log10(d) + 5.25 * 0.1467 * d
+        return 10.0 ** ((20.0 - pathloss_db) / 10.0)
+
+    k = sc.num_links
+    q = 2 ** (k - 1) / (2**k - 1)
+    noise_mw = 10.0 ** (-95.0 / 10.0)
+    expected = []
+    for i, sta in enumerate(sc.sta_positions):
+        signal = received_mw(sc.ap_positions[i], sta)
+        others = [received_mw(ap, sta) for j, ap in enumerate(sc.ap_positions) if j != i]
+        total = 0.0
+        for on in itertools.product((False, True), repeat=len(others)):
+            m = sum(on)
+            interference = sum(p for p, active in zip(others, on) if active)
+            total += q**m * (1 - q) ** (len(others) - m) * math.log2(
+                1.0 + signal / (interference + noise_mw)
+            )
+        expected.append(k * q * 80e6 * total)
+    return np.array(expected)
+
+
+class TestExactExpectation:
+    def test_random_run_means_match_exact_expectation(self):
+        # 20 worlds x 8 APs: per-AP z-scores of the run mean against the
+        # exact expectation, pooled. Iterations are i.i.d. under `random`,
+        # so the run's own spread gives the standard error.
+        z = []
+        for s in range(20):
+            sc = sample_scenario(generator(4000 + s), n=8, k=4, area_side_m=100.0, d=10.0)
+            res = run_scenario(sc, Strategy.RANDOM, T=2000, seed=s)
+            se = res.rates_bps.std(axis=0, ddof=1) / math.sqrt(res.T)
+            z.extend((res.mean_rates_bps() - expected_random_rates(sc)) / se)
+        z = np.array(z)
+        assert abs(z.sum()) / math.sqrt(len(z)) < 5
+        assert 0.8 <= z.std(ddof=1) <= 1.25
+
+    @pytest.mark.parametrize("n", [1, 5, 16])
+    def test_fixed_rows_equal_scalar_reference(self, n):
+        sc = world(n=n, seed=40 + n)
+        res = run_scenario(sc, Strategy.FIXED, T=30, seed=3)
+        full = ActivationProfile((LinkSet.full(4),) * n)
+        assert np.all(res.rates_bps == res.rates_bps[0])
+        assert res.rates_bps[0] == pytest.approx(
+            [achieved_rate_bps(sc, full, i) for i in range(n)], rel=1e-12
+        )
 
 
 class TestMinRateTimeseries:
@@ -233,11 +359,9 @@ class TestMinRateTimeseries:
 
 
 class TestSerializationOutputs:
-    def test_json_roundtrip_parses(self, tmp_path):
+    def test_json_roundtrip_parses(self):
         res = run_scenario(world(n=2, seed=22), Strategy.FEDERATED_RL, T=12, seed=23)
-        path = tmp_path / "trace.json"
-        res.write_json(path)
-        data = json.loads(path.read_text())
+        data = json.loads(res.to_json())
         assert data["strategy"] == "frl"
         assert len(data["action_masks"]) == 12
         assert data["rates_bps"][3][1] == res.rates_bps[3, 1]
