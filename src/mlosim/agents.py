@@ -119,7 +119,9 @@ def select(means: np.ndarray, explore: np.ndarray, arm: np.ndarray, tie: np.ndar
     largest means[i], in index order.
     """
     ties = means == means.max(axis=1, keepdims=True)
-    if np.count_nonzero(ties) == len(means):  # one maximum per row: rank 0
+    if np.count_nonzero(ties) == len(means):
+        # One maximum per row, so every rank is 0: the case of all but the
+        # first few iterations of a run, without the cumsum and pick.
         greedy = ties.argmax(axis=1)
     else:
         greedy = (ties.cumsum(axis=1) > pick(tie, ties.sum(axis=1))[:, None]).argmax(axis=1)

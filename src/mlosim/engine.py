@@ -19,7 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import Strategy, credit, enumerate_actions, policy_draws, select
+from .agents import Strategy, enumerate_actions, policy_draws
+# The loop calls the policy through these names, which perfbench's
+# agents-layer probes wrap.
+from .agents import credit as update, select as select_action
 from .errors import ConfigError
 from .radio import all_neighbor_sets, dbm_to_mw, link_budget_matrix_mw, rates_bps
 from .scenario import Scenario
@@ -136,11 +139,11 @@ def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> R
         for t0, explore, arm, tie in policy_draws(seed, n, T, space.p):
             for b in range(len(arm)):
                 row = t0 + b  # iteration t = row + 1
-                chosen = select(means, explore[b], arm[b], tie[b])
+                chosen = select_action(means, explore[b], arm[b], tie[b])
                 rates = rates_hist[row] = rates_of(chosen)
                 if federated:
                     rates = global_hist[row] = (rates + hidden).min(axis=1)
-                credit(counts, means, chosen, rates)
+                update(counts, means, chosen, rates)
                 action_index[row] = chosen
 
     return RunResult(

@@ -1,18 +1,18 @@
 """Record benchmark runs of one or more checkouts into a BENCH_*.json file.
 
     python3 tools/record_bench.py --out BENCH_6.json \
-        --checkout parent=/path/to/parent/checkout --checkout change=. [--acceptance]
+        --checkout parent=/path/to/parent/checkout --checkout change=.
 
 For every workload in the checkout's BENCHMARK.json this runs
-`perfbench/run.py` untraced with seeds 1, 2 and 3 (30 s each), then one
+`perfbench/run.py` untraced with seeds 1 to 10 (30 s each), then one
 traced `paper-batch` run (seed 1). With several checkouts the runs of one
 seed take turns, and which checkout goes first alternates from seed to
-seed, so a drift of the machine's speed hits every side. `--acceptance`
-also times `pytest tests/test_acceptance.py` once per checkout, as a plain
-timing with no gate, and keeps the criteria lines it prints. Each run's
+seed, so a drift of the machine's speed hits every side. Last, it times
+`pytest tests/test_acceptance.py` once per checkout, as a plain timing
+with no gate, and keeps the criteria lines it prints. Each run's
 metrics, checks, absent probes and the provenance that perfbench prints
-are stored as printed; the file also gets the per-workload medians of
-every end-to-end metric.
+are stored as printed; the file also gets the per-workload quartiles
+(25 %, median, 75 %) of every end-to-end metric.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import subprocess
 import sys
 import time
 
-SEEDS = (1, 2, 3)
+SEEDS = tuple(range(1, 11))
 SECONDS = 30
 TRACED_WORKLOAD = "paper-batch"
 
@@ -85,10 +85,10 @@ def time_acceptance(root: str) -> dict:
     }
 
 
-def medians(runs: list[dict]) -> dict:
+def quartiles(runs: list[dict]) -> dict:
     names = sorted({name for r in runs if "metrics" in r for name in r["metrics"]})
-    return {name: statistics.median(r["metrics"][name] for r in runs
-                                    if name in r.get("metrics", {}))
+    return {name: statistics.quantiles([r["metrics"][name] for r in runs
+                                        if name in r.get("metrics", {})], n=4)
             for name in names}
 
 
@@ -97,8 +97,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="BENCH_*.json file to write")
     parser.add_argument("--checkout", action="append", required=True, metavar="LABEL=DIR",
                         help="a checkout to measure; repeat to interleave several")
-    parser.add_argument("--acceptance", action="store_true",
-                        help="also time the acceptance suite once per checkout")
     args = parser.parse_args(argv)
     checkouts = {}
     for item in args.checkout:
@@ -122,22 +120,21 @@ def main(argv=None) -> int:
     for label in labels:
         runs[label]["traced"] = {TRACED_WORKLOAD: run_bench(checkouts[label], TRACED_WORKLOAD,
                                                             SEEDS[0], 1)}
-        if args.acceptance:
-            runs[label]["acceptance"] = time_acceptance(checkouts[label])
+        runs[label]["acceptance"] = time_acceptance(checkouts[label])
 
     record = {
         "recorded_with": "tools/record_bench.py",
         "host": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                  "machine": platform.machine()},
         "seconds_per_run": SECONDS,
-        "medians": {w: {label: medians(runs[label]["untraced"][w]) for label in labels}
-                    for w in workloads},
+        "quartiles": {w: {label: quartiles(runs[label]["untraced"][w]) for label in labels}
+                      for w in workloads},
         "runs": runs,
     }
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(json.dumps(record["medians"], indent=2, sort_keys=True))
+    print(json.dumps(record["quartiles"], indent=2, sort_keys=True))
     return 0
 
 
