@@ -2,7 +2,9 @@
 
 The n agents of a world advance together as arrays. Only the learning
 strategies step through t; `fixed` evaluates its one joint action once and
-`random` a block of iterations per rate call.
+`random` a block of iterations per rate call. A learning run computes the
+rates (and federated minima) of each joint action once, on its first
+occurrence; rows where a joint action recurs copy that first row.
 
 Moves are simultaneous: every agent commits its link subset before any
 rate is computed, so no agent observes another's current-iteration choice.
@@ -136,14 +138,24 @@ def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> R
         # The table each agent exploits: own rates (rl) or shared minima (frl).
         counts = np.zeros((n, space.p), dtype=np.int64)
         means = np.zeros((n, space.p), dtype=np.float64)
+        # The geometry is static, so a joint action's rates (and minima) are
+        # fixed: each joint action's first row is computed, later ones copy it.
+        first_row: dict[bytes, int] = {}
+        reward_hist = global_hist if federated else rates_hist
         for t0, explore, arm, tie in policy_draws(seed, n, T, space.p):
             for b in range(len(arm)):
                 row = t0 + b  # iteration t = row + 1
                 chosen = select_action(means, explore[b], arm[b], tie[b])
-                rates = rates_hist[row] = rates_of(chosen)
-                if federated:
-                    rates = global_hist[row] = (rates + hidden).min(axis=1)
-                update(counts, means, chosen, rates)
+                first = first_row.setdefault(chosen.tobytes(), row)
+                if first == row:
+                    rates = rates_hist[row] = rates_of(chosen)
+                    if federated:
+                        global_hist[row] = (rates + hidden).min(axis=1)
+                else:
+                    rates_hist[row] = rates_hist[first]
+                    if federated:
+                        global_hist[row] = global_hist[first]
+                update(counts, means, chosen, reward_hist[row])
                 action_index[row] = chosen
 
     return RunResult(

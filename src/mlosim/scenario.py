@@ -78,10 +78,10 @@ class PhysicalConfig:
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown physical fields: {sorted(unknown)}")
-        try:
-            return cls(**{k: float(v) for k, v in data.items()})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"physical values must be numbers: {exc}") from None
+        for name, value in data.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"physical {name} must be a number, got {value!r}")
+        return cls(**{name: float(value) for name, value in data.items()})
 
 
 @dataclass(frozen=True)
@@ -139,21 +139,6 @@ class Scenario:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Scenario":
-        return cls(
-            area_side_m=float(data["area_side_m"]),
-            ap_positions=tuple((float(x), float(y)) for x, y in data["ap_positions"]),
-            sta_positions=tuple((float(x), float(y)) for x, y in data["sta_positions"]),
-            ap_sta_distance_m=float(data["ap_sta_distance_m"]),
-            num_links=int(data["num_links"]),
-            physical=PhysicalConfig.from_json_dict(data["physical"]),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        return cls.from_json_dict(json.loads(text))
 
 
 def sample_scenario(

@@ -141,6 +141,8 @@ class TestMain:
             ({"workers": 2.9}, [], "workers"),
             ({"physical": 5}, [], "physical"),
             ({}, ["--seed", "-1"], "seed"),
+            ({"physical": {"tx_power_dbm": True}}, [], "tx_power_dbm"),
+            ({"physical": {"noise_floor_dbm": "-90"}}, [], "noise_floor_dbm"),
         ],
     )
     def test_mistyped_config_exits_with_error(self, tmp_path, capsys, config, argv, names):

@@ -275,6 +275,39 @@ class TestBlockLayout:
         assert np.array_equal(stacked, single)
 
 
+class TestRecurringJointActions:
+    """A learning run computes each joint action's rates once and copies
+    them where the joint action recurs. Long runs, where most rows recur,
+    must still match fresh evaluations row by row."""
+
+    @staticmethod
+    def recurring_share(res):
+        _, first = np.unique(res.action_masks, axis=0, return_index=True)
+        return 1.0 - len(first) / res.T
+
+    @pytest.mark.parametrize("strategy", LEARNERS)
+    @pytest.mark.parametrize("sc", [crossed_pair(k=4), world(seed=64, n=8)], ids=["n2", "n8"])
+    def test_long_runs_match_reference(self, sc, strategy):
+        res = TestReferenceBandit.assert_matches_reference(sc, strategy, T=2000, seed=65)
+        assert self.recurring_share(res) > 0.5
+
+    @pytest.mark.parametrize("strategy", LEARNERS)
+    def test_every_row_equals_fresh_evaluation(self, strategy):
+        sc = world(seed=66, n=8)
+        res = run_scenario(sc, strategy, T=2000, seed=67)
+        assert self.recurring_share(res) > 0.5
+        power = link_budget_matrix_mw(sc)
+        noise_mw = dbm_to_mw(sc.physical.noise_floor_dbm)
+        bits = (res.action_masks[..., None] >> np.arange(sc.num_links)) & 1
+        members = [[i, *nbrs] for i, nbrs in enumerate(res.neighbor_sets)]
+        for row in range(res.T):
+            fresh = rates_bps(power, bits[row], noise_mw, 80e6)
+            assert np.array_equal(res.rates_bps[row], fresh), row
+            if strategy is Strategy.FEDERATED_RL:
+                shared = [fresh[m].min() for m in members]
+                assert np.array_equal(res.global_rewards[row], shared), row
+
+
 def expected_random_rates(sc):
     """Exact E[rate_i] under `random`, from README "Model summary" with its
     literal constants. An AP is active on a given link with probability

@@ -1,15 +1,18 @@
 """Record benchmark runs of one or more checkouts into a BENCH_*.json file.
 
-    python3 tools/record_bench.py --out BENCH_6.json \
+    python3 tools/record_bench.py --out BENCH_7.json \
         --checkout parent=/path/to/parent/checkout --checkout change=.
 
 For every workload in the checkout's BENCHMARK.json this runs
 `perfbench/run.py` untraced with seeds 1 to 10 (30 s each), then one
 traced `paper-batch` run (seed 1). With several checkouts the runs of one
 seed take turns, and which checkout goes first alternates from seed to
-seed, so a drift of the machine's speed hits every side. Last, it times
-`pytest tests/test_acceptance.py` once per checkout, as a plain timing
-with no gate, and keeps the criteria lines it prints. Each run's
+seed, so a drift of the machine's speed hits every side. Last, per
+checkout and as plain timings with no gate, it times `harness.run_batch`
+over the batch layer's load (500 worlds x 2000 iterations x 4 strategies
+at n=8), once at 1 worker and once at all cores, and times
+`pytest tests/test_acceptance.py`, keeping the criteria lines it prints.
+Each run's
 metrics, checks, absent probes and the provenance that perfbench prints
 are stored as printed; the file also gets the per-workload quartiles
 (25 %, median, 75 %) of every end-to-end metric.
@@ -30,6 +33,20 @@ import time
 SEEDS = tuple(range(1, 11))
 SECONDS = 30
 TRACED_WORKLOAD = "paper-batch"
+BATCH_WORLDS, BATCH_ITERATIONS, BATCH_N = 500, 2000, 8
+# Times one run_batch in a fresh interpreter; prints its wall time and the
+# SHA-256 of its JSON, so that checkouts can be seen to compute the same batch.
+BATCH_SCRIPT = """
+import hashlib, json, sys, time
+from mlosim.harness import ExperimentConfig, run_batch
+worlds, iterations, n, workers = map(int, sys.argv[1:])
+config = ExperimentConfig(num_scenarios=worlds, iterations=iterations, n_values=(n,),
+                          workers=workers)
+t0 = time.perf_counter()
+text = run_batch(config, n).to_json()
+wall = time.perf_counter() - t0
+print(json.dumps({"wall_s": round(wall, 1), "sha256": hashlib.sha256(text.encode()).hexdigest()}))
+"""
 
 
 def parse_run(stdout: str) -> dict:
@@ -66,6 +83,21 @@ def run_bench(root: str, workload: str, seed: int, trace: int) -> dict:
     record = parse_run(proc.stdout)
     record["seed"] = seed
     return record
+
+
+def time_batch(root: str, workers: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    argv = [sys.executable, "-c", BATCH_SCRIPT,
+            *map(str, (BATCH_WORLDS, BATCH_ITERATIONS, BATCH_N, workers))]
+    print(f"[{os.path.basename(root)}] run_batch {BATCH_WORLDS} worlds, {workers} workers",
+          flush=True)
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, env=env)
+    if proc.returncode != 0:
+        return {"workers": workers, "error": f"exit {proc.returncode}",
+                "stderr": proc.stderr[-2000:]}
+    return {"workers": workers, **json.loads(proc.stdout.strip().splitlines()[-1])}
 
 
 def time_acceptance(root: str) -> dict:
@@ -111,6 +143,7 @@ def main(argv=None) -> int:
 
     runs = {label: {"untraced": {w: [] for w in workloads}} for label in checkouts}
     labels = list(checkouts)
+    nproc = len(os.sched_getaffinity(0))
     for workload in workloads:
         for i, seed in enumerate(SEEDS):
             order = labels if i % 2 == 0 else labels[::-1]
@@ -120,13 +153,16 @@ def main(argv=None) -> int:
     for label in labels:
         runs[label]["traced"] = {TRACED_WORKLOAD: run_bench(checkouts[label], TRACED_WORKLOAD,
                                                             SEEDS[0], 1)}
+        runs[label]["batch"] = [time_batch(checkouts[label], w) for w in (1, nproc)]
         runs[label]["acceptance"] = time_acceptance(checkouts[label])
 
     record = {
         "recorded_with": "tools/record_bench.py",
-        "host": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
+        "host": {"nproc": nproc, "python": platform.python_version(),
                  "machine": platform.machine()},
         "seconds_per_run": SECONDS,
+        "batch_load": {"worlds": BATCH_WORLDS, "iterations": BATCH_ITERATIONS, "n": BATCH_N,
+                       "strategies": 4},
         "quartiles": {w: {label: quartiles(runs[label]["untraced"][w]) for label in labels}
                       for w in workloads},
         "runs": runs,
