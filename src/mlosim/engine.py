@@ -138,25 +138,28 @@ def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> R
         # The table each agent exploits: own rates (rl) or shared minima (frl).
         counts = np.zeros((n, space.p), dtype=np.int64)
         means = np.zeros((n, space.p), dtype=np.float64)
-        # The geometry is static, so a joint action's rates (and minima) are
-        # fixed: each joint action's first row is computed, later ones copy it.
+        # The geometry is static, so a joint action's rates (and minima) never
+        # change: each joint action is evaluated on the row where it first
+        # occurs, and every later row is gathered from that first row at the end.
         first_row: dict[bytes, int] = {}
+        source = []  # source[row]: the first row of row's joint action
         reward_hist = global_hist if federated else rates_hist
         for t0, explore, arm, tie in policy_draws(seed, n, T, space.p):
             for b in range(len(arm)):
                 row = t0 + b  # iteration t = row + 1
-                chosen = select_action(means, explore[b], arm[b], tie[b])
+                chosen = action_index[row] = select_action(means, explore[b], arm[b], tie[b])
                 first = first_row.setdefault(chosen.tobytes(), row)
+                source.append(first)
                 if first == row:
                     rates = rates_hist[row] = rates_of(chosen)
                     if federated:
-                        global_hist[row] = (rates + hidden).min(axis=1)
+                        rates = global_hist[row] = (rates + hidden).min(axis=1)
                 else:
-                    rates_hist[row] = rates_hist[first]
-                    if federated:
-                        global_hist[row] = global_hist[first]
-                update(counts, means, chosen, reward_hist[row])
-                action_index[row] = chosen
+                    rates = reward_hist[first]
+                update(counts, means, chosen, rates)
+        rates_hist = rates_hist[source]
+        if federated:
+            global_hist = global_hist[source]
 
     return RunResult(
         scenario=scenario,
