@@ -12,10 +12,9 @@ checkout and as plain timings with no gate, it times `harness.run_batch`
 over the batch layer's load (500 worlds x 2000 iterations x 4 strategies
 at n=8), once at 1 worker and once at all cores, and times
 `pytest tests/test_acceptance.py`, keeping the criteria lines it prints.
-Each run's
-metrics, checks, absent probes and the provenance that perfbench prints
-are stored as printed; the file also gets the per-workload quartiles
-(25 %, median, 75 %) of every end-to-end metric.
+Each run's metrics, checks, absent probes and the provenance that
+perfbench prints are stored as printed; the file also gets the
+per-workload quartiles (25 %, median, 75 %) of every end-to-end metric.
 """
 
 from __future__ import annotations
