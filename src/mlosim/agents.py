@@ -7,8 +7,8 @@ scores them by the average of the minimum instant rate seen across the
 AP's neighborhood (itself included), which pushes the joint behavior
 toward max-min fair activations.
 
-The n agents of a world advance together: their tables are (n, p) arrays
-of visit counts and running means. Every agent-iteration of `random`,
+The n agents of a world advance together: their `Tables` are (n, p)
+arrays of visit counts and running means. Every agent-iteration of `random`,
 `rl` and `frl` consumes exactly three uniforms from the AP's own stream:
 the explore coin (explore when below epsilon), the explore arm
 floor(u * p), and the tie rank floor(u * #maxima) among the actions of
@@ -111,30 +111,51 @@ def pick(u, count):
     return (u * count).astype(np.intp)
 
 
-def select(means: np.ndarray, explore: np.ndarray, arm: np.ndarray, tie: np.ndarray) -> np.ndarray:
+class Tables:
+    """The bandit tables of n agents over p actions: visit counts and
+    running means, each an (n, p) view of flat storage.
+
+    `select` and `credit` reach entry (i, a) at flat index offsets[i] + a;
+    indexing the flat arrays is cheaper than 2-D or `take`/`put` indexing
+    at these sizes. Counts are float64, exact below 2**53, so that a
+    running mean divides float by float.
+    """
+
+    def __init__(self, n: int, p: int) -> None:
+        self.flat_counts = np.zeros(n * p)
+        self.flat_means = np.zeros(n * p)
+        self.counts = self.flat_counts.reshape(n, p)
+        self.means = self.flat_means.reshape(n, p)
+        self.offsets = np.arange(0, n * p, p)
+
+
+def select(tables: Tables, explore: np.ndarray | None, arm: np.ndarray,
+           tie: np.ndarray) -> np.ndarray:
     """One epsilon-greedy step of all n agents; returns their action indices.
 
-    `means` (n, p) are the tables the agents exploit. Agent i takes arm[i]
-    where explore[i]; otherwise the pick(tie[i], m)-th of the m actions of
-    largest means[i], in index order.
+    Agent i takes arm[i] where explore[i]; otherwise the pick(tie[i], m)-th
+    of the m actions of largest tables.means[i], in index order. `explore`
+    may be None when no agent explores.
+
+    The first maximum of each row (argmax) is the answer unless some row
+    holds its maximum more than once; only then are the maxima ranked.
     """
-    ties = means == means.max(axis=1, keepdims=True)
-    if np.count_nonzero(ties) == len(means):
-        # One maximum per row, so every rank is 0: the case of all but the
-        # first few iterations of a run, without the cumsum and pick.
-        greedy = ties.argmax(axis=1)
-    else:
+    means = tables.means
+    greedy = means.argmax(axis=1)
+    ties = means == tables.flat_means[tables.offsets + greedy][:, None]
+    if np.count_nonzero(ties) != len(means):
+        # Some row has several maxima, as every row has at t = 1.
         greedy = (ties.cumsum(axis=1) > pick(tie, ties.sum(axis=1))[:, None]).argmax(axis=1)
-    return np.where(explore, arm, greedy)
+    return greedy if explore is None else np.where(explore, arm, greedy)
 
 
-def credit(counts: np.ndarray, means: np.ndarray, index: np.ndarray, reward) -> None:
-    """Credit reward[i] to action index[i] of table row i, in place.
-
-    counts and means are (n, p) visit counts and running means; each mean
-    stays the arithmetic mean (up to rounding) of the rewards credited to it.
-    """
-    flat = np.arange(0, counts.size, counts.shape[1]) + index
-    counts, means = counts.reshape(-1), means.reshape(-1)  # views of the tables
-    counts[flat] += 1
-    means[flat] += (reward - means[flat]) / counts[flat]
+def credit(tables: Tables, index: np.ndarray, reward) -> None:
+    """Credit reward[i] to action index[i] of table row i, in place; each
+    mean stays the arithmetic mean (up to rounding) of the rewards credited
+    to it."""
+    flat = tables.offsets + index
+    counts, means = tables.flat_counts, tables.flat_means
+    visits = counts[flat] + 1
+    counts[flat] = visits
+    mean = means[flat]
+    means[flat] = mean + (reward - mean) / visits

@@ -4,7 +4,10 @@ The n agents of a world advance together as arrays. Only the learning
 strategies step through t; `fixed` evaluates its one joint action once and
 `random` a block of iterations per rate call. A learning run computes the
 rates (and federated minima) of each joint action once, on its first
-occurrence; rows where a joint action recurs copy that first row.
+occurrence; rows where a joint action recurs copy that first row. A
+federated minimum reduces one segment per AP of a flat member list (the AP,
+then its neighbors), and the policy step skips the explore merge on rows
+where no agent explores.
 
 Moves are simultaneous: every agent commits its link subset before any
 rate is computed, so no agent observes another's current-iteration choice.
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import Strategy, enumerate_actions, policy_draws
+from .agents import Strategy, Tables, enumerate_actions, policy_draws
 # The loop calls the policy through these names, which perfbench's
 # agents-layer probes wrap.
 from .agents import credit as update, select as select_action
@@ -130,14 +133,13 @@ def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> R
         federated = strategy is Strategy.FEDERATED_RL
         if federated:
             global_hist = np.empty((T, n), dtype=np.float64)
-            # hidden[i, j] is 0 where i's minimum covers j (itself and its
-            # neighbors) and inf elsewhere, so min(rates + hidden[i]) is i's.
-            hidden = np.full((n, n), np.inf)
-            for i, nbrs in enumerate(neighbor_sets):
-                hidden[i, [i, *nbrs]] = 0.0
+            # AP i's minimum covers members[starts[i]:starts[i + 1]], itself
+            # and its neighbors; no segment is empty, as i is in its own.
+            segments = [[i, *nbrs] for i, nbrs in enumerate(neighbor_sets)]
+            members = np.concatenate(segments)
+            starts = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
         # The table each agent exploits: own rates (rl) or shared minima (frl).
-        counts = np.zeros((n, space.p), dtype=np.int64)
-        means = np.zeros((n, space.p), dtype=np.float64)
+        tables = Tables(n, space.p)
         # The geometry is static, so a joint action's rates (and minima) never
         # change: each joint action is evaluated on the row where it first
         # occurs, and every later row is gathered from that first row at the end.
@@ -145,18 +147,19 @@ def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> R
         source = []  # source[row]: the first row of row's joint action
         reward_hist = global_hist if federated else rates_hist
         for t0, explore, arm, tie in policy_draws(seed, n, T, space.p):
-            for b in range(len(arm)):
-                row = t0 + b  # iteration t = row + 1
-                chosen = action_index[row] = select_action(means, explore[b], arm[b], tie[b])
+            rows = zip(range(t0, t0 + len(arm)), explore.any(axis=1).tolist(), explore, arm, tie)
+            for row, anyone, explore_row, arm_row, tie_row in rows:  # iteration t = row + 1
+                chosen = action_index[row] = select_action(
+                    tables, explore_row if anyone else None, arm_row, tie_row)
                 first = first_row.setdefault(chosen.tobytes(), row)
                 source.append(first)
                 if first == row:
                     rates = rates_hist[row] = rates_of(chosen)
                     if federated:
-                        rates = global_hist[row] = (rates + hidden).min(axis=1)
+                        rates = global_hist[row] = np.minimum.reduceat(rates[members], starts)
                 else:
                     rates = reward_hist[first]
-                update(counts, means, chosen, rates)
+                update(tables, chosen, rates)
         rates_hist = rates_hist[source]
         if federated:
             global_hist = global_hist[source]

@@ -229,9 +229,12 @@ def run_batch(config: ExperimentConfig, n: int | None = None) -> BatchSummary:
             )
         n = config.n_values[0]
     tasks = [(config, n, s) for s in range(config.num_scenarios)]
-    if config.workers > 1 and config.num_scenarios > 1:
-        chunk = max(1, config.num_scenarios // (config.workers * 8))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    # A forked pool starts all its workers at the first submit, so it gets
+    # no more of them than there are tasks.
+    workers = min(config.workers, config.num_scenarios)
+    if workers > 1:
+        chunk = max(1, config.num_scenarios // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_scenario_task, tasks, chunksize=chunk))
     else:
         outcomes = [_scenario_task(t) for t in tasks]

@@ -37,7 +37,7 @@ from mlosim import (
     run_scenario,
     sample_scenario,
 )
-from mlosim.agents import credit
+from mlosim.agents import Tables, credit
 from mlosim.harness import run_seed, scenario_for_index
 from mlosim.radio import all_neighbor_sets
 from mlosim.rng import generator
@@ -240,11 +240,11 @@ class TestCriterion5NumericalOracles:
         means_ok = True
         for _ in range(1000):
             rewards = rng.uniform(0.0, 4e9, size=int(rng.integers(1, 60)))
-            counts, means = np.zeros((1, 1), dtype=np.int64), np.zeros((1, 1))
+            tables = Tables(1, 1)
             for r in rewards:
-                credit(counts, means, np.array([0]), np.array([r]))
+                credit(tables, np.array([0]), np.array([r]))
             batch = float(rewards.mean())
-            if abs(means[0, 0] - batch) > 1e-9 * abs(batch):
+            if abs(tables.means[0, 0] - batch) > 1e-9 * abs(batch):
                 means_ok = False
                 break
 

@@ -1,5 +1,7 @@
 """Policy tests: action space, epsilon-greedy selection, rewards, reward tables."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from mlosim import (
     sample_scenario,
 )
 from mlosim import rng as streams
-from mlosim.agents import credit, select
+from mlosim.agents import Tables, credit, select
 from mlosim.rng import generator
 from oracles import reference_run
 
@@ -23,19 +25,16 @@ from oracles import reference_run
 def choices(means, t, seed, trials):
     """`trials` selections of one agent with a frozen table at iteration t,
     each from fresh uniforms of stream `seed`."""
-    means = np.asarray(means, dtype=float)[None, :]
+    tables = Tables(1, len(means))
+    tables.means[0] = means
     u = generator(seed).random((trials, 1, 3))
     explore = u[..., 0] < exploration_rate(t)
-    arm = np.floor(u[..., 1] * means.shape[1]).astype(int)
-    return np.array([select(means, explore[r], arm[r], u[r, :, 2])[0] for r in range(trials)])
+    arm = np.floor(u[..., 1] * len(means)).astype(int)
+    return np.array([select(tables, explore[r], arm[r], u[r, :, 2])[0] for r in range(trials)])
 
 
-def table(p):
-    return np.zeros((1, p), dtype=np.int64), np.zeros((1, p))
-
-
-def credit_one(counts, means, action, reward):
-    credit(counts, means, np.array([action]), np.array([reward]))
+def credit_one(tables, action, reward):
+    credit(tables, np.array([action]), np.array([reward]))
 
 
 class TestActionSpace:
@@ -160,6 +159,33 @@ class TestSelection:
         assert chi2 < 13.277
 
 
+class TestTieRule:
+    """agents.select against the rule of tests/oracles.py: the
+    floor(u * m)-th of the m maxima of a row, in index order."""
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_select_follows_the_tie_rule(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+        p = data.draw(st.integers(1, 15), label="p")
+        row_values = st.lists(st.floats(0.0, 1e9), min_size=p, max_size=p, unique=True)
+        means = np.array([data.draw(row_values) for _ in range(n)])
+        for row in means:  # each row has one maximum; give some rows several
+            top = int(row.argmax())
+            if p > 1 and data.draw(st.booleans()):
+                others = [a for a in range(p) if a != top]
+                row[sorted(data.draw(st.sets(st.sampled_from(others), min_size=1)))] = row[top]
+        unit = st.floats(0.0, 1.0, exclude_max=True)
+        tie = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
+        tables, arm = Tables(n, p), np.zeros(n, dtype=np.intp)
+        tables.means[:] = means
+        got = select(tables, None, arm, tie)
+        assert np.array_equal(got, select(tables, np.zeros(n, dtype=bool), arm, tie))
+        for i, row in enumerate(means.tolist()):
+            maxima = [a for a, m in enumerate(row) if m == max(row)]
+            assert got[i] == maxima[math.floor(tie[i] * len(maxima))]
+
+
 def crossed_pair():
     """Two heavily overlapping BSSs: each STA sits 1 m from the other AP."""
     return Scenario(
@@ -227,27 +253,27 @@ class TestRewardTable:
     """agents.credit: the running-mean update of the (n, p) tables."""
 
     def test_first_sample(self):
-        counts, means = table(15)
-        credit_one(counts, means, 3, 10.0)
-        assert counts[0, 3] == 1 and means[0, 3] == 10.0
+        tables = Tables(1, 15)
+        credit_one(tables, 3, 10.0)
+        assert tables.counts[0, 3] == 1 and tables.means[0, 3] == 10.0
 
     def test_two_samples_average(self):
-        counts, means = table(15)
-        credit_one(counts, means, 3, 10.0)
-        credit_one(counts, means, 3, 20.0)
-        assert counts[0, 3] == 2 and means[0, 3] == 15.0
+        tables = Tables(1, 15)
+        credit_one(tables, 3, 10.0)
+        credit_one(tables, 3, 20.0)
+        assert tables.counts[0, 3] == 2 and tables.means[0, 3] == 15.0
 
     def test_unvisited_actions_stay_zero(self):
-        counts, means = table(4)
-        credit_one(counts, means, 0, 5.0)
-        assert counts.tolist() == [[1, 0, 0, 0]]
-        assert means.tolist() == [[5.0, 0.0, 0.0, 0.0]]
+        tables = Tables(1, 4)
+        credit_one(tables, 0, 5.0)
+        assert tables.counts.tolist() == [[1, 0, 0, 0]]
+        assert tables.means.tolist() == [[5.0, 0.0, 0.0, 0.0]]
 
     def test_rows_are_credited_independently(self):
-        counts, means = np.zeros((3, 4), dtype=np.int64), np.zeros((3, 4))
-        credit(counts, means, np.array([2, 0, 2]), np.array([1.0, 2.0, 3.0]))
-        assert counts.tolist() == [[0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 1, 0]]
-        assert means.tolist() == [[0, 0, 1.0, 0], [2.0, 0, 0, 0], [0, 0, 3.0, 0]]
+        tables = Tables(3, 4)
+        credit(tables, np.array([2, 0, 2]), np.array([1.0, 2.0, 3.0]))
+        assert tables.counts.tolist() == [[0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 1, 0]]
+        assert tables.means.tolist() == [[0, 0, 1.0, 0], [2.0, 0, 0, 0], [0, 0, 3.0, 0]]
 
     @given(
         st.lists(
@@ -256,21 +282,21 @@ class TestRewardTable:
     )
     @settings(max_examples=200)
     def test_incremental_equals_batch_mean(self, events):
-        counts, means = table(7)
+        tables = Tables(1, 7)
         for action, reward in events:
-            credit_one(counts, means, action, reward)
+            credit_one(tables, action, reward)
         for action in range(7):
             rewards = [r for a, r in events if a == action]
-            assert counts[0, action] == len(rewards)
+            assert tables.counts[0, action] == len(rewards)
             if rewards:
                 batch = sum(rewards) / len(rewards)
-                assert means[0, action] == pytest.approx(batch, rel=1e-9, abs=1e-9)
+                assert tables.means[0, action] == pytest.approx(batch, rel=1e-9, abs=1e-9)
 
     def test_thousand_random_sequences_match_batch(self):
         rng = np.random.default_rng(17)
         for _ in range(1000):
             rewards = rng.uniform(0, 1e9, size=rng.integers(1, 50))
-            counts, means = table(1)
+            tables = Tables(1, 1)
             for r in rewards:
-                credit_one(counts, means, 0, float(r))
-            assert means[0, 0] == pytest.approx(rewards.mean(), rel=1e-9)
+                credit_one(tables, 0, float(r))
+            assert tables.means[0, 0] == pytest.approx(rewards.mean(), rel=1e-9)

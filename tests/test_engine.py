@@ -154,6 +154,31 @@ class TestFederatedExchange:
                 expected = min(res.rates_bps[t, j] for j in members)
                 assert res.global_rewards[t, i] == pytest.approx(expected, rel=1e-12)
 
+    @staticmethod
+    def assert_minima_exact(res):
+        for i, nbrs in enumerate(res.neighbor_sets):
+            members = [i, *nbrs]
+            for t in range(res.T):
+                assert res.global_rewards[t, i] == min(res.rates_bps[t, j] for j in members)
+
+    def test_minimum_is_exact_at_n64(self):
+        res = run_scenario(world(seed=16, n=64), Strategy.FEDERATED_RL, T=100, seed=8)
+        assert max(len(s) for s in res.neighbor_sets) > 1
+        self.assert_minima_exact(res)
+
+    def test_isolated_ap_is_its_own_minimum(self):
+        sc = Scenario(
+            area_side_m=100.0,
+            ap_positions=((10.0, 10.0), (12.0, 10.0), (90.0, 90.0)),
+            sta_positions=((10.0, 20.0), (12.0, 20.0), (90.0, 80.0)),
+            ap_sta_distance_m=10.0,
+            num_links=2,
+        )
+        assert all_neighbor_sets(sc) == (frozenset({1}), frozenset({0}), frozenset())
+        res = run_scenario(sc, Strategy.FEDERATED_RL, T=200, seed=9)
+        self.assert_minima_exact(res)
+        assert np.array_equal(res.global_rewards[:, 2], res.rates_bps[:, 2])
+
     def test_global_never_exceeds_local(self):
         sc = world(n=8, seed=15)
         res = run_scenario(sc, Strategy.FEDERATED_RL, T=200, seed=6)

@@ -20,6 +20,7 @@ from mlosim import (
     run_experiment,
     run_single_scenario,
 )
+from mlosim import harness
 from mlosim.harness import run_seed, scenario_for_index
 
 SMALL = ExperimentConfig(
@@ -163,6 +164,29 @@ class TestRunBatch:
         serial = run_batch(SMALL)
         parallel = run_batch(replace(SMALL, workers=2))
         assert serial.to_json() == parallel.to_json()
+
+    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        two = replace(SMALL, num_scenarios=2)
+        assert run_batch(replace(two, workers=64)).to_json() == run_batch(two).to_json()
+        run_batch(replace(SMALL, num_scenarios=1, workers=64))
+        run_batch(replace(SMALL, workers=3))
+        assert sizes == [2, 3]
 
     def test_multi_density_config_needs_explicit_n(self):
         cfg = replace(SMALL, n_values=(2, 3))

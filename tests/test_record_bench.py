@@ -1,0 +1,48 @@
+"""tools/record_bench.py: a failed or stalled run is recorded, not fatal."""
+
+import importlib.util
+import os
+import subprocess
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.fixture
+def record_bench():
+    spec = importlib.util.spec_from_file_location(
+        "record_bench", os.path.join(ROOT, "tools", "record_bench.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_timed_out_run_is_recorded_as_its_error(record_bench, monkeypatch):
+    def stall(argv, **kwargs):
+        raise subprocess.TimeoutExpired(argv, kwargs["timeout"])
+
+    monkeypatch.setattr(record_bench.subprocess, "run", stall)
+    run = record_bench.run_bench(ROOT, "paper-batch", 3, 0)
+    assert run == {"error": "timeout after 600 s", "seed": 3}
+
+
+def test_quartiles_of_too_few_runs_are_an_error_entry(record_bench):
+    runs = [{"error": "exit 1"}, {"metrics": {"worlds_per_s": 9.5}}]
+    assert "error" in record_bench.quartiles(runs)["worlds_per_s"]
+    runs.append({"metrics": {"worlds_per_s": 10.5}})
+    assert record_bench.quartiles(runs)["worlds_per_s"] == pytest.approx([9.25, 10.0, 10.75])
+
+
+def test_acceptance_timing_pins_one_blas_thread(record_bench, monkeypatch):
+    seen = {}
+
+    def fake_run(argv, **kwargs):
+        seen.update(kwargs["env"])
+        return subprocess.CompletedProcess(argv, 0, stdout="1 passed\n", stderr="")
+
+    monkeypatch.setattr(record_bench.subprocess, "run", fake_run)
+    assert record_bench.time_acceptance(ROOT)["pytest_summary"] == "1 passed"
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert seen[var] == "1"
+    assert seen["PYTHONPATH"] == os.path.join(ROOT, "src")

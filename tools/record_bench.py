@@ -76,7 +76,10 @@ def run_bench(root: str, workload: str, seed: int, trace: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(SECONDS), "--trace", str(trace)]
     print(f"[{os.path.basename(os.path.abspath(root))}] {' '.join(argv[1:])}", flush=True)
-    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=600)
+    try:
+        proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=600)
+    except subprocess.TimeoutExpired as exc:
+        return {"error": f"timeout after {exc.timeout} s", "seed": seed}
     if proc.returncode != 0:
         return {"error": f"exit {proc.returncode}", "stderr": proc.stderr[-2000:]}
     record = parse_run(proc.stdout)
@@ -84,10 +87,17 @@ def run_bench(root: str, workload: str, seed: int, trace: int) -> dict:
     return record
 
 
-def time_batch(root: str, workers: int) -> dict:
+def program_env(root: str) -> dict:
+    """The environment of a timed program run: the checkout's sources, and
+    one BLAS thread, as perfbench pins it."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
+    return env
+
+
+def time_batch(root: str, workers: int) -> dict:
+    env = program_env(root)
     argv = [sys.executable, "-c", BATCH_SCRIPT,
             *map(str, (BATCH_WORLDS, BATCH_ITERATIONS, BATCH_N, workers))]
     print(f"[{os.path.basename(root)}] run_batch {BATCH_WORLDS} worlds, {workers} workers",
@@ -100,7 +110,7 @@ def time_batch(root: str, workers: int) -> dict:
 
 
 def time_acceptance(root: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    env = program_env(root)
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
@@ -117,10 +127,17 @@ def time_acceptance(root: str) -> dict:
 
 
 def quartiles(runs: list[dict]) -> dict:
+    """Quartiles of each metric over the runs that report it; a metric with
+    fewer than two values gets an error entry instead."""
     names = sorted({name for r in runs if "metrics" in r for name in r["metrics"]})
-    return {name: statistics.quantiles([r["metrics"][name] for r in runs
-                                        if name in r.get("metrics", {})], n=4)
-            for name in names}
+    out = {}
+    for name in names:
+        values = [r["metrics"][name] for r in runs if name in r.get("metrics", {})]
+        try:
+            out[name] = statistics.quantiles(values, n=4)
+        except statistics.StatisticsError as exc:
+            out[name] = {"error": f"{exc} ({len(values)} successful runs)"}
+    return out
 
 
 def main(argv=None) -> int:
