@@ -13,8 +13,10 @@ over the batch layer's load (500 worlds x 2000 iterations x 4 strategies
 at n=8), once at 1 worker and once at all cores, and times
 `pytest tests/test_acceptance.py`, keeping the criteria lines it prints.
 Each run's metrics, checks, absent probes and the provenance that
-perfbench prints are stored as printed; the file also gets the
-per-workload quartiles (25 %, median, 75 %) of every end-to-end metric.
+perfbench prints are stored as printed; a run that exits non-zero or
+times out is stored as its error. The file also gets the per-workload
+quartiles (25 %, median, 75 %) of every end-to-end metric, or an error
+entry for a metric with fewer than two successful runs.
 """
 
 from __future__ import annotations
