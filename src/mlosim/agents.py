@@ -34,7 +34,7 @@ from .scenario import MAX_LINKS
 _BLOCK = 128
 
 
-class Strategy(Enum):
+class Strategy(str, Enum):
     FIXED = "fixed"
     RANDOM = "random"
     LOCAL_RL = "rl"

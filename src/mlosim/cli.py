@@ -3,9 +3,10 @@
     simulate --config cfg.json --strategy all --scenarios 500 \
              --iterations 2000 --aps 8 --seed 1 --workers 4 --out results/
 
-Flags override config-file values. A single --aps value produces the
-batch outputs (fig3..fig6 CSVs); several values produce the density
-comparison (fig7). A summary JSON is always written.
+Flags override config-file values; both are read as JSON values of the
+ExperimentConfig fields, typed by the field annotations. A single --aps
+value produces the batch outputs (fig3..fig6 CSVs); several values produce
+the density comparison (fig7). A summary JSON is always written.
 """
 
 from __future__ import annotations
@@ -13,11 +14,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from .agents import Strategy
+from .codec import from_json
 from .errors import MlosimError
-from .harness import ALL_STRATEGIES, ExperimentConfig, run_experiment
+from .harness import ExperimentConfig, run_experiment
+
+
+def comma_separated_ints(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scenarios", type=int, help="number of sampled worlds")
     parser.add_argument("--iterations", type=int, help="iterations per run")
     parser.add_argument(
-        "--aps", help="comma-separated AP counts, e.g. 8 or 2,4,8,12,16"
+        "--aps", type=comma_separated_ints, help="comma-separated AP counts, e.g. 8 or 2,4,8,12,16"
     )
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--workers", type=int, help="parallel scenario workers")
@@ -47,26 +52,13 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
-    config = ExperimentConfig.from_json_dict(data)
-
-    overrides: dict = {}
-    if args.strategy:
-        overrides["strategies"] = (
-            ALL_STRATEGIES if args.strategy == "all" else (Strategy.from_name(args.strategy),)
-        )
-    if args.scenarios is not None:
-        overrides["num_scenarios"] = args.scenarios
-    if args.iterations is not None:
-        overrides["iterations"] = args.iterations
-    if args.aps is not None:
-        overrides["n_values"] = tuple(int(v) for v in args.aps.split(","))
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    return replace(config, **overrides) if overrides else config
+        from_json(ExperimentConfig, data)  # so that no flag hides a bad file value
+    strategies = [s.value for s in Strategy if args.strategy in ("all", s.value)] or None
+    flags = {"strategies": strategies, "num_scenarios": args.scenarios,
+             "iterations": args.iterations, "n_values": args.aps, "master_seed": args.seed,
+             "workers": args.workers, "output_dir": args.out}
+    data.update((name, value) for name, value in flags.items() if value is not None)
+    return from_json(ExperimentConfig, data)
 
 
 def main(argv=None) -> int:
@@ -74,7 +66,7 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         summaries = run_experiment(config)
-    except (MlosimError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (MlosimError, OSError, ValueError) as exc:
         print(f"simulate: error: {exc}", file=sys.stderr)
         return 1
     for n, summary in summaries.items():

@@ -19,7 +19,6 @@ t=0 because the geometry never changes.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ from .agents import Strategy, Tables, enumerate_actions, policy_draws
 # The loop calls the policy through these names, which perfbench's
 # agents-layer probes wrap.
 from .agents import credit as update, select as select_action
+from .codec import dumps
 from .errors import ConfigError
 from .radio import all_neighbor_sets, dbm_to_mw, link_budget_matrix_mw, rates_bps
 from .scenario import Scenario
@@ -62,21 +62,8 @@ class RunResult:
         """Each AP's rate averaged over the whole run, shape (n,)."""
         return self.rates_bps.mean(axis=0)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.to_json_dict(),
-            "strategy": self.strategy.value,
-            "seed": self.seed,
-            "neighbor_sets": [sorted(s) for s in self.neighbor_sets],
-            "action_masks": self.action_masks.tolist(),
-            "rates_bps": self.rates_bps.tolist(),
-            "global_rewards": (
-                self.global_rewards.tolist() if self.global_rewards is not None else None
-            ),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return dumps(self)
 
     def write_csv(self, path) -> None:
         """Compact per-iteration trace for plotting tools."""

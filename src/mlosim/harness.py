@@ -15,21 +15,19 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng as streams
 from .agents import Strategy
+from .codec import dump, dumps
 from .engine import RunResult, min_rate_timeseries, run_scenario
 from .errors import ConfigError, EmptyInputError
 from .scenario import MAX_LINKS, PhysicalConfig, Scenario, sample_scenario
-
-ALL_STRATEGIES = tuple(Strategy)
 
 DEFAULT_NUM_SCENARIOS = 500
 DEFAULT_ITERATIONS = 2000
@@ -40,7 +38,7 @@ DEFAULT_DENSITIES = (2, 4, 8, 12, 16)
 class ExperimentConfig:
     """Everything a batch needs; JSON config files mirror these field names."""
 
-    strategies: tuple[Strategy, ...] = ALL_STRATEGIES
+    strategies: tuple[Strategy, ...] = tuple(Strategy)
     num_scenarios: int = DEFAULT_NUM_SCENARIOS
     iterations: int = DEFAULT_ITERATIONS
     n_values: tuple[int, ...] = (8,)
@@ -74,51 +72,6 @@ class ExperimentConfig:
         if self.master_seed < 0:
             raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
 
-    def to_json_dict(self) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data.update(strategies=[s.value for s in self.strategies], n_values=list(self.n_values),
-                    physical=self.physical.to_json_dict())
-        return data
-
-    @classmethod
-    def from_json_dict(cls, data) -> "ExperimentConfig":
-        """Build a config from parsed JSON, rejecting values of the wrong
-        JSON type (bools and fractions for counts, a string for a list)."""
-        if not isinstance(data, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        kwargs: dict = {}
-        for name, value in data.items():
-            if name in ("strategies", "n_values"):
-                if not isinstance(value, list):
-                    raise ConfigError(f"{name} must be a JSON list, got {value!r}")
-                item = Strategy.from_name if name == "strategies" else lambda v: _json_int(name, v)
-                kwargs[name] = tuple(item(v) for v in value)
-            elif name == "physical":
-                kwargs[name] = PhysicalConfig.from_json_dict(value)
-            elif name == "output_dir":
-                if not isinstance(value, (str, type(None))):
-                    raise ConfigError(f"output_dir must be a string, got {value!r}")
-                kwargs[name] = value
-            elif name in ("area_side_m", "d_m"):
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigError(f"{name} must be a number, got {value!r}")
-                kwargs[name] = float(value)
-            else:
-                kwargs[name] = _json_int(name, value)
-        return cls(**kwargs)
-
-
-def _json_int(name: str, value) -> int:
-    """An integer, or a float with an integral value; never a bool."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
-
 
 @dataclass(frozen=True)
 class StrategyStats:
@@ -128,14 +81,6 @@ class StrategyStats:
     mean_min_rate_bps: float
     ecdf_points: tuple[tuple[float, float], ...]
     p90_bps: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "min_rates_bps": list(self.min_rates_bps),
-            "mean_min_rate_bps": self.mean_min_rate_bps,
-            "ecdf_points": [list(p) for p in self.ecdf_points],
-            "p90_bps": self.p90_bps,
-        }
 
 
 @dataclass(frozen=True)
@@ -150,21 +95,8 @@ class BatchSummary:
     scenario_digests: tuple[str, ...]
     per_strategy: dict[Strategy, StrategyStats]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "num_scenarios": self.num_scenarios,
-            "iterations": self.iterations,
-            "master_seed": self.master_seed,
-            "scenario_digests": list(self.scenario_digests),
-            "per_strategy": {
-                s.value: stats.to_json_dict() for s, stats in self.per_strategy.items()
-            },
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return dumps(self)
 
 
 def compute_ecdf(values) -> list[tuple[float, float]]:
@@ -348,12 +280,9 @@ def write_density_csv(summaries: dict[int, BatchSummary], path) -> None:
 def write_summary_json(
     config: ExperimentConfig, summaries: dict[int, BatchSummary], path
 ) -> None:
-    payload = {
-        "config": config.to_json_dict(),
-        "batches": {str(n): s.to_json_dict() for n, s in summaries.items()},
-    }
+    batches = {str(n): summary for n, summary in summaries.items()}
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        dump({"config": config, "batches": batches}, fh, indent=2)
 
 
 def run_experiment(config: ExperimentConfig) -> dict[int, BatchSummary]:

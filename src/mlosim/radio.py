@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .scenario import MAX_LINKS, PhysicalConfig, Scenario
+from .scenario import MAX_LINKS, PhysicalConfig, Scenario, dbm_to_mw
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,6 @@ class ActivationProfile:
     @property
     def n(self) -> int:
         return len(self.per_ap)
-
-
-def dbm_to_mw(dbm):
-    return 10.0 ** (dbm / 10.0)
 
 
 def pathloss_db(d, physical: PhysicalConfig):

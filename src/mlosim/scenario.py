@@ -7,12 +7,12 @@ Geometry is static for the whole run.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import dumps
 from .errors import ConfigError, GeometryError
 
 # Residential 5 GHz pathloss constants (TMB model) and the TX/RX defaults
@@ -36,6 +36,10 @@ _DISTANCE_RTOL = 1e-9
 Point = tuple[float, float]
 
 
+def dbm_to_mw(dbm):
+    return 10.0 ** (dbm / 10.0)
+
+
 @dataclass(frozen=True)
 class PhysicalConfig:
     """RF constants shared by every node in a world.
@@ -54,7 +58,7 @@ class PhysicalConfig:
     sensitivity_dbm: float = DEFAULT_SENSITIVITY_DBM
 
     def __post_init__(self) -> None:
-        for name, value in self.to_json_dict().items():
+        for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ConfigError(f"physical {name} must be finite, got {value}")
         for name in ("attenuation_factor", "wall_attenuation_db_per_wall", "walls_per_meter"):
@@ -67,21 +71,16 @@ class PhysicalConfig:
                 "sensitivity threshold must sit above the noise floor "
                 f"({self.sensitivity_dbm} dBm vs {self.noise_floor_dbm} dBm)"
             )
-
-    def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PhysicalConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(f"physical must be a JSON object, got {data!r}")
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown physical fields: {sorted(unknown)}")
-        for name, value in data.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"physical {name} must be a number, got {value!r}")
-        return cls(**{name: float(value) for name, value in data.items()})
+        # The rate model works in mW, where 0 or inf mW turns rates into NaN or inf.
+        at_1m = self.tx_power_dbm - self.pathloss_intercept_db
+        for name, dbm in (("tx_power_dbm", self.tx_power_dbm),
+                          ("noise_floor_dbm", self.noise_floor_dbm), ("power at 1 m", at_1m)):
+            try:
+                mw = dbm_to_mw(dbm)
+            except OverflowError:
+                mw = math.inf
+            if not 0 < mw < math.inf:
+                raise ConfigError(f"physical {name} of {dbm} dBm is {mw} mW, not in (0, inf)")
 
 
 @dataclass(frozen=True)
@@ -127,18 +126,8 @@ class Scenario:
         """STA coordinates as an (n, 2) float array."""
         return np.asarray(self.sta_positions, dtype=float)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "area_side_m": self.area_side_m,
-            "ap_positions": [list(p) for p in self.ap_positions],
-            "sta_positions": [list(p) for p in self.sta_positions],
-            "ap_sta_distance_m": self.ap_sta_distance_m,
-            "num_links": self.num_links,
-            "physical": self.physical.to_json_dict(),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return dumps(self)
 
 
 def sample_scenario(

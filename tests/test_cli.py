@@ -100,6 +100,9 @@ class TestMain:
             {"physical": {"attenuation_factor": "-inf"}},
             {"physical": {"walls_per_meter": -0.1}},
             {"physical": {"bandwidth_hz_per_link": None}},
+            {"physical": {"tx_power_dbm": 4000}},
+            {"physical": {"pathloss_intercept_db": -4000}},
+            {"physical": {"noise_floor_dbm": -4000}},
             {"k": 0},
             {"k": 17},
             {"area_side_m": "nan"},
@@ -121,6 +124,16 @@ class TestMain:
         assert code == 1
         assert err.startswith("simulate: error:") and "Traceback" not in err
         assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("aps", ["8,x", "", "8,,4"])
+    def test_malformed_aps_rejected_by_parser(self, tmp_path, capsys, aps):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--aps", aps, "--scenarios", "1", "--iterations", "5", "--out", str(out))
+        err = capsys.readouterr().err
+        assert exc.value.code != 0
+        assert "argument --aps" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_duplicate_aps_rejected(self, tmp_path, capsys):
         code = run_cli("--aps", "4,4", "--scenarios", "1", "--iterations", "5",

@@ -88,7 +88,7 @@ class TestTrace:
         assert res.T == 25 and res.n == 3
         assert res.action_masks.shape == res.rates_bps.shape == res.global_rewards.shape
         assert res.action_masks.dtype == np.uint16
-        data = res.to_json_dict()
+        data = json.loads(res.to_json())
         assert set(data) == {
             "scenario", "strategy", "seed", "neighbor_sets",
             "action_masks", "rates_bps", "global_rewards",
@@ -101,7 +101,7 @@ class TestTrace:
     def test_non_federated_runs_have_no_global_rewards(self):
         res = run_scenario(world(n=2), Strategy.LOCAL_RL, T=10, seed=1)
         assert res.global_rewards is None
-        assert res.to_json_dict()["global_rewards"] is None
+        assert json.loads(res.to_json())["global_rewards"] is None
 
     def test_neighbor_sets_frozen_and_symmetric(self):
         sc = world(n=6, seed=10)

@@ -21,6 +21,7 @@ from mlosim import (
     run_single_scenario,
 )
 from mlosim import harness
+from mlosim.codec import dumps, from_json
 from mlosim.harness import run_seed, scenario_for_index
 
 SMALL = ExperimentConfig(
@@ -85,17 +86,17 @@ class TestConfig:
 
     def test_json_roundtrip(self):
         cfg = replace(SMALL, strategies=(Strategy.FIXED, Strategy.FEDERATED_RL))
-        again = ExperimentConfig.from_json_dict(cfg.to_json_dict())
+        again = from_json(ExperimentConfig, json.loads(dumps(cfg)))
         assert again == cfg
 
     def test_partial_json_uses_defaults(self):
-        cfg = ExperimentConfig.from_json_dict({"num_scenarios": 3})
+        cfg = from_json(ExperimentConfig, {"num_scenarios": 3})
         assert cfg.num_scenarios == 3
         assert cfg.iterations == 2000
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_json_dict({"scenario_count": 3})
+            from_json(ExperimentConfig, {"scenario_count": 3})
 
     @pytest.mark.parametrize(
         "kwargs",

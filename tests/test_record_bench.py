@@ -1,4 +1,4 @@
-"""tools/record_bench.py: a failed or stalled run is recorded, not fatal."""
+"""tools/record_bench.py: failed or stalled runs are recorded, not fatal; sides interleave."""
 
 import importlib.util
 import os
@@ -46,3 +46,19 @@ def test_acceptance_timing_pins_one_blas_thread(record_bench, monkeypatch):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         assert seen[var] == "1"
     assert seen["PYTHONPATH"] == os.path.join(ROOT, "src")
+
+
+def test_traced_runs_interleave_and_alternate_the_first_side(record_bench, monkeypatch):
+    calls = []
+
+    def fake_run_bench(root, workload, seed, trace):
+        calls.append((root, seed, trace))
+        return {"metrics": {"agents.select_us": float(seed)}, "seed": seed}
+
+    monkeypatch.setattr(record_bench, "run_bench", fake_run_bench)
+    runs = record_bench.interleaved({"parent": "/p", "change": "/c"}, "paper-batch",
+                                    record_bench.TRACED_SEEDS, 1)
+    assert calls == [("/p", 1, 1), ("/c", 1, 1), ("/c", 2, 1), ("/p", 2, 1),
+                     ("/p", 3, 1), ("/c", 3, 1)]
+    assert [r["seed"] for r in runs["parent"]] == [r["seed"] for r in runs["change"]] == [1, 2, 3]
+    assert record_bench.quartiles(runs["change"])["agents.select_us"][1] == 2.0

@@ -1,5 +1,6 @@
 """World sampling, validation, neighbor discovery, JSON round trips."""
 
+import json
 import math
 
 import numpy as np
@@ -202,6 +203,6 @@ class TestNeighbors:
 class TestSerialization:
     def test_physical_fields_serialized_by_name(self):
         sc = sample_scenario(generator(1), n=1, k=1, area_side_m=100.0, d=10.0)
-        data = sc.to_json_dict()
+        data = json.loads(sc.to_json())
         assert data["physical"]["sensitivity_dbm"] == -82.0
         assert data["ap_positions"][0] == list(sc.ap_positions[0])

@@ -4,9 +4,9 @@
         --checkout parent=/path/to/parent/checkout --checkout change=.
 
 For every workload in the checkout's BENCHMARK.json this runs
-`perfbench/run.py` untraced with seeds 1 to 10 (30 s each), then one
-traced `paper-batch` run (seed 1). With several checkouts the runs of one
-seed take turns, and which checkout goes first alternates from seed to
+`perfbench/run.py` untraced with seeds 1 to 10 (30 s each), then traced
+`paper-batch` runs with seeds 1 to 3. With several checkouts the runs of
+one seed take turns, and which checkout goes first alternates from seed to
 seed, so a drift of the machine's speed hits every side. Last, per
 checkout and as plain timings with no gate, it times `harness.run_batch`
 over the batch layer's load (500 worlds x 2000 iterations x 4 strategies
@@ -16,7 +16,8 @@ Each run's metrics, checks, absent probes and the provenance that
 perfbench prints are stored as printed; a run that exits non-zero or
 times out is stored as its error. The file also gets the per-workload
 quartiles (25 %, median, 75 %) of every end-to-end metric, or an error
-entry for a metric with fewer than two successful runs.
+entry for a metric with fewer than two successful runs, and the same
+quartiles of every per-layer metric over the traced runs.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import sys
 import time
 
 SEEDS = tuple(range(1, 11))
+TRACED_SEEDS = (1, 2, 3)
 SECONDS = 30
 TRACED_WORKLOAD = "paper-batch"
 BATCH_WORLDS, BATCH_ITERATIONS, BATCH_N = 500, 2000, 8
@@ -87,6 +89,17 @@ def run_bench(root: str, workload: str, seed: int, trace: int) -> dict:
     record = parse_run(proc.stdout)
     record["seed"] = seed
     return record
+
+
+def interleaved(checkouts: dict, workload: str, seeds, trace: int) -> dict:
+    """Each checkout's runs of `workload`, one per seed. The checkouts take
+    turns, and which goes first alternates from seed to seed."""
+    labels = list(checkouts)
+    runs = {label: [] for label in labels}
+    for i, seed in enumerate(seeds):
+        for label in labels if i % 2 == 0 else labels[::-1]:
+            runs[label].append(run_bench(checkouts[label], workload, seed, trace))
+    return runs
 
 
 def program_env(root: str) -> dict:
@@ -159,18 +172,15 @@ def main(argv=None) -> int:
     with open(os.path.join(first, "BENCHMARK.json")) as fh:
         workloads = [w["name"] for w in json.load(fh)["workloads"]]
 
-    runs = {label: {"untraced": {w: [] for w in workloads}} for label in checkouts}
     labels = list(checkouts)
+    runs = {label: {"untraced": {}} for label in labels}
     nproc = len(os.sched_getaffinity(0))
     for workload in workloads:
-        for i, seed in enumerate(SEEDS):
-            order = labels if i % 2 == 0 else labels[::-1]
-            for label in order:
-                runs[label]["untraced"][workload].append(
-                    run_bench(checkouts[label], workload, seed, 0))
+        for label, workload_runs in interleaved(checkouts, workload, SEEDS, 0).items():
+            runs[label]["untraced"][workload] = workload_runs
+    for label, traced in interleaved(checkouts, TRACED_WORKLOAD, TRACED_SEEDS, 1).items():
+        runs[label]["traced"] = {TRACED_WORKLOAD: traced}
     for label in labels:
-        runs[label]["traced"] = {TRACED_WORKLOAD: run_bench(checkouts[label], TRACED_WORKLOAD,
-                                                            SEEDS[0], 1)}
         runs[label]["batch"] = [time_batch(checkouts[label], w) for w in (1, nproc)]
         runs[label]["acceptance"] = time_acceptance(checkouts[label])
 
@@ -183,6 +193,8 @@ def main(argv=None) -> int:
                        "strategies": 4},
         "quartiles": {w: {label: quartiles(runs[label]["untraced"][w]) for label in labels}
                       for w in workloads},
+        "traced_quartiles": {TRACED_WORKLOAD: {
+            label: quartiles(runs[label]["traced"][TRACED_WORKLOAD]) for label in labels}},
         "runs": runs,
     }
     with open(args.out, "w") as fh:
