@@ -66,7 +66,7 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         summaries = run_experiment(config)
-    except (MlosimError, OSError, ValueError) as exc:
+    except (MlosimError, OSError, ValueError, MemoryError) as exc:
         print(f"simulate: error: {exc}", file=sys.stderr)
         return 1
     for n, summary in summaries.items():

@@ -3,9 +3,11 @@
 A batch samples `num_scenarios` worlds and runs every configured strategy
 on the same geometry (paired comparison), reducing each run to the
 scenario's min rate: the whole-run average rate of its worst AP. Scenario
-tasks are independent, so they can be distributed over a worker pool; the
-reduce is ordered by scenario index, which keeps summaries byte-identical
-for any worker count.
+tasks are independent, so they can be distributed over a worker pool. An
+experiment uses one pool: a density sweep submits the tasks of every AP
+count at once, largest AP counts first (a world's cost grows with n), and
+then reduces each count's outcomes in scenario-index order, which keeps
+summaries byte-identical for any worker count.
 
 Outputs are CSV files (one per figure analog) plus a summary JSON; rates
 in the CSVs are Mbps with 3 decimals.
@@ -53,6 +55,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.strategies:
             raise ConfigError("need at least one strategy")
+        if len(set(self.strategies)) != len(self.strategies):
+            names = [s.value for s in self.strategies]
+            raise ConfigError(f"strategies must be distinct, got {names}")
         if self.num_scenarios < 1:
             raise ConfigError(f"num_scenarios must be >= 1, got {self.num_scenarios}")
         if self.iterations < 1:
@@ -152,24 +157,43 @@ def _scenario_task(args) -> tuple[str, list[float]]:
     return _scenario_digest(scenario), mins
 
 
-def run_batch(config: ExperimentConfig, n: int | None = None) -> BatchSummary:
-    """Run the paired Monte Carlo batch for one AP count."""
+def _run_worlds(config: ExperimentConfig, n_values) -> dict[int, list]:
+    """Task outcomes of every world of each AP count, in scenario-index order.
+
+    All tasks are built up front, largest AP counts first (a world's cost
+    grows with n), and run inline at one worker or mapped once over one pool.
+    """
+    m = config.num_scenarios
+    largest_first = sorted(n_values, reverse=True)
+    tasks = [(config, n, s) for n in largest_first for s in range(m)]
+    # A forked pool starts all its workers at the first submit, so it gets
+    # no more of them than there are tasks.
+    workers = min(config.workers, len(tasks))
+    if workers > 1:
+        chunk = max(1, len(tasks) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_scenario_task, tasks, chunksize=chunk))
+    else:
+        outcomes = [_scenario_task(t) for t in tasks]
+    return {n: outcomes[i * m:(i + 1) * m] for i, n in enumerate(largest_first)}
+
+
+def run_batch(
+    config: ExperimentConfig, n: int | None = None, *, outcomes: list | None = None
+) -> BatchSummary:
+    """Run the paired Monte Carlo batch for one AP count.
+
+    Given `outcomes` (the batch's task results in scenario-index order),
+    it only reduces them.
+    """
     if n is None:
         if len(config.n_values) != 1:
             raise ConfigError(
                 "config sweeps several AP counts; pass n explicitly or use density_sweep"
             )
         n = config.n_values[0]
-    tasks = [(config, n, s) for s in range(config.num_scenarios)]
-    # A forked pool starts all its workers at the first submit, so it gets
-    # no more of them than there are tasks.
-    workers = min(config.workers, config.num_scenarios)
-    if workers > 1:
-        chunk = max(1, config.num_scenarios // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_scenario_task, tasks, chunksize=chunk))
-    else:
-        outcomes = [_scenario_task(t) for t in tasks]
+    if outcomes is None:
+        outcomes = _run_worlds(config, (n,))[n]
 
     digests = tuple(digest for digest, _ in outcomes)
     per_strategy: dict[Strategy, StrategyStats] = {}
@@ -193,8 +217,13 @@ def run_batch(config: ExperimentConfig, n: int | None = None) -> BatchSummary:
 
 
 def density_sweep(config: ExperimentConfig) -> dict[int, BatchSummary]:
-    """One batch per AP count in config.n_values, in order."""
-    return {n: run_batch(config, n=n) for n in config.n_values}
+    """One batch per AP count in config.n_values, in order.
+
+    The worlds of every AP count share one pool, so no count waits for the
+    slowest world of another before its own worlds start.
+    """
+    outcomes = _run_worlds(config, config.n_values)
+    return {n: run_batch(config, n, outcomes=outcomes[n]) for n in config.n_values}
 
 
 def run_single_scenario(

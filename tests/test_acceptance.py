@@ -31,6 +31,7 @@ from mlosim import (
     Strategy,
     achieved_rate_bps,
     compute_ecdf,
+    density_sweep,
     min_rate_timeseries,
     pathloss_db,
     run_batch,
@@ -87,7 +88,7 @@ def density_summaries():
         n_values=(2, 4, 8, 12, 16),
         master_seed=20243,
     )
-    return {n: run_batch(cfg, n=n) for n in cfg.n_values}
+    return density_sweep(cfg)
 
 
 class TestCriterion1StrategyOrdering:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mlosim import ConfigError
+from mlosim import ConfigError, cli
 from mlosim.cli import config_from_args, build_parser, main
 
 
@@ -110,6 +110,7 @@ class TestMain:
             {"d_m": "nan"},
             {"d_m": 0.0},
             {"d_m": 100.0},
+            {"strategies": ["frl", "frl"]},
         ],
     )
     def test_unknown_or_out_of_range_config_exits_with_error(self, tmp_path, capsys, config):
@@ -141,6 +142,17 @@ class TestMain:
         assert code == 1
         assert "AP counts must be distinct" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
+
+    def test_out_of_memory_exits_with_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 3.6 TiB for an array")
+
+        monkeypatch.setattr(cli, "run_experiment", exhausted)
+        code = run_cli("--scenarios", "1", "--iterations", "5", "--aps", "2",
+                       "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("simulate: error: Unable to allocate") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "config,argv,names",

@@ -108,6 +108,7 @@ class TestConfig:
             dict(strategies=()),
             dict(workers=0),
             dict(n_values=(4, 2, 4)),
+            dict(strategies=(Strategy.FEDERATED_RL, Strategy.FEDERATED_RL)),
         ],
     )
     def test_validation(self, kwargs):
@@ -205,12 +206,53 @@ class TestRunBatch:
 
 
 class TestDensitySweep:
+    SWEEP = replace(SMALL, n_values=(4, 2, 8), num_scenarios=3, iterations=20)
+
     def test_one_summary_per_density(self):
         cfg = replace(SMALL, n_values=(1, 2, 4), num_scenarios=3, iterations=20)
         summaries = density_sweep(cfg)
         assert list(summaries) == [1, 2, 4]
         for n, summary in summaries.items():
             assert summary.n == n
+
+    def test_shared_pool_matches_serial_and_per_density_batches(self):
+        serial = density_sweep(self.SWEEP)
+        parallel = density_sweep(replace(self.SWEEP, workers=2))
+        assert list(serial) == list(parallel) == [4, 2, 8]
+        for n in self.SWEEP.n_values:
+            expected = run_batch(self.SWEEP, n).to_json()
+            assert serial[n].to_json() == parallel[n].to_json() == expected
+
+    def test_one_pool_per_sweep_gets_largest_densities_first(self, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                self.tasks = list(tasks)
+                return map(fn, self.tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        cfg = self.SWEEP
+        expected = {n: s.to_json() for n, s in density_sweep(cfg).items()}
+        assert pools == []
+        largest_first = [(n, s) for n in (8, 4, 2) for s in range(cfg.num_scenarios)]
+        for workers, size in ((2, 2), (64, 9)):
+            summaries = density_sweep(replace(cfg, workers=workers))
+            assert {n: s.to_json() for n, s in summaries.items()} == expected
+            (pool,) = pools
+            assert pool.max_workers == size
+            assert [(n, s) for _, n, s in pool.tasks] == largest_first
+            pools.clear()
 
 
 class TestSingleScenario:

@@ -62,3 +62,22 @@ def test_traced_runs_interleave_and_alternate_the_first_side(record_bench, monke
                      ("/p", 3, 1), ("/c", 3, 1)]
     assert [r["seed"] for r in runs["parent"]] == [r["seed"] for r in runs["change"]] == [1, 2, 3]
     assert record_bench.quartiles(runs["change"])["agents.select_us"][1] == 2.0
+
+
+def test_acceptance_timings_interleave_and_start_no_process(record_bench, monkeypatch):
+    calls = []
+
+    def fake_time_acceptance(root):
+        calls.append(root)
+        return {"wall_s": float(len(calls)), "pytest_summary": "7 passed", "criteria": []}
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(record_bench, "time_acceptance", fake_time_acceptance)
+    monkeypatch.setattr(record_bench.subprocess, "run", no_process)
+    timings = record_bench.interleaved_acceptance({"parent": "/p", "change": "/c"})
+    assert calls == ["/p", "/c", "/c", "/p", "/p", "/c"]
+    assert [r["wall_s"] for r in timings["parent"]["runs"]] == [1.0, 4.0, 5.0]
+    assert timings["parent"]["median_wall_s"] == 4.0
+    assert timings["change"]["median_wall_s"] == 3.0

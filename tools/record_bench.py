@@ -10,8 +10,10 @@ one seed take turns, and which checkout goes first alternates from seed to
 seed, so a drift of the machine's speed hits every side. Last, per
 checkout and as plain timings with no gate, it times `harness.run_batch`
 over the batch layer's load (500 worlds x 2000 iterations x 4 strategies
-at n=8), once at 1 worker and once at all cores, and times
-`pytest tests/test_acceptance.py`, keeping the criteria lines it prints.
+at n=8), once at 1 worker and once at all cores. Then it times
+`pytest tests/test_acceptance.py` three times per checkout, interleaved
+like the seeds, keeping every run with the criteria lines it prints and
+the median wall time.
 Each run's metrics, checks, absent probes and the provenance that
 perfbench prints are stored as printed; a run that exits non-zero or
 times out is stored as its error. The file also gets the per-workload
@@ -36,6 +38,7 @@ SEEDS = tuple(range(1, 11))
 TRACED_SEEDS = (1, 2, 3)
 SECONDS = 30
 TRACED_WORKLOAD = "paper-batch"
+ACCEPTANCE_RUNS = 3
 BATCH_WORLDS, BATCH_ITERATIONS, BATCH_N = 500, 2000, 8
 # Times one run_batch in a fresh interpreter; prints its wall time and the
 # SHA-256 of its JSON, so that checkouts can be seen to compute the same batch.
@@ -91,14 +94,19 @@ def run_bench(root: str, workload: str, seed: int, trace: int) -> dict:
     return record
 
 
-def interleaved(checkouts: dict, workload: str, seeds, trace: int) -> dict:
-    """Each checkout's runs of `workload`, one per seed. The checkouts take
-    turns, and which goes first alternates from seed to seed."""
-    labels = list(checkouts)
-    runs = {label: [] for label in labels}
-    for i, seed in enumerate(seeds):
+def take_turns(labels: list, rounds):
+    """(round, label) pairs in run order: the checkouts take turns, and which
+    goes first alternates from round to round."""
+    for i, item in enumerate(rounds):
         for label in labels if i % 2 == 0 else labels[::-1]:
-            runs[label].append(run_bench(checkouts[label], workload, seed, trace))
+            yield item, label
+
+
+def interleaved(checkouts: dict, workload: str, seeds, trace: int) -> dict:
+    """Each checkout's runs of `workload`, one per seed, taking turns."""
+    runs = {label: [] for label in checkouts}
+    for seed, label in take_turns(list(checkouts), seeds):
+        runs[label].append(run_bench(checkouts[label], workload, seed, trace))
     return runs
 
 
@@ -139,6 +147,16 @@ def time_acceptance(root: str) -> dict:
         "pytest_summary": lines[-1] if lines else "",
         "criteria": [line for line in lines if line.startswith("ACCEPTANCE CRITERION")],
     }
+
+
+def interleaved_acceptance(checkouts: dict) -> dict:
+    """Each checkout's acceptance timings, ACCEPTANCE_RUNS of them taking
+    turns, with their median wall time."""
+    timings = {label: [] for label in checkouts}
+    for _, label in take_turns(list(checkouts), range(ACCEPTANCE_RUNS)):
+        timings[label].append(time_acceptance(checkouts[label]))
+    return {label: {"runs": runs, "median_wall_s": statistics.median(r["wall_s"] for r in runs)}
+            for label, runs in timings.items()}
 
 
 def quartiles(runs: list[dict]) -> dict:
@@ -182,7 +200,8 @@ def main(argv=None) -> int:
         runs[label]["traced"] = {TRACED_WORKLOAD: traced}
     for label in labels:
         runs[label]["batch"] = [time_batch(checkouts[label], w) for w in (1, nproc)]
-        runs[label]["acceptance"] = time_acceptance(checkouts[label])
+    for label, acceptance in interleaved_acceptance(checkouts).items():
+        runs[label]["acceptance"] = acceptance
 
     record = {
         "recorded_with": "tools/record_bench.py",
