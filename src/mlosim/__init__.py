@@ -6,12 +6,7 @@ computes interference-aware Shannon rates and aggregates max-min
 throughput statistics across Monte Carlo batches of sampled worlds.
 """
 
-from .agents import (
-    ActionSpace,
-    Strategy,
-    enumerate_actions,
-    exploration_rate,
-)
+from .agents import Strategy, exploration_rate
 from .engine import RunResult, min_rate_timeseries, run_scenario
 from .errors import (
     ConfigError,
@@ -43,7 +38,6 @@ from .scenario import PhysicalConfig, Scenario, sample_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionSpace",
     "ActivationProfile",
     "BatchSummary",
     "ConfigError",
@@ -62,7 +56,6 @@ __all__ = [
     "compute_ecdf",
     "dbm_to_mw",
     "density_sweep",
-    "enumerate_actions",
     "exploration_rate",
     "min_rate_timeseries",
     "pathloss_db",

@@ -1,11 +1,12 @@
 """Link-activation policies: fixed, random, local bandit, federated bandit.
 
-The learning strategies are epsilon-greedy multi-armed bandits over the
-2**k - 1 nonempty link subsets, with epsilon = 1/sqrt(t). The local model
-scores arms by the AP's own average achieved rate; the federated model
-scores them by the average of the minimum instant rate seen across the
-AP's neighborhood (itself included), which pushes the joint behavior
-toward max-min fair activations.
+An action is a row of `link_mask_matrix(k)`: one of the 2**k - 1
+nonempty link subsets. The learning strategies are epsilon-greedy
+multi-armed bandits over them, with epsilon = 1/sqrt(t). Each scores an
+arm by the average minimum instant rate over a set of APs: the AP alone
+for the local model (its own rate), the AP and its neighbors for the
+federated one, which pushes the joint behavior toward max-min fair
+activations.
 
 The n agents of a world advance together: their `Tables` are (n, p)
 arrays of visit counts and running means. Every agent-iteration of `random`,
@@ -17,16 +18,12 @@ largest mean. A federated agent keeps only the table it selects from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
 from . import rng as streams
 from .errors import ConfigError
-from .radio import LinkSet
-from .scenario import MAX_LINKS
 
 # Iterations whose uniforms are drawn per generator call. Results do not
 # depend on it; it bounds the memory of the draws and of the stacked
@@ -49,33 +46,12 @@ class Strategy(str, Enum):
                           f"{[s.value for s in cls]}")
 
 
-@dataclass(frozen=True)
-class ActionSpace:
-    """All nonempty link subsets in ascending mask order (1 .. 2**k - 1)."""
-
-    k: int
-    actions: tuple[LinkSet, ...]
-
-    @property
-    def p(self) -> int:
-        return len(self.actions)
-
-    @property
-    def full_index(self) -> int:
-        return self.p - 1  # ascending order puts the all-links mask last
-
-    def mask_matrix(self) -> np.ndarray:
-        """(p, k) boolean matrix: row a is the bit pattern of action a."""
-        masks = np.arange(1, self.p + 1, dtype=np.uint32)
-        return (masks[:, None] >> np.arange(self.k)) & 1 > 0
-
-
-@lru_cache(maxsize=None)
-def enumerate_actions(k: int) -> ActionSpace:
-    """Deterministic enumeration of the 2**k - 1 nonempty link subsets."""
-    if not 1 <= k <= MAX_LINKS:
-        raise ConfigError(f"num_links must be in [1, {MAX_LINKS}], got {k}")
-    return ActionSpace(k=k, actions=tuple(LinkSet(m, k) for m in range(1, 2**k)))
+def link_mask_matrix(k: int) -> np.ndarray:
+    """The (2**k - 1, k) float64 action matrix: row a is the bit pattern of
+    link mask a + 1 (bit j <=> link j active), so every row is nonempty and
+    the last activates all k links."""
+    masks = np.arange(1, 2**k, dtype=np.uint32)
+    return ((masks[:, None] >> np.arange(k)) & 1).astype(np.float64)
 
 
 def exploration_rate(t):

@@ -1,13 +1,14 @@
 """The iteration loop: joint selection, rates, reward exchange, updates.
 
-The n agents of a world advance together as arrays. Only the learning
-strategies step through t; `fixed` evaluates its one joint action once and
-`random` a block of iterations per rate call. A learning run computes the
-rates (and federated minima) of each joint action once, on its first
-occurrence; rows where a joint action recurs copy that first row. A
-federated minimum reduces one segment per AP of a flat member list (the AP,
-then its neighbors), and the policy step skips the explore merge on rows
-where no agent explores.
+The n agents of a world advance together as arrays; action a is row a of
+the link-mask matrix, link mask a + 1. Only the learning strategies step
+through t; `fixed` evaluates its one joint action once and `random` a
+block of iterations per rate call. Every learning agent is rewarded with
+the minimum rate over one segment of a flat member list: the AP alone
+under `rl`, the AP then its neighbors under `frl`. A learning run computes
+the rates and rewards of each joint action once, on its first occurrence;
+rows where a joint action recurs copy that first row. The policy step
+skips the explore merge on rows where no agent explores.
 
 Moves are simultaneous: every agent commits its link subset before any
 rate is computed, so no agent observes another's current-iteration choice.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import Strategy, Tables, enumerate_actions, policy_draws
+from .agents import Strategy, Tables, link_mask_matrix, policy_draws
 # The loop calls the policy through these names, which perfbench's
 # agents-layer probes wrap.
 from .agents import credit as update, select as select_action
@@ -88,15 +89,16 @@ def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> R
     """Simulate `T` iterations of one world under one strategy.
 
     Identical inputs produce bitwise-identical results; every agent draws
-    from its own child stream of `seed`. A federated agent's global reward
-    is the minimum instant rate over itself and its neighbors.
+    from its own child stream of `seed`. A learning agent's reward is the
+    minimum instant rate over its segment: itself under `rl` (its own rate),
+    itself and its neighbors under `frl` (the global reward).
     """
     if T < 1:
         raise ConfigError(f"need at least one iteration, got T={T}")
 
     n = scenario.n
-    space = enumerate_actions(scenario.num_links)
-    mask_bits = space.mask_matrix().astype(np.float64)  # (p, k), as rates_bps takes it
+    mask_bits = link_mask_matrix(scenario.num_links)  # (p, k), as rates_bps takes it
+    p = len(mask_bits)
     neighbor_sets = all_neighbor_sets(scenario)
     # Static link budget: P[j, i] is AP j's power at STA i in mW.
     power = link_budget_matrix_mw(scenario)
@@ -110,30 +112,27 @@ def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> R
     rates_hist = np.empty((T, n), dtype=np.float64)
     global_hist = None
     if strategy is Strategy.FIXED:
-        action_index[:] = space.full_index
+        action_index[:] = p - 1  # the all-links action
         rates_hist[:] = rates_of(action_index[0])
     elif strategy is Strategy.RANDOM:
-        for t0, _, arm, _ in policy_draws(seed, n, T, space.p):
+        for t0, _, arm, _ in policy_draws(seed, n, T, p):
             action_index[t0 : t0 + len(arm)] = arm
             rates_hist[t0 : t0 + len(arm)] = rates_of(arm)
     else:
         federated = strategy is Strategy.FEDERATED_RL
-        if federated:
-            global_hist = np.empty((T, n), dtype=np.float64)
-            # AP i's minimum covers members[starts[i]:starts[i + 1]], itself
-            # and its neighbors; no segment is empty, as i is in its own.
-            segments = [[i, *nbrs] for i, nbrs in enumerate(neighbor_sets)]
-            members = np.concatenate(segments)
-            starts = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
-        # The table each agent exploits: own rates (rl) or shared minima (frl).
-        tables = Tables(n, space.p)
-        # The geometry is static, so a joint action's rates (and minima) never
+        # AP i's reward is the minimum over members[starts[i]:starts[i + 1]]:
+        # itself (rl), or itself and its neighbors (frl). No segment is empty.
+        segments = [[i, *nbrs] if federated else [i] for i, nbrs in enumerate(neighbor_sets)]
+        members = np.concatenate(segments)
+        starts = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
+        reward_hist = np.empty((T, n), dtype=np.float64)
+        tables = Tables(n, p)
+        # The geometry is static, so a joint action's rates and rewards never
         # change: each joint action is evaluated on the row where it first
         # occurs, and every later row is gathered from that first row at the end.
         first_row: dict[bytes, int] = {}
         source = []  # source[row]: the first row of row's joint action
-        reward_hist = global_hist if federated else rates_hist
-        for t0, explore, arm, tie in policy_draws(seed, n, T, space.p):
+        for t0, explore, arm, tie in policy_draws(seed, n, T, p):
             rows = zip(range(t0, t0 + len(arm)), explore.any(axis=1).tolist(), explore, arm, tie)
             for row, anyone, explore_row, arm_row, tie_row in rows:  # iteration t = row + 1
                 chosen = action_index[row] = select_action(
@@ -142,14 +141,11 @@ def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> R
                 source.append(first)
                 if first == row:
                     rates = rates_hist[row] = rates_of(chosen)
-                    if federated:
-                        rates = global_hist[row] = np.minimum.reduceat(rates[members], starts)
-                else:
-                    rates = reward_hist[first]
-                update(tables, chosen, rates)
+                    reward_hist[row] = np.minimum.reduceat(rates[members], starts)
+                update(tables, chosen, reward_hist[first])
         rates_hist = rates_hist[source]
         if federated:
-            global_hist = global_hist[source]
+            global_hist = reward_hist[source]
 
     return RunResult(
         scenario=scenario,

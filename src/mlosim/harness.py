@@ -34,6 +34,13 @@ from .scenario import MAX_LINKS, PhysicalConfig, Scenario, sample_scenario
 DEFAULT_NUM_SCENARIOS = 500
 DEFAULT_ITERATIONS = 2000
 DEFAULT_DENSITIES = (2, 4, 8, 12, 16)
+# Bytes one run may allocate. A learning run of T iterations at n APs holds
+# six (T, n) arrays: the uint16 actions and the masks returned (2 + 2 bytes),
+# float64 rates and rewards (8 + 8) and their gathered copies (8 + 8), so
+# 36*T*n bytes; plus 48*T for the per-row first-row list (an 8-byte slot, a
+# 32-byte int) and its intp index. Not all of these are live at once, which
+# leaves room for the per-run dict of joint actions.
+RUN_BYTES_BUDGET = 2**32
 
 
 @dataclass(frozen=True)
@@ -76,6 +83,11 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.master_seed < 0:
             raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
+        run_bytes = (36 * max(self.n_values) + 48) * self.iterations
+        if run_bytes > RUN_BYTES_BUDGET:
+            raise ConfigError(
+                f"iterations={self.iterations} at {max(self.n_values)} APs needs about "
+                f"{run_bytes / 2**30:.3g} GiB per run, over {RUN_BYTES_BUDGET / 2**30:g} GiB")
 
 
 @dataclass(frozen=True)

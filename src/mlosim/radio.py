@@ -32,19 +32,12 @@ class LinkSet:
                 f"mask {self.mask:#x} does not fit in {self.width} link bits"
             )
 
-    @classmethod
-    def full(cls, width: int) -> "LinkSet":
-        return cls((1 << width) - 1, width)
-
     @property
     def is_empty(self) -> bool:
         return self.mask == 0
 
     def active_links(self) -> tuple[int, ...]:
         return tuple(j for j in range(self.width) if self.mask >> j & 1)
-
-    def __str__(self) -> str:
-        return format(self.mask, f"0{self.width}b")
 
 
 @dataclass(frozen=True)

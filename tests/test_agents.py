@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from mlosim import (
     ConfigError,
     Scenario,
+    LinkSet,
     Strategy,
-    enumerate_actions,
     exploration_rate,
     run_scenario,
     sample_scenario,
 )
 from mlosim import rng as streams
-from mlosim.agents import Tables, credit, select
+from mlosim.agents import Tables, credit, link_mask_matrix, select
 from mlosim.rng import generator
 from oracles import reference_run
 
@@ -39,32 +39,34 @@ def credit_one(tables, action, reward):
 
 class TestActionSpace:
     def test_four_links_give_fifteen_actions(self):
-        assert enumerate_actions(4).p == 15
+        masks = link_mask_matrix(4)
+        assert masks.shape == (15, 4) and masks.dtype == np.float64
+
+    def test_sixteen_links_give_65535_actions(self):
+        assert link_mask_matrix(16).shape == (65535, 16)
 
     def test_single_link(self):
-        space = enumerate_actions(1)
-        assert space.p == 1
-        assert space.actions[0].mask == 0b1
+        assert link_mask_matrix(1).tolist() == [[1.0]]
 
     def test_two_links_exact_order(self):
-        space = enumerate_actions(2)
-        assert [a.mask for a in space.actions] == [0b01, 0b10, 0b11]
+        assert link_mask_matrix(2).tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
 
     def test_no_empty_action_and_full_last(self):
-        space = enumerate_actions(5)
-        assert all(not a.is_empty for a in space.actions)
-        assert space.actions[space.full_index].mask == 0b11111
+        masks = link_mask_matrix(5)
+        assert np.all(masks.any(axis=1))
+        assert np.all(masks[-1] == 1.0)
 
     @pytest.mark.parametrize("k", [0, 17, -3])
     def test_out_of_range(self, k):
+        # The engine builds the matrix from scenario.num_links, which Scenario bounds.
         with pytest.raises(ConfigError):
-            enumerate_actions(k)
+            Scenario(area_side_m=100.0, ap_positions=((50.0, 50.0),),
+                     sta_positions=((50.0, 60.0),), ap_sta_distance_m=10.0, num_links=k)
 
     def test_mask_matrix_matches_actions(self):
-        space = enumerate_actions(3)
-        mat = space.mask_matrix()
-        for idx, action in enumerate(space.actions):
-            assert [bool(b) for b in mat[idx]] == [bool(action.mask >> j & 1) for j in range(3)]
+        masks = link_mask_matrix(3)
+        for a, row in enumerate(masks):
+            assert tuple(np.flatnonzero(row)) == LinkSet(a + 1, 3).active_links()
 
 
 class TestExplorationRate:

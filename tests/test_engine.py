@@ -382,7 +382,7 @@ class TestExactExpectation:
     def test_fixed_rows_equal_scalar_reference(self, n):
         sc = world(n=n, seed=40 + n)
         res = run_scenario(sc, Strategy.FIXED, T=30, seed=3)
-        full = ActivationProfile((LinkSet.full(4),) * n)
+        full = ActivationProfile((LinkSet(0b1111, 4),) * n)
         assert np.all(res.rates_bps == res.rates_bps[0])
         assert res.rates_bps[0] == pytest.approx(
             [achieved_rate_bps(sc, full, i) for i in range(n)], rel=1e-12

@@ -1,6 +1,7 @@
 """tools/record_bench.py: failed or stalled runs are recorded, not fatal; sides interleave."""
 
 import importlib.util
+import json
 import os
 import subprocess
 
@@ -81,3 +82,24 @@ def test_acceptance_timings_interleave_and_start_no_process(record_bench, monkey
     assert [r["wall_s"] for r in timings["parent"]["runs"]] == [1.0, 4.0, 5.0]
     assert timings["parent"]["median_wall_s"] == 4.0
     assert timings["change"]["median_wall_s"] == 3.0
+
+
+def test_batch_timings_interleave_keep_every_run_and_start_no_process(record_bench, monkeypatch):
+    calls = []
+
+    def fake_run(argv, **kwargs):
+        calls.append((kwargs["cwd"], argv[-1]))
+        if len(calls) == 4:
+            return subprocess.CompletedProcess(argv, 1, stdout="", stderr="MemoryError")
+        stdout = json.dumps({"wall_s": float(len(calls)), "sha256": "ab"}) + "\n"
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(record_bench.subprocess, "run", fake_run)
+    timings = record_bench.interleaved_batch({"parent": "/p", "change": "/c"}, 2)
+    assert calls == [("/p", "2"), ("/c", "2"), ("/c", "2"), ("/p", "2"), ("/p", "2"), ("/c", "2")]
+    assert [r.get("wall_s") for r in timings["parent"]["runs"]] == [1.0, None, 5.0]
+    assert timings["parent"]["runs"][1]["error"] == "exit 1"
+    assert timings["parent"]["median_wall_s"] == 3.0
+    assert [r["wall_s"] for r in timings["change"]["runs"]] == [2.0, 3.0, 6.0]
+    assert timings["change"]["median_wall_s"] == 3.0
+    assert all(r["sha256"] == "ab" for r in timings["change"]["runs"])

@@ -7,13 +7,14 @@ For every workload in the checkout's BENCHMARK.json this runs
 `perfbench/run.py` untraced with seeds 1 to 10 (30 s each), then traced
 `paper-batch` runs with seeds 1 to 3. With several checkouts the runs of
 one seed take turns, and which checkout goes first alternates from seed to
-seed, so a drift of the machine's speed hits every side. Last, per
-checkout and as plain timings with no gate, it times `harness.run_batch`
-over the batch layer's load (500 worlds x 2000 iterations x 4 strategies
-at n=8), once at 1 worker and once at all cores. Then it times
-`pytest tests/test_acceptance.py` three times per checkout, interleaved
-like the seeds, keeping every run with the criteria lines it prints and
-the median wall time.
+seed, so a drift of the machine's speed hits every side. Last, as plain
+timings with no gate, it times `harness.run_batch` over the batch layer's
+load (500 worlds x 2000 iterations x 4 strategies at n=8) three times per
+checkout at 1 worker and three times at all cores, and then
+`pytest tests/test_acceptance.py` three times per checkout. These timings
+interleave like the seeds; each keeps every run (a batch run with the
+SHA-256 of its result, an acceptance run with the criteria lines it
+prints) and the median wall time.
 Each run's metrics, checks, absent probes and the provenance that
 perfbench prints are stored as printed; a run that exits non-zero or
 times out is stored as its error. The file also gets the per-workload
@@ -38,7 +39,7 @@ SEEDS = tuple(range(1, 11))
 TRACED_SEEDS = (1, 2, 3)
 SECONDS = 30
 TRACED_WORKLOAD = "paper-batch"
-ACCEPTANCE_RUNS = 3
+TIMED_RUNS = 3
 BATCH_WORLDS, BATCH_ITERATIONS, BATCH_N = 500, 2000, 8
 # Times one run_batch in a fresh interpreter; prints its wall time and the
 # SHA-256 of its JSON, so that checkouts can be seen to compute the same batch.
@@ -149,14 +150,25 @@ def time_acceptance(root: str) -> dict:
     }
 
 
-def interleaved_acceptance(checkouts: dict) -> dict:
-    """Each checkout's acceptance timings, ACCEPTANCE_RUNS of them taking
-    turns, with their median wall time."""
+def interleaved_timings(checkouts: dict, timer) -> dict:
+    """Each checkout's `timer(root)` results, TIMED_RUNS of them taking
+    turns, with the median wall time of those that did not fail."""
     timings = {label: [] for label in checkouts}
-    for _, label in take_turns(list(checkouts), range(ACCEPTANCE_RUNS)):
-        timings[label].append(time_acceptance(checkouts[label]))
-    return {label: {"runs": runs, "median_wall_s": statistics.median(r["wall_s"] for r in runs)}
-            for label, runs in timings.items()}
+    for _, label in take_turns(list(checkouts), range(TIMED_RUNS)):
+        timings[label].append(timer(checkouts[label]))
+    out = {}
+    for label, runs in timings.items():
+        walls = [r["wall_s"] for r in runs if "wall_s" in r]
+        out[label] = {"runs": runs, "median_wall_s": statistics.median(walls) if walls else None}
+    return out
+
+
+def interleaved_batch(checkouts: dict, workers: int) -> dict:
+    return interleaved_timings(checkouts, lambda root: time_batch(root, workers))
+
+
+def interleaved_acceptance(checkouts: dict) -> dict:
+    return interleaved_timings(checkouts, time_acceptance)
 
 
 def quartiles(runs: list[dict]) -> dict:
@@ -198,8 +210,9 @@ def main(argv=None) -> int:
             runs[label]["untraced"][workload] = workload_runs
     for label, traced in interleaved(checkouts, TRACED_WORKLOAD, TRACED_SEEDS, 1).items():
         runs[label]["traced"] = {TRACED_WORKLOAD: traced}
+    batches = {workers: interleaved_batch(checkouts, workers) for workers in (1, nproc)}
     for label in labels:
-        runs[label]["batch"] = [time_batch(checkouts[label], w) for w in (1, nproc)]
+        runs[label]["batch"] = [{"workers": w, **b[label]} for w, b in batches.items()]
     for label, acceptance in interleaved_acceptance(checkouts).items():
         runs[label]["acceptance"] = acceptance
 
