@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from mlosim import (
     ConfigError,
-    Scenario,
     LinkSet,
+    Scenario,
     Strategy,
     exploration_rate,
     run_scenario,
