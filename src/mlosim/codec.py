@@ -1,12 +1,14 @@
-"""The JSON format of configs and results: one writer and one reader.
+"""The file formats: JSON for configs and results (one writer and one
+reader) and CSV for figures and traces (one writer).
 
-The reader types each field by its annotation, so a value of the wrong JSON
-type fails here with a `ConfigError` that names the field; range checks stay
-in the dataclasses' `__post_init__`.
+The JSON reader types each field by its annotation, so a value of the wrong
+JSON type fails here with a `ConfigError` that names the field; range checks
+stay in the dataclasses' `__post_init__`.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import types
@@ -41,6 +43,14 @@ def dump(value, fh, **kw) -> None:
     """`dumps(value, **kw)` written to the open file `fh` piece by piece,
     which keeps a large document from being held whole in memory."""
     json.dump(value, fh, default=_plain, sort_keys=True, **kw)
+
+
+def write_csv(path, header, rows) -> None:
+    """A CSV file at `path`: the row `header`, then every row of the iterable `rows`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def from_json(cls, data, where: str = "config"):

@@ -19,7 +19,6 @@ t=0 because the geometry never changes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from .agents import Strategy, Tables, link_mask_matrix, policy_draws
 # The loop calls the policy through these names, which perfbench's
 # agents-layer probes wrap.
 from .agents import credit as update, select as select_action
-from .codec import dumps
+from .codec import dumps, write_csv
 from .errors import ConfigError
 from .radio import all_neighbor_sets, dbm_to_mw, link_budget_matrix_mw, rates_bps
 from .scenario import Scenario
@@ -68,21 +67,12 @@ class RunResult:
 
     def write_csv(self, path) -> None:
         """Compact per-iteration trace for plotting tools."""
-        has_global = self.global_rewards is not None
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "ap", "action_mask", "rate_bps", "global_reward"])
-            for t in range(self.T):
-                for i in range(self.n):
-                    writer.writerow(
-                        [
-                            t + 1,
-                            i,
-                            format(int(self.action_masks[t, i]), f"0{self.scenario.num_links}b"),
-                            repr(float(self.rates_bps[t, i])),
-                            repr(float(self.global_rewards[t, i])) if has_global else "",
-                        ]
-                    )
+        width, rewards = f"0{self.scenario.num_links}b", self.global_rewards
+        write_csv(path, ["t", "ap", "action_mask", "rate_bps", "global_reward"], (
+            [t + 1, i, format(int(self.action_masks[t, i]), width),
+             repr(float(self.rates_bps[t, i])),
+             "" if rewards is None else repr(float(rewards[t, i]))]
+            for t in range(self.T) for i in range(self.n)))
 
 
 def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> RunResult:

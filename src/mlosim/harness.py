@@ -9,15 +9,15 @@ count at once, largest AP counts first (a world's cost grows with n), and
 then reduces each count's outcomes in scenario-index order, which keeps
 summaries byte-identical for any worker count.
 
-Outputs are CSV files (one per figure analog) plus a summary JSON; rates
-in the CSVs are Mbps with 3 decimals.
+Every world, in a batch or in the convergence view, runs through one
+per-world runner, `run_single_scenario`. Outputs are CSV files (one per
+figure analog, each written through `codec.write_csv` from a row generator)
+plus a summary JSON; rates in the CSVs are Mbps with 3 decimals.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -26,10 +26,10 @@ import numpy as np
 
 from . import rng as streams
 from .agents import Strategy
-from .codec import dump, dumps
+from .codec import dump, dumps, write_csv
 from .engine import RunResult, min_rate_timeseries, run_scenario
 from .errors import ConfigError, EmptyInputError
-from .scenario import MAX_LINKS, PhysicalConfig, Scenario, sample_scenario
+from .scenario import PhysicalConfig, Scenario, check_world, sample_scenario
 
 DEFAULT_NUM_SCENARIOS = 500
 DEFAULT_ITERATIONS = 2000
@@ -39,7 +39,12 @@ DEFAULT_DENSITIES = (2, 4, 8, 12, 16)
 # float64 rates and rewards (8 + 8) and their gathered copies (8 + 8), so
 # 36*T*n bytes; plus 48*T for the per-row first-row list (an 8-byte slot, a
 # 32-byte int) and its intp index. Not all of these are live at once, which
-# leaves room for the per-run dict of joint actions.
+# leaves room for the per-run dict of joint actions. The same budget bounds
+# the batch state of an experiment's worlds (each world's task, outcome and
+# share of the StrategyStats, all held until the last world is reduced):
+# tracemalloc peaks of run_batch with 4 strategies at n=1, T=1 read 867,
+# 799 and 731 bytes per world at 5,000, 10,000 and 20,000 worlds, so at
+# 2**10 bytes per world the budget holds 2**32 / 2**10 = 4,194,304 worlds.
 RUN_BYTES_BUDGET = 2**32
 
 
@@ -69,16 +74,12 @@ class ExperimentConfig:
             raise ConfigError(f"num_scenarios must be >= 1, got {self.num_scenarios}")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            raise ConfigError(f"every AP count must be >= 1, got {self.n_values}")
+        if not self.n_values:
+            raise ConfigError("need at least one AP count")
         if len(set(self.n_values)) != len(self.n_values):
             raise ConfigError(f"AP counts must be distinct, got {self.n_values}")
-        if not 1 <= self.k <= MAX_LINKS:
-            raise ConfigError(f"k must be in [1, {MAX_LINKS}], got {self.k}")
-        if not (math.isfinite(self.area_side_m) and self.area_side_m > 0):
-            raise ConfigError(f"area side must be finite and positive, got {self.area_side_m}")
-        if not 0 < self.d_m < self.area_side_m:
-            raise ConfigError(f"AP-STA distance must satisfy 0 < d < area side, got d={self.d_m}")
+        for n in self.n_values:
+            check_world(n, self.k, self.area_side_m, self.d_m)
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.master_seed < 0:
@@ -88,6 +89,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"iterations={self.iterations} at {max(self.n_values)} APs needs about "
                 f"{run_bytes / 2**30:.3g} GiB per run, over {RUN_BYTES_BUDGET / 2**30:g} GiB")
+        worlds = self.num_scenarios * len(self.n_values)
+        if worlds * 2**10 > RUN_BYTES_BUDGET:
+            raise ConfigError(
+                f"num_scenarios={self.num_scenarios} at {len(self.n_values)} AP counts is "
+                f"{worlds} worlds, over the {RUN_BYTES_BUDGET // 2**10} that fit in memory")
 
 
 @dataclass(frozen=True)
@@ -152,21 +158,35 @@ def run_seed(config: ExperimentConfig, n: int, s: int, strategy: Strategy) -> in
     )
 
 
-def _scenario_digest(scenario: Scenario) -> str:
-    return hashlib.sha256(scenario.to_json().encode()).hexdigest()[:16]
+def _one_n(config: ExperimentConfig, n: int | None) -> int:
+    """`n`, or else the config's only AP count."""
+    if n is None and len(config.n_values) != 1:
+        raise ConfigError(
+            "config sweeps several AP counts; pass n explicitly or use density_sweep")
+    return config.n_values[0] if n is None else n
+
+
+def run_single_scenario(
+    config: ExperimentConfig, n: int | None = None, scenario_index: int = 0
+) -> dict[Strategy, RunResult]:
+    """Full traces of every strategy on batch world `scenario_index`; each
+    batch task reduces them to min rates."""
+    n = _one_n(config, n)
+    scenario = scenario_for_index(config, n, scenario_index)
+    return {
+        strategy: run_scenario(
+            scenario, strategy, config.iterations, run_seed(config, n, scenario_index, strategy)
+        )
+        for strategy in config.strategies
+    }
 
 
 def _scenario_task(args) -> tuple[str, list[float]]:
-    """One batch task: sample world `s`, run every strategy, reduce to min rates."""
-    config, n, s = args
-    scenario = scenario_for_index(config, n, s)
-    mins = []
-    for strategy in config.strategies:
-        result = run_scenario(
-            scenario, strategy, config.iterations, run_seed(config, n, s, strategy)
-        )
-        mins.append(float(result.mean_rates_bps().min()))
-    return _scenario_digest(scenario), mins
+    """One batch task: the digest of world `s` and each strategy's min rate on it."""
+    results = run_single_scenario(*args)  # args: (config, n, s)
+    scenario = next(iter(results.values())).scenario
+    digest = hashlib.sha256(scenario.to_json().encode()).hexdigest()[:16]
+    return digest, [float(result.mean_rates_bps().min()) for result in results.values()]
 
 
 def _run_worlds(config: ExperimentConfig, n_values) -> dict[int, list]:
@@ -198,12 +218,7 @@ def run_batch(
     Given `outcomes` (the batch's task results in scenario-index order),
     it only reduces them.
     """
-    if n is None:
-        if len(config.n_values) != 1:
-            raise ConfigError(
-                "config sweeps several AP counts; pass n explicitly or use density_sweep"
-            )
-        n = config.n_values[0]
+    n = _one_n(config, n)
     if outcomes is None:
         outcomes = _run_worlds(config, (n,))[n]
 
@@ -238,84 +253,12 @@ def density_sweep(config: ExperimentConfig) -> dict[int, BatchSummary]:
     return {n: run_batch(config, n, outcomes=outcomes[n]) for n in config.n_values}
 
 
-def run_single_scenario(
-    config: ExperimentConfig, n: int | None = None, scenario_index: int = 0
-) -> dict[Strategy, RunResult]:
-    """Full traces of every strategy on one batch world (convergence view)."""
-    if n is None:
-        n = config.n_values[0]
-    scenario = scenario_for_index(config, n, scenario_index)
-    return {
-        strategy: run_scenario(
-            scenario,
-            strategy,
-            config.iterations,
-            run_seed(config, n, scenario_index, strategy),
-        )
-        for strategy in config.strategies
-    }
-
-
 # ---------------------------------------------------------------------------
 # file outputs
 
 
 def _mbps(value_bps: float) -> str:
     return f"{value_bps / 1e6:.3f}"
-
-
-def write_convergence_csv(results: dict[Strategy, RunResult], path) -> None:
-    """Running-average rate of the worst AP, per strategy (fig3 analog)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "t", "min_ap_running_avg_mbps"])
-        for strategy, result in results.items():
-            series = min_rate_timeseries(result)
-            for t, value in enumerate(series, start=1):
-                writer.writerow([strategy.value, t, _mbps(value)])
-
-
-def write_per_ap_csv(results: dict[Strategy, RunResult], path) -> None:
-    """Whole-run average rate of each AP, per strategy (fig4 analog)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "ap", "mean_rate_mbps"])
-        for strategy, result in results.items():
-            for i, value in enumerate(result.mean_rates_bps()):
-                writer.writerow([strategy.value, i, _mbps(value)])
-
-
-def write_means_csv(summary: BatchSummary, path) -> None:
-    """Per-strategy batch mean and 90th percentile (fig5 analog)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "mean_min_rate_mbps", "p90_mbps"])
-        for strategy, stats in summary.per_strategy.items():
-            writer.writerow(
-                [strategy.value, _mbps(stats.mean_min_rate_bps), _mbps(stats.p90_bps)]
-            )
-
-
-def write_ecdf_csv(summary: BatchSummary, path) -> None:
-    """ECDF of per-scenario min rates, per strategy (fig6 analog)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "min_rate_mbps", "cumulative_fraction"])
-        for strategy, stats in summary.per_strategy.items():
-            for rate, fraction in stats.ecdf_points:
-                writer.writerow([strategy.value, _mbps(rate), f"{fraction:.6f}"])
-
-
-def write_density_csv(summaries: dict[int, BatchSummary], path) -> None:
-    """Mean min rate vs AP count, per strategy (fig7 analog)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "strategy", "mean_min_rate_mbps", "p90_mbps"])
-        for n, summary in summaries.items():
-            for strategy, stats in summary.per_strategy.items():
-                writer.writerow(
-                    [n, strategy.value, _mbps(stats.mean_min_rate_bps), _mbps(stats.p90_bps)]
-                )
 
 
 def write_summary_json(
@@ -338,12 +281,32 @@ def run_experiment(config: ExperimentConfig) -> dict[int, BatchSummary]:
     summaries = density_sweep(config)
     if len(config.n_values) == 1:
         n = config.n_values[0]
-        single = run_single_scenario(config, n=n, scenario_index=0)
-        write_convergence_csv(single, os.path.join(out_dir, "fig3_convergence.csv"))
-        write_per_ap_csv(single, os.path.join(out_dir, "fig4_per_ap.csv"))
-        write_means_csv(summaries[n], os.path.join(out_dir, "fig5_means.csv"))
-        write_ecdf_csv(summaries[n], os.path.join(out_dir, "fig6_ecdf.csv"))
+        single = run_single_scenario(config, n, 0)
+        stats = summaries[n].per_strategy
+        # fig3: running-average rate of the worst AP of world 0, per strategy
+        write_csv(os.path.join(out_dir, "fig3_convergence.csv"),
+                  ["strategy", "t", "min_ap_running_avg_mbps"],
+                  ([s.value, t, _mbps(v)] for s, result in single.items()
+                   for t, v in enumerate(min_rate_timeseries(result), start=1)))
+        # fig4: whole-run average rate of each AP of world 0, per strategy
+        write_csv(os.path.join(out_dir, "fig4_per_ap.csv"), ["strategy", "ap", "mean_rate_mbps"],
+                  ([s.value, i, _mbps(v)] for s, result in single.items()
+                   for i, v in enumerate(result.mean_rates_bps())))
+        # fig5: batch mean and 90th percentile of the min rate, per strategy
+        write_csv(os.path.join(out_dir, "fig5_means.csv"),
+                  ["strategy", "mean_min_rate_mbps", "p90_mbps"],
+                  ([s.value, _mbps(st.mean_min_rate_bps), _mbps(st.p90_bps)]
+                   for s, st in stats.items()))
+        # fig6: ECDF of the per-world min rates, per strategy
+        write_csv(os.path.join(out_dir, "fig6_ecdf.csv"),
+                  ["strategy", "min_rate_mbps", "cumulative_fraction"],
+                  ([s.value, _mbps(rate), f"{fraction:.6f}"]
+                   for s, st in stats.items() for rate, fraction in st.ecdf_points))
     else:
-        write_density_csv(summaries, os.path.join(out_dir, "fig7_density.csv"))
+        # fig7: batch mean and 90th percentile of the min rate vs AP count, per strategy
+        write_csv(os.path.join(out_dir, "fig7_density.csv"),
+                  ["n", "strategy", "mean_min_rate_mbps", "p90_mbps"],
+                  ([n, s.value, _mbps(st.mean_min_rate_bps), _mbps(st.p90_bps)]
+                   for n, summary in summaries.items() for s, st in summary.per_strategy.items()))
     write_summary_json(config, summaries, os.path.join(out_dir, "summary.json"))
     return summaries

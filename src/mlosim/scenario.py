@@ -130,6 +130,19 @@ class Scenario:
         return dumps(self)
 
 
+def check_world(n: int, k: int, area_side_m: float, d: float) -> None:
+    """Raise `ConfigError` unless n >= 1 APs, k in [1, MAX_LINKS] links, a
+    finite, positive area side and 0 < d < area side can make a world."""
+    if n < 1:
+        raise ConfigError(f"every AP count must be >= 1, got n={n}")
+    if not 1 <= k <= MAX_LINKS:
+        raise ConfigError(f"k must be in [1, {MAX_LINKS}], got {k}")
+    if not (math.isfinite(area_side_m) and area_side_m > 0):
+        raise ConfigError(f"area side must be finite and positive, got {area_side_m}")
+    if not 0 < d < area_side_m:
+        raise ConfigError(f"AP-STA distance must satisfy 0 < d < area side, got d={d}")
+
+
 def sample_scenario(
     rng: np.random.Generator,
     n: int,
@@ -141,14 +154,7 @@ def sample_scenario(
     """Draw a world: APs uniform over the square, each STA on the circle of
     radius `d` around its AP at a uniform angle (redrawn while out of bounds).
     """
-    if n < 1:
-        raise ConfigError(f"need at least one AP, got n={n}")
-    if not 1 <= k <= MAX_LINKS:
-        raise ConfigError(f"num_links must be in [1, {MAX_LINKS}], got {k}")
-    if area_side_m <= 0:
-        raise ConfigError(f"area side must be positive, got {area_side_m}")
-    if not 0 < d < area_side_m:
-        raise ConfigError(f"AP-STA distance must satisfy 0 < d < area side, got d={d}")
+    check_world(n, k, area_side_m, d)
     physical = physical if physical is not None else PhysicalConfig()
 
     ap = rng.uniform(0.0, area_side_m, size=(n, 2))

@@ -170,6 +170,8 @@ class TestMain:
             ({"physical": {"noise_floor_dbm": "-90"}}, [], "noise_floor_dbm"),
             # Its arrays would need terabytes: rejected before any is allocated.
             ({}, ["--iterations", "100000000000"], "iterations"),
+            # Its batch state alone would fill the machine's memory.
+            ({}, ["--scenarios", "1000000000"], "num_scenarios"),
         ],
     )
     def test_mistyped_config_exits_with_error(self, tmp_path, capsys, config, argv, names):

@@ -194,6 +194,8 @@ class TestRunBatch:
         cfg = replace(SMALL, n_values=(2, 3))
         with pytest.raises(ConfigError):
             run_batch(cfg)
+        with pytest.raises(ConfigError):
+            run_single_scenario(cfg)
         assert run_batch(cfg, n=2).n == 2
 
     def test_run_seeds_distinct_per_strategy_and_scenario(self):
@@ -313,3 +315,29 @@ class TestOutputs:
         assert data["batches"]["3"]["per_strategy"]["frl"]["mean_min_rate_bps"] == (
             summaries[3].per_strategy[Strategy.FEDERATED_RL].mean_min_rate_bps
         )
+
+    @pytest.mark.parametrize("n_values", [(3,), (2, 3)])
+    def test_files_do_not_depend_on_worker_count(self, tmp_path, n_values):
+        files = {}
+        for workers in (1, 2):
+            out = tmp_path / str(workers)
+            run_experiment(replace(SMALL, n_values=n_values, workers=workers, output_dir=str(out)))
+            files[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert files[1].keys() == files[2].keys()
+        for name, data in files[1].items():
+            if name != "summary.json":
+                assert data == files[2][name], name
+        # summary.json differs only in the config's `workers` and `output_dir`.
+        one, two = (json.loads(f["summary.json"]) for f in (files[1], files[2]))
+        for summary in (one, two):
+            del summary["config"]["workers"], summary["config"]["output_dir"]
+        assert one == two
+
+    def test_per_ap_view_is_batch_world_zero(self, tmp_path):
+        summaries = run_experiment(replace(SMALL, output_dir=str(tmp_path)))
+        with open(tmp_path / "fig4_per_ap.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        for strategy, stats in summaries[3].per_strategy.items():
+            rates = [row["mean_rate_mbps"] for row in rows if row["strategy"] == strategy.value]
+            assert len(rates) == 3
+            assert min(rates, key=float) == harness._mbps(stats.min_rates_bps[0])

@@ -103,3 +103,13 @@ def test_batch_timings_interleave_keep_every_run_and_start_no_process(record_ben
     assert [r["wall_s"] for r in timings["change"]["runs"]] == [2.0, 3.0, 6.0]
     assert timings["change"]["median_wall_s"] == 3.0
     assert all(r["sha256"] == "ab" for r in timings["change"]["runs"])
+
+
+def test_source_lines_skip_blank_and_comment_lines(record_bench, tmp_path):
+    src = tmp_path / "src" / "mlosim"
+    src.mkdir(parents=True)
+    (src / "a.py").write_text('"""Doc."""\n\n# comment\nx = 1  # counted\n')
+    (src / "b.py").write_text("def f():\n    # indented comment\n    \t\n    return 2\n")
+    (src / "notes.txt").write_text("not python\n")
+    assert record_bench.source_lines(str(tmp_path)) == 4
+    assert record_bench.source_lines(ROOT) > 0

@@ -84,6 +84,8 @@ class TestSampling:
             dict(n=1, k=4, area_side_m=100.0, d=0.0),
             dict(n=1, k=4, area_side_m=100.0, d=100.0),
             dict(n=1, k=4, area_side_m=-5.0, d=1.0),
+            dict(n=1, k=4, area_side_m=math.inf, d=1.0),
+            dict(n=1, k=4, area_side_m=math.nan, d=1.0),
         ],
     )
     def test_preconditions(self, kwargs):

@@ -14,7 +14,8 @@ checkout at 1 worker and three times at all cores, and then
 `pytest tests/test_acceptance.py` three times per checkout. These timings
 interleave like the seeds; each keeps every run (a batch run with the
 SHA-256 of its result, an acceptance run with the criteria lines it
-prints) and the median wall time.
+prints) and the median wall time. It also stores each checkout's count of
+non-blank, non-`#` lines in `src/mlosim`, the size that ROADMAP aim 2 gates.
 Each run's metrics, checks, absent probes and the provenance that
 perfbench prints are stored as printed; a run that exits non-zero or
 times out is stored as its error. The file also gets the per-workload
@@ -171,6 +172,18 @@ def interleaved_acceptance(checkouts: dict) -> dict:
     return interleaved_timings(checkouts, time_acceptance)
 
 
+def source_lines(root: str) -> int:
+    """Non-blank lines of the `.py` files in the checkout's `src/mlosim` that
+    are not `#` comments: what `grep -cvE '^\\s*($|#)'` counts, docstrings included."""
+    src = os.path.join(root, "src", "mlosim")
+    count = 0
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                count += sum(1 for line in fh if line.strip() and line.lstrip()[0] != "#")
+    return count
+
+
 def quartiles(runs: list[dict]) -> dict:
     """Quartiles of each metric over the runs that report it; a metric with
     fewer than two values gets an error entry instead."""
@@ -215,6 +228,7 @@ def main(argv=None) -> int:
         runs[label]["batch"] = [{"workers": w, **b[label]} for w, b in batches.items()]
     for label, acceptance in interleaved_acceptance(checkouts).items():
         runs[label]["acceptance"] = acceptance
+        runs[label]["src_lines"] = source_lines(checkouts[label])
 
     record = {
         "recorded_with": "tools/record_bench.py",
