@@ -112,4 +112,3 @@ def test_source_lines_skip_blank_and_comment_lines(record_bench, tmp_path):
     (src / "b.py").write_text("def f():\n    # indented comment\n    \t\n    return 2\n")
     (src / "notes.txt").write_text("not python\n")
     assert record_bench.source_lines(str(tmp_path)) == 4
-    assert record_bench.source_lines(ROOT) > 0
