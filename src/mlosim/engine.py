@@ -3,12 +3,16 @@
 The n agents of a world advance together as arrays; action a is row a of
 the link-mask matrix, link mask a + 1. Only the learning strategies step
 through t; `fixed` evaluates its one joint action once and `random` a
-block of iterations per rate call. Every learning agent is rewarded with
-the minimum rate over one segment of a flat member list: the AP alone
-under `rl`, the AP then its neighbors under `frl`. A learning run computes
-the rates and rewards of each joint action once, on its first occurrence;
-rows where a joint action recurs copy that first row. The policy step
-skips the explore merge on rows where no agent explores.
+block of iterations per rate call. A world's learning runs (`rl`, `frl`)
+step through t in one lockstep loop, `run_learning`, as one population of
+L * n agents whose per-AP streams are the runs' own; `run_scenario` runs a
+learning strategy as its one-run case. Every learning agent is rewarded
+with the minimum rate over one segment of a flat member list: the AP alone
+under `rl`, the AP then its neighbors under `frl`, each run's segments
+offset by its place in the population. The loop computes the rates and
+rewards of each joint action of all L * n agents once, on its first
+occurrence; rows where a joint action recurs copy that first row. The
+policy step skips the explore merge on rows where no agent explores.
 
 Moves are simultaneous: every agent commits its link subset before any
 rate is computed, so no agent observes another's current-iteration choice.
@@ -75,21 +79,19 @@ class RunResult:
             for t in range(self.T) for i in range(self.n)))
 
 
-def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> RunResult:
-    """Simulate `T` iterations of one world under one strategy.
+# The strategies that `run_learning` steps.
+LEARNING = (Strategy.LOCAL_RL, Strategy.FEDERATED_RL)
 
-    Identical inputs produce bitwise-identical results; every agent draws
-    from its own child stream of `seed`. A learning agent's reward is the
-    minimum instant rate over its segment: itself under `rl` (its own rate),
-    itself and its neighbors under `frl` (the global reward).
-    """
+
+def _check_iterations(T: int) -> None:
     if T < 1:
         raise ConfigError(f"need at least one iteration, got T={T}")
 
-    n = scenario.n
+
+def _world(scenario: Scenario):
+    """A world's link-mask matrix, its neighbor sets and the rate function
+    of its joint actions: action indices of shape (..., n) to rates (..., n)."""
     mask_bits = link_mask_matrix(scenario.num_links)  # (p, k), as rates_bps takes it
-    p = len(mask_bits)
-    neighbor_sets = all_neighbor_sets(scenario)
     # Static link budget: P[j, i] is AP j's power at STA i in mW.
     power = link_budget_matrix_mw(scenario)
     noise_mw = dbm_to_mw(scenario.physical.noise_floor_dbm)
@@ -98,45 +100,31 @@ def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> R
     def rates_of(index: np.ndarray) -> np.ndarray:
         return rates_bps(power, mask_bits[index], noise_mw, bandwidth)
 
+    return mask_bits, all_neighbor_sets(scenario), rates_of
+
+
+def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> RunResult:
+    """Simulate `T` iterations of one world under one strategy.
+
+    Identical inputs produce bitwise-identical results; every agent draws
+    from its own child stream of `seed`. A learning run is the one-run case
+    of `run_learning`.
+    """
+    if strategy in LEARNING:
+        return run_learning(scenario, (strategy,), T, (seed,))[0]
+    _check_iterations(T)
+    n = scenario.n
+    mask_bits, neighbor_sets, rates_of = _world(scenario)
+    p = len(mask_bits)
     action_index = np.empty((T, n), dtype=np.uint16)
     rates_hist = np.empty((T, n), dtype=np.float64)
-    global_hist = None
     if strategy is Strategy.FIXED:
         action_index[:] = p - 1  # the all-links action
         rates_hist[:] = rates_of(action_index[0])
-    elif strategy is Strategy.RANDOM:
+    else:
         for t0, _, arm, _ in policy_draws(seed, n, T, p):
             action_index[t0 : t0 + len(arm)] = arm
             rates_hist[t0 : t0 + len(arm)] = rates_of(arm)
-    else:
-        federated = strategy is Strategy.FEDERATED_RL
-        # AP i's reward is the minimum over members[starts[i]:starts[i + 1]]:
-        # itself (rl), or itself and its neighbors (frl). No segment is empty.
-        segments = [[i, *nbrs] if federated else [i] for i, nbrs in enumerate(neighbor_sets)]
-        members = np.concatenate(segments)
-        starts = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
-        reward_hist = np.empty((T, n), dtype=np.float64)
-        tables = Tables(n, p)
-        # The geometry is static, so a joint action's rates and rewards never
-        # change: each joint action is evaluated on the row where it first
-        # occurs, and every later row is gathered from that first row at the end.
-        first_row: dict[bytes, int] = {}
-        source = []  # source[row]: the first row of row's joint action
-        for t0, explore, arm, tie in policy_draws(seed, n, T, p):
-            rows = zip(range(t0, t0 + len(arm)), explore.any(axis=1).tolist(), explore, arm, tie)
-            for row, anyone, explore_row, arm_row, tie_row in rows:  # iteration t = row + 1
-                chosen = action_index[row] = select_action(
-                    tables, explore_row if anyone else None, arm_row, tie_row)
-                first = first_row.setdefault(chosen.tobytes(), row)
-                source.append(first)
-                if first == row:
-                    rates = rates_hist[row] = rates_of(chosen)
-                    reward_hist[row] = np.minimum.reduceat(rates[members], starts)
-                update(tables, chosen, reward_hist[first])
-        rates_hist = rates_hist[source]
-        if federated:
-            global_hist = reward_hist[source]
-
     return RunResult(
         scenario=scenario,
         strategy=strategy,
@@ -144,8 +132,79 @@ def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> R
         neighbor_sets=neighbor_sets,
         action_masks=action_index + np.uint16(1),  # action index a is link mask a + 1
         rates_bps=rates_hist,
-        global_rewards=global_hist,
+        global_rewards=None,
     )
+
+
+def run_learning(scenario: Scenario, strategies, T: int, seeds) -> list[RunResult]:
+    """Simulate `T` iterations of one world under each learning strategy
+    (`rl`, `frl`) of `strategies`, the run of strategies[w] seeded by
+    seeds[w]. Returns the results in that order; each equals the run alone.
+
+    The L runs step in lockstep as one population of L * n agents, run w's
+    AP i being agent w * n + i, so each iteration makes one policy step, one
+    rate call and one reward call for all of them. A learning agent's reward
+    is the minimum instant rate over its segment: itself under `rl` (its own
+    rate), itself and its neighbors under `frl` (the global reward).
+    """
+    _check_iterations(T)
+    if len(seeds) != len(strategies) or not set(strategies) <= set(LEARNING):
+        raise ConfigError(f"need one seed per learning strategy, got {strategies} and {seeds}")
+    n, L = scenario.n, len(strategies)
+    mask_bits, neighbor_sets, rates_of = _world(scenario)
+    p = len(mask_bits)
+    # Agent a's reward is the minimum over members[starts[a]:starts[a + 1]]:
+    # itself (rl), or itself and its neighbors (frl). No segment is empty.
+    segments = [[w * n + j for j in ([i, *nbrs] if strategy is Strategy.FEDERATED_RL else [i])]
+                for w, strategy in enumerate(strategies) for i, nbrs in enumerate(neighbor_sets)]
+    members = np.concatenate(segments)
+    starts = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
+    action_index = np.empty((T, L * n), dtype=np.uint16)
+    tables = Tables(L * n, p)
+    # The geometry is static, so a joint action's rates and rewards never
+    # change: each distinct joint action of all L * n agents is evaluated
+    # once, into the next free row of these tables, and every iteration's
+    # row is gathered from there at the end.
+    distinct: dict[bytes, int] = {}
+    distinct_rates = np.empty((T, L * n), dtype=np.float64)
+    distinct_rewards = np.empty((T, L * n), dtype=np.float64)
+    source = []  # source[row]: the distinct row of iteration row + 1
+    for blocks in zip(*(policy_draws(seed, n, T, p) for seed in seeds)):
+        t0 = blocks[0][0]
+        explore, arm, tie = (np.concatenate([block[j] for block in blocks], axis=1)
+                             for j in (1, 2, 3))
+        rows = zip(range(t0, t0 + len(arm)), explore.any(axis=1).tolist(), explore, arm, tie)
+        for row, anyone, explore_row, arm_row, tie_row in rows:  # iteration t = row + 1
+            chosen = action_index[row] = select_action(
+                tables, explore_row if anyone else None, arm_row, tie_row)
+            fresh = len(distinct)
+            d = distinct.setdefault(chosen.tobytes(), fresh)
+            source.append(d)
+            if d == fresh:
+                rates = distinct_rates[d] = rates_of(chosen.reshape(L, n)).reshape(L * n)
+                distinct_rewards[d] = np.minimum.reduceat(rates[members], starts)
+            update(tables, chosen, distinct_rewards[d])
+    source = np.array(source)
+    runs = [slice(w * n, (w + 1) * n) for w in range(L)]
+    # Each table is dropped once gathered into the runs' own (T, n) arrays,
+    # so that the world's peak memory stays near the size of its results.
+    masks = [action_index[:, run] + np.uint16(1) for run in runs]
+    del action_index
+    rewards = [distinct_rewards[source, run] if strategy is Strategy.FEDERATED_RL else None
+               for strategy, run in zip(strategies, runs)]
+    del distinct_rewards
+    return [
+        RunResult(
+            scenario=scenario,
+            strategy=strategy,
+            seed=seed,
+            neighbor_sets=neighbor_sets,
+            action_masks=masks[w],
+            rates_bps=distinct_rates[source, run],
+            global_rewards=rewards[w],
+        )
+        for w, (strategy, seed, run) in enumerate(zip(strategies, seeds, runs))
+    ]
 
 
 def min_rate_timeseries(result: RunResult) -> np.ndarray:

@@ -27,24 +27,27 @@ import numpy as np
 from . import rng as streams
 from .agents import Strategy
 from .codec import dump, dumps, write_csv
-from .engine import RunResult, min_rate_timeseries, run_scenario
+from .engine import LEARNING, RunResult, min_rate_timeseries, run_learning, run_scenario
 from .errors import ConfigError, EmptyInputError
 from .scenario import PhysicalConfig, Scenario, check_world, sample_scenario
 
 DEFAULT_NUM_SCENARIOS = 500
 DEFAULT_ITERATIONS = 2000
 DEFAULT_DENSITIES = (2, 4, 8, 12, 16)
-# Bytes one run may allocate. A learning run of T iterations at n APs holds
-# six (T, n) arrays: the uint16 actions and the masks returned (2 + 2 bytes),
-# float64 rates and rewards (8 + 8) and their gathered copies (8 + 8), so
-# 36*T*n bytes; plus 48*T for the per-row first-row list (an 8-byte slot, a
-# 32-byte int) and its intp index. Not all of these are live at once, which
-# leaves room for the per-run dict of joint actions. The same budget bounds
-# the batch state of an experiment's worlds (each world's task, outcome and
-# share of the StrategyStats, all held until the last world is reduced):
-# tracemalloc peaks of run_batch with 4 strategies at n=1, T=1 read 867,
-# 799 and 731 bytes per world at 5,000, 10,000 and 20,000 worlds, so at
-# 2**10 bytes per world the budget holds 2**32 / 2**10 = 4,194,304 worlds.
+# Bytes one world's runs may allocate. Its L learning runs step together as
+# L*n agents (engine.run_learning), whose loop holds six arrays of at most
+# (T, L*n): the uint16 actions and the masks returned (2 + 2 bytes), the
+# float64 rates and rewards of each distinct joint action (8 + 8) and the
+# rates and rewards gathered per iteration (8 + 8), so 36*T*L*n bytes; plus
+# 48*T for the per-iteration list of distinct rows (an 8-byte slot, a 32-byte
+# int) and its intp index. L counts at least 1, which also covers a fixed or
+# random run. Not all of these are live at once, which leaves room for the
+# dict of joint actions. The same budget bounds the batch state of an
+# experiment's worlds (each world's task, outcome and share of the
+# StrategyStats, all held until the last world is reduced): tracemalloc
+# peaks of run_batch with 4 strategies at n=1, T=1 read 867, 799 and 731
+# bytes per world at 5,000, 10,000 and 20,000 worlds, so at 2**10 bytes per
+# world the budget holds 2**32 / 2**10 = 4,194,304 worlds.
 RUN_BYTES_BUDGET = 2**32
 
 
@@ -84,11 +87,12 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.master_seed < 0:
             raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
-        run_bytes = (36 * max(self.n_values) + 48) * self.iterations
+        learners = max(1, sum(s in LEARNING for s in self.strategies))
+        run_bytes = (36 * learners * max(self.n_values) + 48) * self.iterations
         if run_bytes > RUN_BYTES_BUDGET:
             raise ConfigError(
                 f"iterations={self.iterations} at {max(self.n_values)} APs needs about "
-                f"{run_bytes / 2**30:.3g} GiB per run, over {RUN_BYTES_BUDGET / 2**30:g} GiB")
+                f"{run_bytes / 2**30:.3g} GiB per world, over {RUN_BYTES_BUDGET / 2**30:g} GiB")
         worlds = self.num_scenarios * len(self.n_values)
         if worlds * 2**10 > RUN_BYTES_BUDGET:
             raise ConfigError(
@@ -169,16 +173,18 @@ def _one_n(config: ExperimentConfig, n: int | None) -> int:
 def run_single_scenario(
     config: ExperimentConfig, n: int | None = None, scenario_index: int = 0
 ) -> dict[Strategy, RunResult]:
-    """Full traces of every strategy on batch world `scenario_index`; each
-    batch task reduces them to min rates."""
+    """Full traces of every strategy on batch world `scenario_index`, in
+    config.strategies order; each batch task reduces them to min rates. The
+    learning strategies run together in one `run_learning` lockstep loop."""
     n = _one_n(config, n)
     scenario = scenario_for_index(config, n, scenario_index)
-    return {
-        strategy: run_scenario(
-            scenario, strategy, config.iterations, run_seed(config, n, scenario_index, strategy)
-        )
-        for strategy in config.strategies
-    }
+    T = config.iterations
+    seeds = {s: run_seed(config, n, scenario_index, s) for s in config.strategies}
+    learners = [s for s in config.strategies if s in LEARNING]
+    runs = run_learning(scenario, learners, T, [seeds[s] for s in learners]) if learners else []
+    learned = dict(zip(learners, runs))
+    return {s: learned[s] if s in learned else run_scenario(scenario, s, T, seeds[s])
+            for s in config.strategies}
 
 
 def _scenario_task(args) -> tuple[str, list[float]]:

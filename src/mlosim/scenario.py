@@ -101,8 +101,7 @@ class Scenario:
                 f"need equal, nonzero AP/STA counts, got {n} APs and "
                 f"{len(self.sta_positions)} STAs"
             )
-        if not 1 <= self.num_links <= MAX_LINKS:
-            raise ConfigError(f"num_links must be in [1, {MAX_LINKS}], got {self.num_links}")
+        check_world(n, self.num_links, self.area_side_m, self.ap_sta_distance_m)
         for label, pts in (("AP", self.ap_positions), ("STA", self.sta_positions)):
             for i, (x, y) in enumerate(pts):
                 if not (0.0 <= x <= self.area_side_m and 0.0 <= y <= self.area_side_m):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from mlosim import ConfigError, ExperimentConfig, PhysicalConfig, Strategy
 from mlosim.cli import main
 from mlosim.codec import dumps, from_json
+from mlosim.harness import RUN_BYTES_BUDGET
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
@@ -78,11 +79,16 @@ def configs(draw):
         sensitivity_dbm=noise + draw(st.floats(0.1, 50.0)),
     )
     area = draw(st.floats(1.0, 1e4))
+    strategies = tuple(draw(st.lists(st.sampled_from(Strategy), min_size=1, unique=True)))
+    n_values = tuple(draw(st.lists(st.integers(1, 64), min_size=1, max_size=5, unique=True)))
+    # Up to 10**6 scenarios and iterations, inside the config's memory bounds.
+    learners = max(1, len(set(strategies) & {Strategy.LOCAL_RL, Strategy.FEDERATED_RL}))
+    max_iterations = RUN_BYTES_BUDGET // (36 * learners * max(n_values) + 48)
     return ExperimentConfig(
-        strategies=tuple(draw(st.lists(st.sampled_from(Strategy), min_size=1, unique=True))),
-        num_scenarios=draw(st.integers(1, 10**6)),
-        iterations=draw(st.integers(1, 10**6)),
-        n_values=tuple(draw(st.lists(st.integers(1, 64), min_size=1, max_size=5, unique=True))),
+        strategies=strategies,
+        num_scenarios=draw(st.integers(1, min(10**6, RUN_BYTES_BUDGET // 2**10 // len(n_values)))),
+        iterations=draw(st.integers(1, min(10**6, max_iterations))),
+        n_values=n_values,
         k=draw(st.integers(1, 16)),
         area_side_m=area,
         d_m=area * draw(st.floats(0.01, 0.99)),

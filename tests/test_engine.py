@@ -21,7 +21,7 @@ from mlosim import (
     sample_scenario,
 )
 from mlosim import agents
-from mlosim.engine import RunResult
+from mlosim.engine import RunResult, run_learning
 from mlosim.radio import all_neighbor_sets, dbm_to_mw, link_budget_matrix_mw, rates_bps
 from mlosim.rng import generator
 from oracles import max_min_optima, reference_run
@@ -331,6 +331,78 @@ class TestRecurringJointActions:
             if strategy is Strategy.FEDERATED_RL:
                 shared = [fresh[m].min() for m in members]
                 assert np.array_equal(res.global_rewards[row], shared), row
+
+
+ORDERS = [tuple(LEARNERS), tuple(LEARNERS[::-1]), tuple(LEARNERS[:1]), tuple(LEARNERS[1:])]
+ORDER_IDS = ["-".join(s.value for s in order) for order in ORDERS]
+
+
+def lockstep(sc, strategies, T, seed):
+    """run_learning over `strategies`, run w seeded seed + w; returns the
+    (strategy, seed, result) of each run."""
+    seeds = [seed + w for w in range(len(strategies))]
+    return list(zip(strategies, seeds, run_learning(sc, strategies, T, seeds)))
+
+
+class TestLockstep:
+    """A world's learning runs step together as one population of L * n
+    agents; each run must equal the run alone, bit for bit."""
+
+    @pytest.mark.parametrize("block", [1, 7, 128])
+    @pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
+    @pytest.mark.parametrize("n", [1, 2, 8, 16, 64])
+    def test_each_run_equals_the_run_alone(self, monkeypatch, n, order, block):
+        monkeypatch.setattr(agents, "_BLOCK", block)
+        sc = world(n=n, seed=100 + n)
+        T = 100 if n == 64 else 300
+        runs = lockstep(sc, order, T, seed=7 * n)
+        assert [res.strategy for _, _, res in runs] == list(order)
+        for strategy, seed, res in runs:
+            alone = run_scenario(sc, strategy, T, seed)
+            assert np.array_equal(res.action_masks, alone.action_masks)
+            assert np.array_equal(res.rates_bps, alone.rates_bps)
+            if strategy is Strategy.FEDERATED_RL:
+                assert np.array_equal(res.global_rewards, alone.global_rewards)
+                assert res.global_rewards.flags.c_contiguous
+            else:
+                assert res.global_rewards is None
+            assert res.action_masks.flags.c_contiguous and res.rates_bps.flags.c_contiguous
+            # At n=1 numpy sums a contiguous column pairwise, so the mean
+            # depends on the layout as well as on the values.
+            assert np.array_equal(res.mean_rates_bps(), alone.mean_rates_bps())
+            assert res.to_json() == alone.to_json()
+
+    @pytest.mark.parametrize("family", ["isolated", "clique", "sampled"])
+    @pytest.mark.parametrize("n,k", list(itertools.product((1, 2, 3), (1, 2))))
+    def test_tiny_worlds_match_reference_bandit(self, n, k, family):
+        sc = tiny_world(n, k, family)
+        for strategy, seed, res in lockstep(sc, LEARNERS, T=200, seed=7 * n + k):
+            masks, rates, shared = reference_run(sc, strategy, 200, seed)
+            assert np.array_equal(res.action_masks, masks)
+            assert np.array_equal(res.rates_bps, rates)
+            if strategy is Strategy.FEDERATED_RL:
+                assert np.array_equal(res.global_rewards, shared)
+
+    @pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_mid_run_rates_equal_scalar_oracle(self, n, order):
+        sc = world(n=n, seed=110 + n)
+        for _, _, res in lockstep(sc, order, T=400, seed=n):
+            t = res.T // 2
+            profile = ActivationProfile(
+                tuple(LinkSet(int(mask), sc.num_links) for mask in res.action_masks[t]))
+            for i in range(n):
+                assert res.rates_bps[t, i] == pytest.approx(
+                    achieved_rate_bps(sc, profile, i), rel=1e-9)
+
+    @pytest.mark.parametrize("strategies, seeds, T", [
+        ((Strategy.LOCAL_RL,), (1,), 0),
+        ((Strategy.LOCAL_RL, Strategy.FEDERATED_RL), (1,), 10),
+        ((Strategy.FIXED,), (1,), 10),
+    ])
+    def test_rejects_bad_runs(self, strategies, seeds, T):
+        with pytest.raises(ConfigError):
+            run_learning(world(n=2), strategies, T, seeds)
 
 
 def expected_random_rates(sc):

@@ -18,6 +18,7 @@ from mlosim import (
     percentile,
     run_batch,
     run_experiment,
+    run_scenario,
     run_single_scenario,
 )
 from mlosim import harness
@@ -114,6 +115,19 @@ class TestConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             replace(ExperimentConfig(), **kwargs)
+
+    @pytest.mark.parametrize("strategies, learners", [
+        ((Strategy.FIXED,), 1),
+        ((Strategy.RANDOM, Strategy.FEDERATED_RL), 1),
+        (tuple(Strategy), 2),
+    ])
+    def test_run_bytes_budget_counts_every_learning_run(self, strategies, learners):
+        # A world's learning runs step together, holding (T, L*n) arrays.
+        n = 8
+        fits = harness.RUN_BYTES_BUDGET // (36 * learners * n + 48)
+        ExperimentConfig(strategies=strategies, iterations=fits, n_values=(n,))
+        with pytest.raises(ConfigError, match="iterations="):
+            ExperimentConfig(strategies=strategies, iterations=fits + 1, n_values=(n,))
 
 
 class TestRunBatch:
@@ -264,6 +278,20 @@ class TestSingleScenario:
         assert len(worlds) == 1
         assert all(res.T == SMALL.iterations for res in results.values())
         assert results[Strategy.FIXED].scenario == scenario_for_index(SMALL, 3, 1)
+
+    @pytest.mark.parametrize("strategies", [
+        (Strategy.FEDERATED_RL, Strategy.FIXED, Strategy.LOCAL_RL),
+        (Strategy.RANDOM, Strategy.LOCAL_RL),
+        (Strategy.FIXED,),
+    ])
+    def test_runs_in_config_order_equal_each_run_alone(self, strategies):
+        cfg = replace(SMALL, strategies=strategies)
+        results = run_single_scenario(cfg, scenario_index=2)
+        assert tuple(results) == strategies
+        world = scenario_for_index(cfg, 3, 2)
+        for strategy, res in results.items():
+            alone = run_scenario(world, strategy, cfg.iterations, run_seed(cfg, 3, 2, strategy))
+            assert res.to_json() == alone.to_json()
 
 
 class TestOutputs:

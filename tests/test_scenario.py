@@ -140,6 +140,20 @@ class TestInvariants:
             )
 
 
+    @pytest.mark.parametrize("area", [math.inf, 100.0])
+    def test_world_parameters_checked_at_construction(self, area):
+        # Each STA sits on its AP. Were it accepted, its first run would
+        # fail deep in the pathloss with a DomainError.
+        with pytest.raises(ConfigError):
+            Scenario(
+                area_side_m=area,
+                ap_positions=((10.0, 10.0), (50.0, 50.0)),
+                sta_positions=((10.0, 10.0), (50.0, 50.0)),
+                ap_sta_distance_m=0.0,
+                num_links=4,
+            )
+
+
 def oracle_neighbor_sets(sc):
     """Scalar oracle: one AP pair at a time, math.dist and the paper's
     constants written out (20 dBm TX, -82 dBm sensitivity)."""
