@@ -148,8 +148,8 @@ def run_learning(scenario: Scenario, strategies, T: int, seeds) -> list[RunResul
     rate), itself and its neighbors under `frl` (the global reward).
     """
     _check_iterations(T)
-    if len(seeds) != len(strategies) or not set(strategies) <= set(LEARNING):
-        raise ConfigError(f"need one seed per learning strategy, got {strategies} and {seeds}")
+    if not strategies or len(seeds) != len(strategies) or not set(strategies) <= set(LEARNING):
+        raise ConfigError(f"need learning strategies, one seed each, got {strategies} and {seeds}")
     n, L = scenario.n, len(strategies)
     mask_bits, neighbor_sets, rates_of = _world(scenario)
     p = len(mask_bits)
@@ -159,12 +159,12 @@ def run_learning(scenario: Scenario, strategies, T: int, seeds) -> list[RunResul
                 for w, strategy in enumerate(strategies) for i, nbrs in enumerate(neighbor_sets)]
     members = np.concatenate(segments)
     starts = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
-    action_index = np.empty((T, L * n), dtype=np.uint16)
     tables = Tables(L * n, p)
     # The geometry is static, so a joint action's rates and rewards never
     # change: each distinct joint action of all L * n agents is evaluated
     # once, into the next free row of these tables, and every iteration's
-    # row is gathered from there at the end.
+    # row is gathered from there at the end. The dict's keys, in insertion
+    # order, are the distinct joint actions themselves (intp index bytes).
     distinct: dict[bytes, int] = {}
     distinct_rates = np.empty((T, L * n), dtype=np.float64)
     distinct_rewards = np.empty((T, L * n), dtype=np.float64)
@@ -175,8 +175,7 @@ def run_learning(scenario: Scenario, strategies, T: int, seeds) -> list[RunResul
                              for j in (1, 2, 3))
         rows = zip(range(t0, t0 + len(arm)), explore.any(axis=1).tolist(), explore, arm, tie)
         for row, anyone, explore_row, arm_row, tie_row in rows:  # iteration t = row + 1
-            chosen = action_index[row] = select_action(
-                tables, explore_row if anyone else None, arm_row, tie_row)
+            chosen = select_action(tables, explore_row if anyone else None, arm_row, tie_row)
             fresh = len(distinct)
             d = distinct.setdefault(chosen.tobytes(), fresh)
             source.append(d)
@@ -188,20 +187,23 @@ def run_learning(scenario: Scenario, strategies, T: int, seeds) -> list[RunResul
     runs = [slice(w * n, (w + 1) * n) for w in range(L)]
     # Each table is dropped once gathered into the runs' own (T, n) arrays,
     # so that the world's peak memory stays near the size of its results.
-    masks = [action_index[:, run] + np.uint16(1) for run in runs]
-    del action_index
-    rewards = [distinct_rewards[source, run] if strategy is Strategy.FEDERATED_RL else None
-               for strategy, run in zip(strategies, runs)]
+    run_rewards = [distinct_rewards[source, run] if strategy is Strategy.FEDERATED_RL else None
+                   for strategy, run in zip(strategies, runs)]
     del distinct_rewards
+    run_rates = [distinct_rates[source, run] for run in runs]
+    del distinct_rates
+    actions = np.frombuffer(b"".join(distinct), dtype=np.intp).astype(np.uint16)
+    del distinct
+    actions = actions.reshape(-1, L * n) + np.uint16(1)  # action index a is link mask a + 1
     return [
         RunResult(
             scenario=scenario,
             strategy=strategy,
             seed=seed,
             neighbor_sets=neighbor_sets,
-            action_masks=masks[w],
-            rates_bps=distinct_rates[source, run],
-            global_rewards=rewards[w],
+            action_masks=actions[source, run],
+            rates_bps=run_rates[w],
+            global_rewards=run_rewards[w],
         )
         for w, (strategy, seed, run) in enumerate(zip(strategies, seeds, runs))
     ]

@@ -35,14 +35,16 @@ DEFAULT_NUM_SCENARIOS = 500
 DEFAULT_ITERATIONS = 2000
 DEFAULT_DENSITIES = (2, 4, 8, 12, 16)
 # Bytes one world's runs may allocate. Its L learning runs step together as
-# L*n agents (engine.run_learning), whose loop holds six arrays of at most
-# (T, L*n): the uint16 actions and the masks returned (2 + 2 bytes), the
-# float64 rates and rewards of each distinct joint action (8 + 8) and the
-# rates and rewards gathered per iteration (8 + 8), so 36*T*L*n bytes; plus
-# 48*T for the per-iteration list of distinct rows (an 8-byte slot, a 32-byte
-# int) and its intp index. L counts at least 1, which also covers a fixed or
-# random run. Not all of these are live at once, which leaves room for the
-# dict of joint actions. The same budget bounds the batch state of an
+# L*n agents (engine.run_learning), whose arrays are each at most (T, L*n):
+# the float64 rates and rewards of each distinct joint action (8 + 8), the
+# runs' gathered rates and rewards (8 + 8), the distinct joint actions as
+# the intp bytes of the dict's keys (8), their join and its uint16 copy
+# (8 + 2) and the masks (2). Each is freed once gathered, so at most 36
+# bytes per agent-iteration are live at once; plus 48*T for the
+# per-iteration list of distinct rows (an 8-byte slot, a 32-byte int) and its
+# intp index. tracemalloc peaks of run_learning read 0.47-0.88 of
+# (36*L*n + 48)*T at n = 2..64 and L = 1, 2. L counts at least 1, which also
+# covers a fixed or random run. The same budget bounds the batch state of an
 # experiment's worlds (each world's task, outcome and share of the
 # StrategyStats, all held until the last world is reduced): tracemalloc
 # peaks of run_batch with 4 strategies at n=1, T=1 read 867, 799 and 731

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from mlosim import ConfigError, ExperimentConfig, PhysicalConfig, Strategy
 from mlosim.cli import main
 from mlosim.codec import dumps, from_json
+from mlosim.engine import LEARNING
 from mlosim.harness import RUN_BYTES_BUDGET
 
 json_values = st.recursive(
@@ -82,7 +83,7 @@ def configs(draw):
     strategies = tuple(draw(st.lists(st.sampled_from(Strategy), min_size=1, unique=True)))
     n_values = tuple(draw(st.lists(st.integers(1, 64), min_size=1, max_size=5, unique=True)))
     # Up to 10**6 scenarios and iterations, inside the config's memory bounds.
-    learners = max(1, len(set(strategies) & {Strategy.LOCAL_RL, Strategy.FEDERATED_RL}))
+    learners = max(1, len(set(strategies) & set(LEARNING)))
     max_iterations = RUN_BYTES_BUDGET // (36 * learners * max(n_values) + 48)
     return ExperimentConfig(
         strategies=strategies,

@@ -399,6 +399,7 @@ class TestLockstep:
         ((Strategy.LOCAL_RL,), (1,), 0),
         ((Strategy.LOCAL_RL, Strategy.FEDERATED_RL), (1,), 10),
         ((Strategy.FIXED,), (1,), 10),
+        ((), (), 10),
     ])
     def test_rejects_bad_runs(self, strategies, seeds, T):
         with pytest.raises(ConfigError):

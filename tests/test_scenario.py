@@ -139,7 +139,6 @@ class TestInvariants:
                 num_links=4,
             )
 
-
     @pytest.mark.parametrize("area", [math.inf, 100.0])
     def test_world_parameters_checked_at_construction(self, area):
         # Each STA sits on its AP. Were it accepted, its first run would
