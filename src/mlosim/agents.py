@@ -63,18 +63,22 @@ def exploration_rate(t):
     return 1.0 / np.sqrt(t)
 
 
-def policy_draws(seed: int, n: int, T: int, p: int):
+def policy_draws(seeds, n: int, T: int, p: int):
     """Yield (t0, explore, arm, tie) over T iterations in blocks: row b of
-    each (B, n) array belongs to iteration t0 + b + 1.
+    each (B, len(seeds) * n) array belongs to iteration t0 + b + 1, column
+    w * n + i to AP i of run w. `tie` is a view the next block overwrites.
 
-    Agent-iteration (t, i) reads three uniforms, in order, from AP i's own
-    stream (seed, i): the explore coin (explore = coin < epsilon(t)), the
-    explore arm pick(u, p) and the tie uniform. So AP i's draws depend only
-    on (seed, i), not on n, on the strategy or on the block size.
+    Agent-iteration (t, w * n + i) reads three uniforms, in order, from the
+    stream (seeds[w], i): the explore coin (explore = coin < epsilon(t)), the
+    explore arm pick(u, p) and the tie uniform. So its draws depend only on
+    (seeds[w], i), not on n, the other runs, the strategy or the block size.
     """
-    gens = [streams.generator(seed, streams.PURPOSE_AGENT, i) for i in range(n)]
+    gens = [streams.generator(seed, streams.PURPOSE_AGENT, i) for seed in seeds for i in range(n)]
+    u = np.empty((min(_BLOCK, T), len(gens), 3))
     for t0 in range(0, T, _BLOCK):
-        u = np.stack([g.random((min(_BLOCK, T - t0), 3)) for g in gens], axis=1)
+        u = u[: T - t0]  # the last block may be shorter
+        for j, g in enumerate(gens):
+            u[:, j] = g.random((len(u), 3))
         eps = exploration_rate(np.arange(t0 + 1, t0 + len(u) + 1))
         yield t0, u[..., 0] < eps[:, None], pick(u[..., 1], p), u[..., 2]
 

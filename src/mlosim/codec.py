@@ -1,5 +1,6 @@
-"""The file formats: JSON for configs and results (one writer and one
-reader) and CSV for figures and traces (one writer).
+"""The file formats: JSON for configs and results (`dumps` returns the
+text, `dump` streams it to a file, `from_json` reads a config) and CSV for
+figures and traces (one writer).
 
 The JSON reader types each field by its annotation, so a value of the wrong
 JSON type fails here with a `ConfigError` that names the field; range checks

@@ -1,18 +1,17 @@
 """The iteration loop: joint selection, rates, reward exchange, updates.
 
 The n agents of a world advance together as arrays; action a is row a of
-the link-mask matrix, link mask a + 1. Only the learning strategies step
-through t; `fixed` evaluates its one joint action once and `random` a
-block of iterations per rate call. A world's learning runs (`rl`, `frl`)
-step through t in one lockstep loop, `run_learning`, as one population of
-L * n agents whose per-AP streams are the runs' own; `run_scenario` runs a
-learning strategy as its one-run case. Every learning agent is rewarded
-with the minimum rate over one segment of a flat member list: the AP alone
-under `rl`, the AP then its neighbors under `frl`, each run's segments
-offset by its place in the population. The loop computes the rates and
-rewards of each joint action of all L * n agents once, on its first
-occurrence; rows where a joint action recurs copy that first row. The
-policy step skips the explore merge on rows where no agent explores.
+the link-mask matrix, link mask a + 1. `fixed` evaluates its one joint
+action once and `random` a block of iterations per rate call. A world's
+learning runs (`rl`, `frl`) step through t together in `run_learning`, as
+one population of L * n agents whose per-AP streams are the runs' own;
+`run_scenario` runs a learning strategy as its one-run case. Every learning
+agent is rewarded with the minimum rate over one segment of a flat member
+list: the AP alone under `rl`, the AP then its neighbors under `frl`, each
+run's segments offset by its place in the population. The loop evaluates
+each distinct joint action once, into tables from which every run's rows
+are gathered at the end, and skips the explore merge on rows where no agent
+explores.
 
 Moves are simultaneous: every agent commits its link subset before any
 rate is computed, so no agent observes another's current-iteration choice.
@@ -122,7 +121,7 @@ def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> R
         action_index[:] = p - 1  # the all-links action
         rates_hist[:] = rates_of(action_index[0])
     else:
-        for t0, _, arm, _ in policy_draws(seed, n, T, p):
+        for t0, _, arm, _ in policy_draws((seed,), n, T, p):
             action_index[t0 : t0 + len(arm)] = arm
             rates_hist[t0 : t0 + len(arm)] = rates_of(arm)
     return RunResult(
@@ -157,33 +156,30 @@ def run_learning(scenario: Scenario, strategies, T: int, seeds) -> list[RunResul
     # itself (rl), or itself and its neighbors (frl). No segment is empty.
     segments = [[w * n + j for j in ([i, *nbrs] if strategy is Strategy.FEDERATED_RL else [i])]
                 for w, strategy in enumerate(strategies) for i, nbrs in enumerate(neighbor_sets)]
-    members = np.concatenate(segments)
+    members = np.array([m for segment in segments for m in segment])
     starts = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
     tables = Tables(L * n, p)
     # The geometry is static, so a joint action's rates and rewards never
     # change: each distinct joint action of all L * n agents is evaluated
     # once, into the next free row of these tables, and every iteration's
-    # row is gathered from there at the end. The dict's keys, in insertion
-    # order, are the distinct joint actions themselves (intp index bytes).
-    distinct: dict[bytes, int] = {}
+    # row is gathered from there at the end.
+    distinct: dict[bytes, int] = {}  # a joint action's intp bytes: its row
+    distinct_actions = np.empty((T, L * n), dtype=np.uint16)
     distinct_rates = np.empty((T, L * n), dtype=np.float64)
     distinct_rewards = np.empty((T, L * n), dtype=np.float64)
-    source = []  # source[row]: the distinct row of iteration row + 1
-    for blocks in zip(*(policy_draws(seed, n, T, p) for seed in seeds)):
-        t0 = blocks[0][0]
-        explore, arm, tie = (np.concatenate([block[j] for block in blocks], axis=1)
-                             for j in (1, 2, 3))
+    source = np.empty(T, dtype=np.intp)  # source[row]: the distinct row of iteration row + 1
+    for t0, explore, arm, tie in policy_draws(seeds, n, T, p):
         rows = zip(range(t0, t0 + len(arm)), explore.any(axis=1).tolist(), explore, arm, tie)
         for row, anyone, explore_row, arm_row, tie_row in rows:  # iteration t = row + 1
             chosen = select_action(tables, explore_row if anyone else None, arm_row, tie_row)
             fresh = len(distinct)
-            d = distinct.setdefault(chosen.tobytes(), fresh)
-            source.append(d)
+            d = source[row] = distinct.setdefault(chosen.tobytes(), fresh)
             if d == fresh:
+                distinct_actions[d] = chosen
                 rates = distinct_rates[d] = rates_of(chosen.reshape(L, n)).reshape(L * n)
                 distinct_rewards[d] = np.minimum.reduceat(rates[members], starts)
             update(tables, chosen, distinct_rewards[d])
-    source = np.array(source)
+    del distinct
     runs = [slice(w * n, (w + 1) * n) for w in range(L)]
     # Each table is dropped once gathered into the runs' own (T, n) arrays,
     # so that the world's peak memory stays near the size of its results.
@@ -192,21 +188,13 @@ def run_learning(scenario: Scenario, strategies, T: int, seeds) -> list[RunResul
     del distinct_rewards
     run_rates = [distinct_rates[source, run] for run in runs]
     del distinct_rates
-    actions = np.frombuffer(b"".join(distinct), dtype=np.intp).astype(np.uint16)
-    del distinct
-    actions = actions.reshape(-1, L * n) + np.uint16(1)  # action index a is link mask a + 1
-    return [
-        RunResult(
-            scenario=scenario,
-            strategy=strategy,
-            seed=seed,
-            neighbor_sets=neighbor_sets,
-            action_masks=actions[source, run],
-            rates_bps=run_rates[w],
-            global_rewards=run_rewards[w],
-        )
-        for w, (strategy, seed, run) in enumerate(zip(strategies, seeds, runs))
-    ]
+    distinct_actions += np.uint16(1)  # action index a is link mask a + 1
+    run_masks = [distinct_actions[source, run] for run in runs]
+    del distinct_actions
+    return [RunResult(scenario=scenario, strategy=strategy, seed=seed, neighbor_sets=neighbor_sets,
+                      action_masks=masks, rates_bps=rates, global_rewards=rewards)
+            for strategy, seed, masks, rates, rewards
+            in zip(strategies, seeds, run_masks, run_rates, run_rewards)]
 
 
 def min_rate_timeseries(result: RunResult) -> np.ndarray:

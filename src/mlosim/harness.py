@@ -36,14 +36,17 @@ DEFAULT_ITERATIONS = 2000
 DEFAULT_DENSITIES = (2, 4, 8, 12, 16)
 # Bytes one world's runs may allocate. Its L learning runs step together as
 # L*n agents (engine.run_learning), whose arrays are each at most (T, L*n):
-# the float64 rates and rewards of each distinct joint action (8 + 8), the
-# runs' gathered rates and rewards (8 + 8), the distinct joint actions as
-# the intp bytes of the dict's keys (8), their join and its uint16 copy
-# (8 + 2) and the masks (2). Each is freed once gathered, so at most 36
-# bytes per agent-iteration are live at once; plus 48*T for the
-# per-iteration list of distinct rows (an 8-byte slot, a 32-byte int) and its
-# intp index. tracemalloc peaks of run_learning read 0.47-0.88 of
-# (36*L*n + 48)*T at n = 2..64 and L = 1, 2. L counts at least 1, which also
+# the uint16 actions and float64 rates and rewards of each distinct joint
+# action (2 + 8 + 8) and the runs' gathered rewards, rates and masks
+# (8 + 8 + 2), so 36 bytes per agent-iteration; plus 48*T for the intp
+# `source` row of each iteration (8) and the per-run dict of distinct joint
+# actions. The dict's keys, intp bytes, add 8 per agent-iteration while it
+# lives; it is freed before the gathers, and each table once gathered.
+# tests/test_harness.py checks that tracemalloc peaks of run_learning and of
+# a 4-strategy world stay within (36*L*n + 48)*T at n = 2, 8, 64 and
+# T = 32000, 16000, 8000, where per-iteration terms dominate: they read
+# 0.52-0.75 there; at n=64, T=500 set-up and the draw block push them to
+# 1.18. L counts at least 1, which also
 # covers a fixed or random run. The same budget bounds the batch state of an
 # experiment's worlds (each world's task, outcome and share of the
 # StrategyStats, all held until the last world is reduced): tracemalloc

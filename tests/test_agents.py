@@ -16,8 +16,9 @@ from mlosim import (
     run_scenario,
     sample_scenario,
 )
+from mlosim import agents
 from mlosim import rng as streams
-from mlosim.agents import Tables, credit, link_mask_matrix, select
+from mlosim.agents import Tables, credit, link_mask_matrix, policy_draws, select
 from mlosim.rng import generator
 from oracles import reference_run
 
@@ -83,6 +84,33 @@ class TestExplorationRate:
             exploration_rate(0)
         with pytest.raises(ConfigError):
             exploration_rate([3, 0, 5])
+
+
+class TestPolicyDraws:
+    """Column w * n + i of the population's draws is AP i of run w: it
+    reads stream (seeds[w], i) as if alone, whatever the block size."""
+
+    @pytest.mark.parametrize("T", [300, 5])  # 300 is no multiple of 7 or 128
+    @pytest.mark.parametrize("block", [1, 7, 128])
+    @pytest.mark.parametrize("seeds", [(5,), (5, 9), (11, 5, 2)])
+    def test_each_column_reads_its_own_stream(self, monkeypatch, seeds, block, T):
+        monkeypatch.setattr(agents, "_BLOCK", block)
+        n, p = 3, 15
+        explore, arm, tie = (np.empty((T, len(seeds) * n), dtype)
+                             for dtype in (bool, np.intp, np.float64))
+        starts = []
+        for t0, *draws in policy_draws(seeds, n, T, p):
+            starts.append(t0)
+            # Copied before the next block: `tie` is a view that it overwrites.
+            explore[t0 : t0 + block], arm[t0 : t0 + block], tie[t0 : t0 + block] = draws
+        assert starts == list(range(0, T, block))
+        epsilon = 1 / np.sqrt(np.arange(1, T + 1))
+        for w, seed in enumerate(seeds):
+            for i in range(n):
+                u = generator(seed, streams.PURPOSE_AGENT, i).random((T, 3))
+                assert np.array_equal(explore[:, w * n + i], u[:, 0] < epsilon)
+                assert np.array_equal(arm[:, w * n + i], np.floor(u[:, 1] * p))
+                assert np.array_equal(tie[:, w * n + i], u[:, 2])
 
 
 class TestSelection:

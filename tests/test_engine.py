@@ -301,7 +301,7 @@ class TestBlockLayout:
 
 
 class TestRecurringJointActions:
-    """A learning run computes each joint action's rates once and copies
+    """A learning run computes each joint action's rates once and gathers
     them where the joint action recurs. Long runs, where most rows recur,
     must still match fresh evaluations row by row."""
 

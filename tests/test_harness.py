@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from mlosim import (
 )
 from mlosim import harness
 from mlosim.codec import dumps, from_json
+from mlosim.engine import LEARNING
 from mlosim.harness import run_seed, scenario_for_index
 
 SMALL = ExperimentConfig(
@@ -128,6 +130,28 @@ class TestConfig:
         ExperimentConfig(strategies=strategies, iterations=fits, n_values=(n,))
         with pytest.raises(ConfigError, match="iterations="):
             ExperimentConfig(strategies=strategies, iterations=fits + 1, n_values=(n,))
+
+    # Points where the per-iteration terms dominate (at n=64, T=500 set-up
+    # and the draw block still read 1.18 of the bound): one learning run,
+    # and a world of all four strategies. A lone frl run at n=2 peaks lower
+    # than the world's two learning runs there, so it is left out for time.
+    @pytest.mark.parametrize("run, n, T", [
+        ("world", 2, 32000), ("frl", 8, 16000), ("world", 8, 16000), ("frl", 64, 8000),
+        ("world", 64, 8000),
+    ])
+    def test_world_peak_stays_within_run_bytes(self, run, n, T):
+        strategies = tuple(Strategy) if run == "world" else (Strategy.FEDERATED_RL,)
+        # The bound that __post_init__ holds each world to, with L learning runs.
+        learners = sum(s in LEARNING for s in strategies)
+        cfg = ExperimentConfig(strategies=strategies, num_scenarios=1, iterations=T,
+                               n_values=(n,))
+        tracemalloc.start()
+        try:
+            run_single_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (36 * learners * n + 48) * T
 
 
 class TestRunBatch:

@@ -22,6 +22,9 @@ times out is stored as its error. The file also gets the per-workload
 quartiles (25 %, median, 75 %) of every end-to-end metric, or an error
 entry for a metric with fewer than two successful runs, and the same
 quartiles of every per-layer metric over the traced runs.
+
+Before its first run, each checkout's `src` is byte-compiled (`python -m
+compileall`), so that every side runs from the same bytecode caches.
 """
 
 from __future__ import annotations
@@ -172,6 +175,14 @@ def interleaved_acceptance(checkouts: dict) -> dict:
     return interleaved_timings(checkouts, time_acceptance)
 
 
+def byte_compile(root: str) -> None:
+    """Write the bytecode caches of the checkout's `src`, so that no side's
+    first runs pay for compiling its sources, even when the environment
+    sets PYTHONDONTWRITEBYTECODE."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", os.path.join(root, "src")],
+                   check=True)
+
+
 def source_lines(root: str) -> int:
     """Non-blank lines of the `.py` files in the checkout's `src/mlosim` that
     are not `#` comments: what `grep -cvE '^\\s*($|#)'` counts, docstrings included."""
@@ -211,6 +222,8 @@ def main(argv=None) -> int:
             parser.error(f"--checkout {item!r}: need LABEL=DIR with perfbench/run.py")
         checkouts[label] = os.path.abspath(root)
 
+    for root in checkouts.values():
+        byte_compile(root)
     first = next(iter(checkouts.values()))
     with open(os.path.join(first, "BENCHMARK.json")) as fh:
         workloads = [w["name"] for w in json.load(fh)["workloads"]]
