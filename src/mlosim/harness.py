@@ -2,17 +2,20 @@
 
 A batch samples `num_scenarios` worlds and runs every configured strategy
 on the same geometry (paired comparison), reducing each run to the
-scenario's min rate: the whole-run average rate of its worst AP. Scenario
-tasks are independent, so they can be distributed over a worker pool. An
-experiment uses one pool: a density sweep submits the tasks of every AP
-count at once, largest AP counts first (a world's cost grows with n), and
-then reduces each count's outcomes in scenario-index order, which keeps
-summaries byte-identical for any worker count.
+scenario's min rate: the whole-run average rate of its worst AP. A task is
+a chunk of consecutive worlds of one AP count, whose learning runs step
+together in one `run_learning` loop; tasks are independent, so they can be
+distributed over a worker pool. An experiment uses one pool: a density
+sweep submits the tasks of every AP count at once, largest AP counts first
+(a world's cost grows with n), and then reduces each count's outcomes in
+scenario-index order, which keeps summaries byte-identical for any worker
+count and any chunk size.
 
-Every world, in a batch or in the convergence view, runs through one
-per-world runner, `run_single_scenario`. Outputs are CSV files (one per
-figure analog, each written through `codec.write_csv` from a row generator)
-plus a summary JSON; rates in the CSVs are Mbps with 3 decimals.
+Every world, in a batch task or in the convergence view, runs through
+`_world_runs`; `run_single_scenario` is its one-world case. Outputs are CSV
+files (one per figure analog, each written through `codec.write_csv` from a
+row generator) plus a summary JSON; rates in the CSVs are Mbps with 3
+decimals.
 """
 
 from __future__ import annotations
@@ -39,13 +42,14 @@ DEFAULT_DENSITIES = (2, 4, 8, 12, 16)
 # the uint16 actions and float64 rates and rewards of each distinct joint
 # action (2 + 8 + 8) and the runs' gathered rewards, rates and masks
 # (8 + 8 + 2), so 36 bytes per agent-iteration; plus 48*T for the intp
-# `source` row of each iteration (8) and the per-run dict of distinct joint
-# actions. The dict's keys, intp bytes, add 8 per agent-iteration while it
-# lives; it is freed before the gathers, and each table once gathered.
+# `source` entry of each iteration (8) and the world's dict of distinct
+# joint actions. The dict's keys, intp bytes, add 8 per agent-iteration
+# while it lives; it is freed before the gathers, and the tables with the
+# last run gathered.
 # tests/test_harness.py checks that tracemalloc peaks of run_learning and of
 # a 4-strategy world stay within (36*L*n + 48)*T at n = 2, 8, 64 and
 # T = 32000, 16000, 8000, where per-iteration terms dominate: they read
-# 0.52-0.75 there; at n=64, T=500 set-up and the draw block push them to
+# 0.59-0.74 there; at n=64, T=500 set-up and the draw block push them to
 # 1.18. L counts at least 1, which also
 # covers a fixed or random run. The same budget bounds the batch state of an
 # experiment's worlds (each world's task, outcome and share of the
@@ -54,6 +58,23 @@ DEFAULT_DENSITIES = (2, 4, 8, 12, 16)
 # bytes per world at 5,000, 10,000 and 20,000 worlds, so at 2**10 bytes per
 # world the budget holds 2**32 / 2**10 = 4,194,304 worlds.
 RUN_BYTES_BUDGET = 2**32
+# Bytes a batch task may allocate when it holds more than one world. A task
+# steps a chunk of S worlds together, S*n agents per run, so it allocates up
+# to S times a world's run_bytes (it reduces its runs one at a time, so S
+# times is a bound: tests/test_harness.py reads 0.6 of it for 3 worlds at
+# n=8, T=8000). A chunk holds at most CHUNK_BYTES // run_bytes worlds, and
+# one world at least, which RUN_BYTES_BUDGET bounds. Per-world time stops
+# falling near S=16: run_batch at n=8, T=2000, 4 strategies, 1 worker read
+# 45, 32, 23, 18, 16.0, 16.4 and 16.2 ms per world at S = 1, 2, 4, 8, 16,
+# 32 and 64 (2-core x86-64, numpy 2.4.6, one BLAS thread), and this cap
+# allows S=26 there.
+CHUNK_BYTES = 2**25
+
+
+def run_bytes(config: "ExperimentConfig", n: int) -> int:
+    """The bytes that one world of n APs may allocate under `config`."""
+    learners = max(1, sum(s in LEARNING for s in config.strategies))
+    return (36 * learners * n + 48) * config.iterations
 
 
 @dataclass(frozen=True)
@@ -92,12 +113,11 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.master_seed < 0:
             raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
-        learners = max(1, sum(s in LEARNING for s in self.strategies))
-        run_bytes = (36 * learners * max(self.n_values) + 48) * self.iterations
-        if run_bytes > RUN_BYTES_BUDGET:
+        world_bytes = run_bytes(self, max(self.n_values))
+        if world_bytes > RUN_BYTES_BUDGET:
             raise ConfigError(
                 f"iterations={self.iterations} at {max(self.n_values)} APs needs about "
-                f"{run_bytes / 2**30:.3g} GiB per world, over {RUN_BYTES_BUDGET / 2**30:g} GiB")
+                f"{world_bytes / 2**30:.3g} GiB per world, over {RUN_BYTES_BUDGET / 2**30:g} GiB")
         worlds = self.num_scenarios * len(self.n_values)
         if worlds * 2**10 > RUN_BYTES_BUDGET:
             raise ConfigError(
@@ -175,49 +195,81 @@ def _one_n(config: ExperimentConfig, n: int | None) -> int:
     return config.n_values[0] if n is None else n
 
 
+def _world_runs(config: ExperimentConfig, n: int, indices):
+    """Yield (scenario index, strategy, result) of every run on the batch
+    worlds `indices` of AP count n: first the learning runs of all of them,
+    stepped together in one `run_learning` lockstep loop and produced one at
+    a time, then each world's `fixed`/`random` runs."""
+    scenarios = [scenario_for_index(config, n, s) for s in indices]
+    T = config.iterations
+    learners = [s for s in config.strategies if s in LEARNING]
+    if learners:
+        seeds = [run_seed(config, n, s, strategy) for s in indices for strategy in learners]
+        for r, result in enumerate(run_learning(scenarios, learners, T, seeds)):
+            yield indices[r // len(learners)], result.strategy, result
+    for s, scenario in zip(indices, scenarios):
+        for strategy in config.strategies:
+            if strategy not in LEARNING:
+                seed = run_seed(config, n, s, strategy)
+                yield s, strategy, run_scenario(scenario, strategy, T, seed)
+
+
 def run_single_scenario(
     config: ExperimentConfig, n: int | None = None, scenario_index: int = 0
 ) -> dict[Strategy, RunResult]:
     """Full traces of every strategy on batch world `scenario_index`, in
-    config.strategies order; each batch task reduces them to min rates. The
-    learning strategies run together in one `run_learning` lockstep loop."""
-    n = _one_n(config, n)
-    scenario = scenario_for_index(config, n, scenario_index)
-    T = config.iterations
-    seeds = {s: run_seed(config, n, scenario_index, s) for s in config.strategies}
-    learners = [s for s in config.strategies if s in LEARNING]
-    runs = run_learning(scenario, learners, T, [seeds[s] for s in learners]) if learners else []
-    learned = dict(zip(learners, runs))
-    return {s: learned[s] if s in learned else run_scenario(scenario, s, T, seeds[s])
-            for s in config.strategies}
+    config.strategies order: the one-world case of a batch task."""
+    results = {strategy: result for _, strategy, result
+               in _world_runs(config, _one_n(config, n), [scenario_index])}
+    return {strategy: results[strategy] for strategy in config.strategies}
 
 
-def _scenario_task(args) -> tuple[str, list[float]]:
-    """One batch task: the digest of world `s` and each strategy's min rate on it."""
-    results = run_single_scenario(*args)  # args: (config, n, s)
-    scenario = next(iter(results.values())).scenario
-    digest = hashlib.sha256(scenario.to_json().encode()).hexdigest()[:16]
-    return digest, [float(result.mean_rates_bps().min()) for result in results.values()]
+def _chunk_task(args) -> list[tuple[str, list[float]]]:
+    """One batch task: the digest of each world of a chunk of consecutive
+    scenario indices of one AP count, and each strategy's min rate on it.
+    Every run is reduced to its min rate as it is produced, then dropped."""
+    config, n, indices = args  # indices: a range of scenario indices
+    column = {strategy: col for col, strategy in enumerate(config.strategies)}
+    mins = {s: [0.0] * len(column) for s in indices}
+    digests = {}
+    for s, strategy, result in _world_runs(config, n, indices):
+        mins[s][column[strategy]] = float(result.mean_rates_bps().min())
+        if s not in digests:
+            digests[s] = hashlib.sha256(result.scenario.to_json().encode()).hexdigest()[:16]
+    return [(digests[s], mins[s]) for s in indices]
+
+
+def _chunk_size(config: ExperimentConfig, n: int) -> int:
+    """Worlds of AP count n per batch task: an equal share of the
+    experiment's worlds per worker, at most the count's num_scenarios and
+    at most what fits in CHUNK_BYTES (never below one world)."""
+    share = -(-config.num_scenarios * len(config.n_values) // config.workers)
+    fits = CHUNK_BYTES // run_bytes(config, n)
+    return max(1, min(config.num_scenarios, share, fits))
 
 
 def _run_worlds(config: ExperimentConfig, n_values) -> dict[int, list]:
     """Task outcomes of every world of each AP count, in scenario-index order.
 
-    All tasks are built up front, largest AP counts first (a world's cost
-    grows with n), and run inline at one worker or mapped once over one pool.
+    A task is a chunk of consecutive worlds of one AP count, stepped
+    together. All tasks are built up front, largest AP counts first (a
+    world's cost grows with n), and run inline at one worker or mapped once
+    over one pool.
     """
     m = config.num_scenarios
     largest_first = sorted(n_values, reverse=True)
-    tasks = [(config, n, s) for n in largest_first for s in range(m)]
+    tasks = [(config, n, range(lo, min(lo + size, m)))
+             for n in largest_first for size in (_chunk_size(config, n),)
+             for lo in range(0, m, size)]
     # A forked pool starts all its workers at the first submit, so it gets
     # no more of them than there are tasks.
     workers = min(config.workers, len(tasks))
     if workers > 1:
-        chunk = max(1, len(tasks) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_scenario_task, tasks, chunksize=chunk))
+            chunks = list(pool.map(_chunk_task, tasks))
     else:
-        outcomes = [_scenario_task(t) for t in tasks]
+        chunks = [_chunk_task(t) for t in tasks]
+    outcomes = [outcome for chunk in chunks for outcome in chunk]
     return {n: outcomes[i * m:(i + 1) * m] for i, n in enumerate(largest_first)}
 
 

@@ -109,15 +109,16 @@ def rates_bps(
 ) -> np.ndarray:
     """Rates (bits/second) of all n APs under joint actions, shape (..., n).
 
-    `power` is the (n, n) link budget of link_budget_matrix_mw and
-    `active[..., i, l]` says whether AP i transmits on link l, shape
-    (..., n, k); leading axes index independent joint actions.
+    `power` is the (n, n) link budget of link_budget_matrix_mw, or a stack
+    of them, shape (..., n, n), and `active[..., i, l]` says whether AP i
+    transmits on link l, shape (..., n, k); leading axes index independent
+    joint actions and broadcast against the stack of worlds.
     """
     active_f = np.asarray(active, dtype=np.float64)
     # total[..., i, l]: power on link l at STA i from every active AP, plus noise
-    total = power.T @ active_f + noise_mw
+    total = power.swapaxes(-1, -2) @ active_f + noise_mw
     # On an active link 1 + S/(I + N) = total / (total - S); inactive gives 1.
-    ratio = total / (total - active_f * power.diagonal()[:, None])
+    ratio = total / (total - active_f * power.diagonal(0, -2, -1)[..., None])
     return np.log2(ratio).sum(axis=-1) * bandwidth
 
 

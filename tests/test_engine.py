@@ -341,7 +341,7 @@ def lockstep(sc, strategies, T, seed):
     """run_learning over `strategies`, run w seeded seed + w; returns the
     (strategy, seed, result) of each run."""
     seeds = [seed + w for w in range(len(strategies))]
-    return list(zip(strategies, seeds, run_learning(sc, strategies, T, seeds)))
+    return list(zip(strategies, seeds, run_learning([sc], strategies, T, seeds)))
 
 
 class TestLockstep:
@@ -403,7 +403,45 @@ class TestLockstep:
     ])
     def test_rejects_bad_runs(self, strategies, seeds, T):
         with pytest.raises(ConfigError):
-            run_learning(world(n=2), strategies, T, seeds)
+            run_learning([world(n=2)], strategies, T, seeds)
+
+    @pytest.mark.parametrize("worlds, seeds", [
+        ([], []),
+        ([world(n=2), world(n=3)], [1, 2, 3, 4]),
+        ([world(n=2), world(n=2, k=3)], [1, 2, 3, 4]),
+        ([world(n=2), world(n=2, seed=43)], [1, 2, 3]),
+    ], ids=["no-world", "mixed-n", "mixed-k", "seed-short"])
+    def test_rejects_worlds_that_cannot_step_together(self, worlds, seeds):
+        with pytest.raises(ConfigError):
+            run_learning(worlds, LEARNERS, 10, seeds)
+
+
+class TestWorldChunks:
+    """S worlds of one AP count step together as one population of
+    S * L * n agents; every run must equal the run alone, bit for bit."""
+
+    @pytest.mark.parametrize("S", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 64])
+    def test_each_run_equals_the_run_alone(self, monkeypatch, n, S):
+        monkeypatch.setattr(agents, "_BLOCK", 64)
+        worlds = [world(n=n, seed=200 + 10 * n + w) for w in range(S)]
+        T = 60 if n == 64 else 300
+        seeds = [3 * n + r for r in range(S * len(LEARNERS))]
+        runs = list(run_learning(worlds, LEARNERS, T, seeds))
+        assert [(res.scenario, res.strategy, res.seed) for res in runs] == [
+            (sc, strategy, seeds[r]) for r, (sc, strategy)
+            in enumerate(itertools.product(worlds, LEARNERS))]
+        for res in runs:
+            alone = run_scenario(res.scenario, res.strategy, T, res.seed)
+            assert res.to_json() == alone.to_json()
+            assert np.array_equal(res.mean_rates_bps(), alone.mean_rates_bps())
+
+    def test_results_are_gathered_one_at_a_time(self):
+        worlds = [world(n=4, seed=230 + w) for w in range(2)]
+        runs = run_learning(worlds, LEARNERS, 50, [1, 2, 3, 4])
+        first = next(runs)
+        assert first.scenario == worlds[0] and first.strategy is LEARNERS[0]
+        assert len(list(runs)) == 3
 
 
 def expected_random_rates(sc):

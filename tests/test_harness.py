@@ -133,25 +133,51 @@ class TestConfig:
 
     # Points where the per-iteration terms dominate (at n=64, T=500 set-up
     # and the draw block still read 1.18 of the bound): one learning run,
-    # and a world of all four strategies. A lone frl run at n=2 peaks lower
-    # than the world's two learning runs there, so it is left out for time.
+    # a world of all four strategies, and a batch task's chunk of 3 such
+    # worlds. A lone frl run at n=2 peaks lower than the world's two
+    # learning runs there, so it is left out for time.
     @pytest.mark.parametrize("run, n, T", [
         ("world", 2, 32000), ("frl", 8, 16000), ("world", 8, 16000), ("frl", 64, 8000),
-        ("world", 64, 8000),
+        ("world", 64, 8000), ("chunk", 8, 8000),
     ])
     def test_world_peak_stays_within_run_bytes(self, run, n, T):
-        strategies = tuple(Strategy) if run == "world" else (Strategy.FEDERATED_RL,)
+        strategies = (Strategy.FEDERATED_RL,) if run == "frl" else tuple(Strategy)
+        worlds = 3 if run == "chunk" else 1
         # The bound that __post_init__ holds each world to, with L learning runs.
         learners = sum(s in LEARNING for s in strategies)
-        cfg = ExperimentConfig(strategies=strategies, num_scenarios=1, iterations=T,
+        cfg = ExperimentConfig(strategies=strategies, num_scenarios=worlds, iterations=T,
                                n_values=(n,))
         tracemalloc.start()
         try:
-            run_single_scenario(cfg)
+            if run == "chunk":
+                harness._chunk_task((cfg, n, range(worlds)))
+            else:
+                run_single_scenario(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (36 * learners * n + 48) * T
+        assert peak <= worlds * (36 * learners * n + 48) * T
+
+    @pytest.mark.parametrize("n_values, scenarios, workers, size", [
+        ((2, 4, 8, 12, 16), 2, 2, 2),  # the benchmark's CLI sweep: 5 tasks
+        ((8,), 1, 1, 1),  # one world
+        ((8,), 500, 1, 500),  # one worker: every world of a count in one task...
+        ((8,), 500, 4, 125),  # ...else an equal share per worker
+        ((2, 3), 7, 3, 5),
+    ])
+    def test_chunk_size_shares_the_worlds_among_workers(self, n_values, scenarios, workers,
+                                                         size):
+        cfg = replace(SMALL, n_values=n_values, num_scenarios=scenarios, workers=workers)
+        assert {harness._chunk_size(cfg, n) for n in n_values} == {size}
+
+    def test_chunk_size_is_capped_by_chunk_bytes(self):
+        cfg = replace(SMALL, num_scenarios=500, n_values=(8,), k=4, iterations=2000)
+        world = harness.run_bytes(cfg, 8)
+        assert world == (36 * 2 * 8 + 48) * 2000
+        assert harness._chunk_size(cfg, 8) == harness.CHUNK_BYTES // world < 500
+        # A world that alone exceeds CHUNK_BYTES still runs, one per task.
+        huge = replace(cfg, iterations=harness.CHUNK_BYTES // (36 * 2 * 8 + 48) + 1)
+        assert harness._chunk_size(huge, 8) == 1
 
 
 class TestRunBatch:
@@ -218,7 +244,7 @@ class TestRunBatch:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
+            def map(self, fn, tasks):
                 return map(fn, tasks)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
@@ -243,6 +269,23 @@ class TestRunBatch:
             for strat in Strategy
         }
         assert len(seeds) == 16
+
+
+class TestChunks:
+    """A batch task steps a chunk of worlds of one AP count together; the
+    results must not depend on how the worlds are chunked."""
+
+    @pytest.mark.parametrize("n_values", [(3,), (1,), (1, 4, 2)])
+    def test_results_do_not_depend_on_chunk_size_or_workers(self, monkeypatch, n_values):
+        cfg = replace(SMALL, n_values=n_values, num_scenarios=8, iterations=30)
+        expected = {n: run_batch(cfg, n).to_json() for n in n_values}
+        for size in (1, 3, 7):
+            monkeypatch.setattr(harness, "_chunk_size", lambda config, n, size=size: size)
+            for workers in (1, 2):
+                sweep = density_sweep(replace(cfg, workers=workers))
+                assert {n: s.to_json() for n, s in sweep.items()} == expected, (size, workers)
+                batch = run_batch(replace(cfg, workers=workers), n_values[0])
+                assert batch.to_json() == expected[n_values[0]], (size, workers)
 
 
 class TestDensitySweep:
@@ -277,7 +320,7 @@ class TestDensitySweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
+            def map(self, fn, tasks):
                 self.tasks = list(tasks)
                 return map(fn, self.tasks)
 
@@ -286,12 +329,15 @@ class TestDensitySweep:
         expected = {n: s.to_json() for n, s in density_sweep(cfg).items()}
         assert pools == []
         largest_first = [(n, s) for n in (8, 4, 2) for s in range(cfg.num_scenarios)]
-        for workers, size in ((2, 2), (64, 9)):
+        # A task is a chunk of consecutive worlds of one AP count: 9 worlds
+        # make 3 chunks of 3 on 2 workers, and 9 chunks of 1 on 64.
+        for workers, size, chunk in ((2, 2, 3), (64, 9, 1)):
             summaries = density_sweep(replace(cfg, workers=workers))
             assert {n: s.to_json() for n, s in summaries.items()} == expected
             (pool,) = pools
             assert pool.max_workers == size
-            assert [(n, s) for _, n, s in pool.tasks] == largest_first
+            assert {len(indices) for _, _, indices in pool.tasks} == {chunk}
+            assert [(n, s) for _, n, indices in pool.tasks for s in indices] == largest_first
             pools.clear()
 
 

@@ -172,6 +172,30 @@ class TestInterference:
             assert rates_p == pytest.approx(rates[perm], rel=1e-12)
 
 
+class TestStackedWorlds:
+    # The engine steps several worlds through one rates_bps call on their
+    # stacked (S, 1, n, n) budgets. The matmul must see each world's budget
+    # through the same transposed view as a lone call: a contiguous copy of
+    # it rounds differently from n = 16 on.
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_stacked_call_equals_per_world_calls(self, n):
+        rng = np.random.default_rng(n)
+        noise = dbm_to_mw(-95.0)
+        power = []
+        for _ in range(3):
+            pts = rng.uniform(0, 90, size=(n, 2))
+            world = make_world([tuple(p) for p in pts], [tuple(p + [0.0, 10.0]) for p in pts])
+            power.append(link_budget_matrix_mw(world))
+        active = rng.random((3, 2, n, 4)) < 0.5
+        stacked = rates_bps(np.stack(power)[:, None], active, noise, 80e6)
+        assert stacked.shape == (3, 2, n)
+        for w in range(3):
+            assert np.array_equal(stacked[w], rates_bps(power[w], active[w], noise, 80e6))
+            for run in range(2):
+                alone = rates_bps(power[w], active[w, run], noise, 80e6)
+                assert np.array_equal(stacked[w, run], alone)
+
+
 class TestAchievedRate:
     def test_isolated_single_link(self):
         world = make_world([(50.0, 50.0)], [(50.0, 60.0)])

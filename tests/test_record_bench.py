@@ -115,11 +115,8 @@ def test_source_lines_skip_blank_and_comment_lines(record_bench, tmp_path):
     assert record_bench.source_lines(str(tmp_path)) == 4
 
 
-def test_every_checkout_is_byte_compiled_before_its_first_run(record_bench, monkeypatch,
-                                                                tmp_path):
-    # Without it, a checkout with no bytecode caches pays for compiling its
-    # sources in its first runs, and reads slower on the set-up path.
-    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+def fake_checkouts(tmp_path) -> list:
+    """record_bench.py arguments for two minimal checkouts, parent and change."""
     argv = ["--out", str(tmp_path / "BENCH.json")]
     for label in ("parent", "change"):
         root = tmp_path / label
@@ -129,6 +126,15 @@ def test_every_checkout_is_byte_compiled_before_its_first_run(record_bench, monk
         (root / "perfbench" / "run.py").write_text("")
         (root / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "paper-batch"}]}))
         argv += ["--checkout", f"{label}={root}"]
+    return argv
+
+
+def test_every_checkout_is_byte_compiled_before_its_first_run(record_bench, monkeypatch,
+                                                                tmp_path):
+    # Without it, a checkout with no bytecode caches pays for compiling its
+    # sources in its first runs, and reads slower on the set-up path.
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    argv = fake_checkouts(tmp_path)
     cached = []
 
     def fake_run_bench(root, workload, seed, trace):
@@ -140,3 +146,31 @@ def test_every_checkout_is_byte_compiled_before_its_first_run(record_bench, monk
     monkeypatch.setattr(record_bench, "time_acceptance", lambda root: {"wall_s": 1.0})
     assert record_bench.main(argv) == 0
     assert cached and all(cached)
+
+
+@pytest.mark.parametrize("odd_one", [None, "parent", "change"])
+def test_batch_digests_are_compared_across_runs_and_checkouts(record_bench, monkeypatch,
+                                                             tmp_path, capsys, odd_one):
+    # Every batch run computes the same batch, so one run whose digest
+    # differs from the others, in either checkout, fails the record.
+    calls = []
+
+    def fake_time_batch(root, workers):
+        label = os.path.basename(root)
+        calls.append(label)
+        odd = label == odd_one and calls.count(label) == 2
+        return {"wall_s": 1.0, "sha256": "bad" if odd else "ab"}
+
+    monkeypatch.setattr(record_bench, "run_bench",
+                        lambda root, workload, seed, trace: {"metrics": {}, "seed": seed})
+    monkeypatch.setattr(record_bench, "time_batch", fake_time_batch)
+    monkeypatch.setattr(record_bench, "time_acceptance", lambda root: {"wall_s": 1.0})
+    code = record_bench.main(fake_checkouts(tmp_path))
+    record = json.loads((tmp_path / "BENCH.json").read_text())
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAILED:")]
+    if odd_one is None:
+        assert (code, record["batch_outputs_equal"], failed) == (0, True, [])
+    else:
+        assert (code, record["batch_outputs_equal"], len(failed)) == (1, False, 1)
+        assert f'"bad": ["{odd_one}/1"]' in failed[0]

@@ -14,7 +14,11 @@ checkout at 1 worker and three times at all cores, and then
 `pytest tests/test_acceptance.py` three times per checkout. These timings
 interleave like the seeds; each keeps every run (a batch run with the
 SHA-256 of its result, an acceptance run with the criteria lines it
-prints) and the median wall time. It also stores each checkout's count of
+prints) and the median wall time. Every batch run computes the same batch,
+so their digests are compared across runs, worker counts and checkouts:
+the record's `batch_outputs_equal` says whether they all agree, and when
+they do not, a `FAILED:` line names which runs printed which digest and
+the tool exits 1, after writing the record. It also stores each checkout's count of
 non-blank, non-`#` lines in `src/mlosim`, the size that ROADMAP aim 2 gates.
 Each run's metrics, checks, absent probes and the provenance that
 perfbench prints are stored as printed; a run that exits non-zero or
@@ -171,6 +175,18 @@ def interleaved_batch(checkouts: dict, workers: int) -> dict:
     return interleaved_timings(checkouts, lambda root: time_batch(root, workers))
 
 
+def batch_digests(runs: dict) -> dict:
+    """{SHA-256: ["label/workers", ...]} over every batch run that finished,
+    of every checkout and worker count; one key when they all agree."""
+    digests: dict = {}
+    for label, label_runs in runs.items():
+        for batch in label_runs["batch"]:
+            for run in batch["runs"]:
+                if "sha256" in run:
+                    digests.setdefault(run["sha256"], []).append(f"{label}/{batch['workers']}")
+    return digests
+
+
 def interleaved_acceptance(checkouts: dict) -> dict:
     return interleaved_timings(checkouts, time_acceptance)
 
@@ -243,8 +259,10 @@ def main(argv=None) -> int:
         runs[label]["acceptance"] = acceptance
         runs[label]["src_lines"] = source_lines(checkouts[label])
 
+    digests = batch_digests(runs)
     record = {
         "recorded_with": "tools/record_bench.py",
+        "batch_outputs_equal": len(digests) <= 1,
         "host": {"nproc": nproc, "python": platform.python_version(),
                  "machine": platform.machine()},
         "seconds_per_run": SECONDS,
@@ -260,6 +278,9 @@ def main(argv=None) -> int:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(json.dumps(record["quartiles"], indent=2, sort_keys=True))
+    if len(digests) > 1:
+        print(f"FAILED: batch layer outputs differ across runs: {json.dumps(digests)}")
+        return 1
     return 0
 
 
