@@ -6,7 +6,7 @@ computes interference-aware Shannon rates and aggregates max-min
 throughput statistics across Monte Carlo batches of sampled worlds.
 """
 
-from .agents import Strategy, exploration_rate
+from .agents import Strategy
 from .engine import RunResult, min_rate_timeseries, run_scenario
 from .errors import (
     ConfigError,
@@ -56,7 +56,6 @@ __all__ = [
     "compute_ecdf",
     "dbm_to_mw",
     "density_sweep",
-    "exploration_rate",
     "min_rate_timeseries",
     "pathloss_db",
     "percentile",

@@ -3,16 +3,17 @@
 All SINR math happens in linear milliwatts; dBm appears only at the
 boundaries. Rates follow the per-link Shannon form
 B * log2(1 + P / (I + N)) summed over the active links, where I aggregates
-the power received from every other AP transmitting on the same link.
+the power received from every other AP transmitting on the same link;
+`rates_bps` is the one place that form is written.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .agents import link_mask_matrix
 from .errors import ConfigError, DomainError
 from .scenario import MAX_LINKS, PhysicalConfig, Scenario, dbm_to_mw
 
@@ -32,13 +33,6 @@ class LinkSet:
                 f"mask {self.mask:#x} does not fit in {self.width} link bits"
             )
 
-    @property
-    def is_empty(self) -> bool:
-        return self.mask == 0
-
-    def active_links(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.width) if self.mask >> j & 1)
-
 
 @dataclass(frozen=True)
 class ActivationProfile:
@@ -53,7 +47,7 @@ class ActivationProfile:
         for i, ls in enumerate(self.per_ap):
             if ls.width != width:
                 raise ConfigError(f"entry {i} has width {ls.width}, expected {width}")
-            if ls.is_empty:
+            if ls.mask == 0:
                 raise ConfigError(f"entry {i} activates no links; actions must be nonempty")
 
     @property
@@ -123,27 +117,15 @@ def rates_bps(
 
 
 def achieved_rate_bps(scenario: Scenario, profile: ActivationProfile, i: int) -> float:
-    """Downlink rate of AP i under the joint profile, in bits/second.
-
-    The scalar reference that rates_bps is checked against: one link at a
-    time, with the interference summed in linear milliwatts over every
-    other AP active on that link (no sensitivity cutoff).
-    """
+    """Downlink rate of AP i under the joint profile, in bits/second: entry
+    i of `rates_bps` on the world's link budget (no sensitivity cutoff)."""
     if profile.n != scenario.n:
         raise ConfigError(f"profile covers {profile.n} APs, scenario has {scenario.n}")
     if not 0 <= i < scenario.n:
         raise IndexError(f"AP index {i} out of range for n={scenario.n}")
     phys = scenario.physical
-    sta = scenario.sta_positions[i]
-    dist = [math.dist(ap, sta) for ap in scenario.ap_positions]
-    rx_mw = dbm_to_mw(phys.tx_power_dbm - pathloss_db(dist, phys)).tolist()
-    noise_mw = dbm_to_mw(phys.noise_floor_dbm)
-    rate = 0.0
-    for link in profile.per_ap[i].active_links():
-        interference = sum(
-            rx_mw[j]
-            for j, other in enumerate(profile.per_ap)
-            if j != i and other.mask >> link & 1
-        )
-        rate += phys.bandwidth_hz_per_link * math.log2(1.0 + rx_mw[i] / (interference + noise_mw))
-    return rate
+    masks = np.array([ls.mask for ls in profile.per_ap])
+    active = link_mask_matrix(profile.per_ap[0].width)[masks - 1]
+    rates = rates_bps(link_budget_matrix_mw(scenario), active,
+                      dbm_to_mw(phys.noise_floor_dbm), phys.bandwidth_hz_per_link)
+    return float(rates[i])

@@ -1,11 +1,16 @@
 """Reference implementations that the engine is checked against.
 
+`scalar_rate_bps` is the rate model written again, one AP and one link at
+a time, from the world's `PhysicalConfig` fields with `math` alone: it
+calls no pathloss, dBm or rate function of `mlosim`, so a fault in those
+cannot also hide in it. `max_min_optima` is the brute-force max-min
+optimum over every joint action of a tiny world, through it.
+
 `reference_run` is a per-agent epsilon-greedy bandit written one agent and
 one iteration at a time with Python floats. It reads the same three
 uniforms per agent-iteration from the same per-AP streams as the engine,
-so the engine's array form must match it bit for bit. `max_min_optima`
-is the brute-force max-min optimum over every joint action of a tiny
-world, through the scalar rate reference.
+so the engine's array form must match it bit for bit. That comparison
+needs the engine's own floats, so it takes its rates from `rates_bps`.
 """
 
 import itertools
@@ -13,9 +18,34 @@ import math
 
 import numpy as np
 
-from mlosim import ActivationProfile, LinkSet, Strategy, achieved_rate_bps
-from mlosim.radio import all_neighbor_sets, dbm_to_mw, link_budget_matrix_mw, rates_bps
+from mlosim import Strategy
+from mlosim.radio import all_neighbor_sets, link_budget_matrix_mw, rates_bps
 from mlosim.rng import PURPOSE_AGENT, generator
+
+
+def scalar_rate_bps(scenario, masks, i):
+    """Downlink rate (bits/second) of AP i when each AP j transmits on the
+    links set in the bits of masks[j]: Shannon rate per active link, with
+    the interference summed in mW over every other AP on that link (no
+    sensitivity cutoff)."""
+    phys = scenario.physical
+    sta = scenario.sta_positions[i]
+
+    def received_mw(j):
+        d = math.dist(scenario.ap_positions[j], sta)
+        pathloss = (phys.pathloss_intercept_db + 10 * phys.attenuation_factor * math.log10(d)
+                    + phys.wall_attenuation_db_per_wall * phys.walls_per_meter * d)
+        return 10 ** ((phys.tx_power_dbm - pathloss) / 10)
+
+    noise_mw = 10 ** (phys.noise_floor_dbm / 10)
+    rate = 0.0
+    for link in range(scenario.num_links):
+        if masks[i] >> link & 1:
+            interference = sum(received_mw(j) for j in range(scenario.n)
+                               if j != i and masks[j] >> link & 1)
+            rate += phys.bandwidth_hz_per_link * math.log2(
+                1 + received_mw(i) / (interference + noise_mw))
+    return rate
 
 
 class ReferenceAgent:
@@ -46,7 +76,7 @@ def reference_run(scenario, strategy, T, seed):
     agents = [ReferenceAgent(p, generator(seed, PURPOSE_AGENT, i)) for i in range(n)]
     members = [{i, *nbrs} for i, nbrs in enumerate(all_neighbor_sets(scenario))]
     power = link_budget_matrix_mw(scenario)
-    noise_mw = dbm_to_mw(scenario.physical.noise_floor_dbm)
+    noise_mw = 10 ** (scenario.physical.noise_floor_dbm / 10)
     bits = [[(a + 1) >> link & 1 for link in range(k)] for a in range(p)]
     federated = strategy is Strategy.FEDERATED_RL
     masks, rates, globals_ = [], [], []
@@ -65,11 +95,9 @@ def reference_run(scenario, strategy, T, seed):
 
 def max_min_optima(scenario):
     """(best value, set of mask tuples attaining it): the max-min rate over
-    all (2**k - 1)**n joint actions, by the scalar rate reference."""
-    k = scenario.num_links
+    all (2**k - 1)**n joint actions, by scalar_rate_bps."""
     scores = {}
-    for masks in itertools.product(range(1, 2**k), repeat=scenario.n):
-        profile = ActivationProfile(tuple(LinkSet(m, k) for m in masks))
-        scores[masks] = min(achieved_rate_bps(scenario, profile, i) for i in range(scenario.n))
+    for masks in itertools.product(range(1, 2**scenario.num_links), repeat=scenario.n):
+        scores[masks] = min(scalar_rate_bps(scenario, masks, i) for i in range(scenario.n))
     best = max(scores.values())
     return best, {masks for masks, v in scores.items() if v >= best * (1 - 1e-12)}

@@ -9,22 +9,19 @@ import numpy as np
 import pytest
 
 from mlosim import (
-    ActivationProfile,
     ConfigError,
-    LinkSet,
     PhysicalConfig,
     Scenario,
     Strategy,
-    achieved_rate_bps,
     min_rate_timeseries,
     run_scenario,
     sample_scenario,
 )
-from mlosim import agents
+from mlosim import agents, engine, radio
 from mlosim.engine import RunResult, run_learning
 from mlosim.radio import all_neighbor_sets, dbm_to_mw, link_budget_matrix_mw, rates_bps
 from mlosim.rng import generator
-from oracles import max_min_optima, reference_run
+from oracles import max_min_optima, reference_run, scalar_rate_bps
 
 
 def world(seed=42, n=4, k=4):
@@ -135,13 +132,27 @@ class TestRatesMatchScalarRadio:
         sc = world(n=4, seed=21, k=3)
         res = run_scenario(sc, strategy, T=60, seed=11)
         for t in (0, 13, 37, 59):
-            profile = ActivationProfile(
-                tuple(LinkSet(int(mask), 3) for mask in res.action_masks[t])
-            )
             for i in range(sc.n):
                 assert res.rates_bps[t, i] == pytest.approx(
-                    achieved_rate_bps(sc, profile, i), rel=1e-12
+                    scalar_rate_bps(sc, res.action_masks[t], i), rel=1e-12
                 )
+
+    @pytest.mark.parametrize("mutant", ["pathloss-slope", "halved-rate"])
+    def test_oracle_shares_no_function_with_the_engine(self, monkeypatch, mutant):
+        # A fault in the library's pathloss or rate kernel must show here;
+        # scalar_rate_bps calls neither.
+        if mutant == "pathloss-slope":
+            pathloss = radio.pathloss_db
+            monkeypatch.setattr(radio, "pathloss_db",
+                                lambda d, phys: pathloss(d, phys) + 10 * np.log10(d))
+        else:
+            kernel = radio.rates_bps
+            monkeypatch.setattr(engine, "rates_bps", lambda *args: kernel(*args) / 2)
+        sc = world(n=5, seed=45)
+        res = run_scenario(sc, Strategy.FIXED, T=1, seed=3)
+        assert res.rates_bps[0] != pytest.approx(
+            [scalar_rate_bps(sc, [0b1111] * sc.n, i) for i in range(sc.n)], rel=1e-12
+        )
 
 
 class TestFederatedExchange:
@@ -389,11 +400,9 @@ class TestLockstep:
         sc = world(n=n, seed=110 + n)
         for _, _, res in lockstep(sc, order, T=400, seed=n):
             t = res.T // 2
-            profile = ActivationProfile(
-                tuple(LinkSet(int(mask), sc.num_links) for mask in res.action_masks[t]))
             for i in range(n):
                 assert res.rates_bps[t, i] == pytest.approx(
-                    achieved_rate_bps(sc, profile, i), rel=1e-9)
+                    scalar_rate_bps(sc, res.action_masks[t], i), rel=1e-9)
 
     @pytest.mark.parametrize("strategies, seeds, T", [
         ((Strategy.LOCAL_RL,), (1,), 0),
@@ -491,13 +500,15 @@ class TestExactExpectation:
 
     @pytest.mark.parametrize("n", [1, 5, 16])
     def test_fixed_rows_equal_scalar_reference(self, n):
-        sc = world(n=n, seed=40 + n)
-        res = run_scenario(sc, Strategy.FIXED, T=30, seed=3)
-        full = ActivationProfile((LinkSet(0b1111, 4),) * n)
-        assert np.all(res.rates_bps == res.rates_bps[0])
-        assert res.rates_bps[0] == pytest.approx(
-            [achieved_rate_bps(sc, full, i) for i in range(n)], rel=1e-12
-        )
+        # From k = 8 on, numpy adds the kernel's link axis in eight partial
+        # sums, not in link order.
+        for k in (1, 4, 8, 9, 16):
+            sc = world(n=n, seed=40 + n, k=k)
+            res = run_scenario(sc, Strategy.FIXED, T=30, seed=3)
+            assert np.all(res.rates_bps == res.rates_bps[0])
+            assert res.rates_bps[0] == pytest.approx(
+                [scalar_rate_bps(sc, [2**k - 1] * n, i) for i in range(n)], rel=1e-12
+            ), f"k={k}"
 
 
 class TestMinRateTimeseries:
