@@ -15,31 +15,14 @@ from .errors import (
     GeometryError,
     MlosimError,
 )
-from .harness import (
-    BatchSummary,
-    ExperimentConfig,
-    StrategyStats,
-    compute_ecdf,
-    density_sweep,
-    percentile,
-    run_batch,
-    run_experiment,
-    run_single_scenario,
-)
-from .radio import (
-    ActivationProfile,
-    LinkSet,
-    achieved_rate_bps,
-    dbm_to_mw,
-    pathloss_db,
-)
+from .harness import ExperimentConfig, run_batch
+from .radio import ActivationProfile, LinkSet, achieved_rate_bps
 from .scenario import PhysicalConfig, Scenario, sample_scenario
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ActivationProfile",
-    "BatchSummary",
     "ConfigError",
     "DomainError",
     "EmptyInputError",
@@ -51,17 +34,9 @@ __all__ = [
     "RunResult",
     "Scenario",
     "Strategy",
-    "StrategyStats",
     "achieved_rate_bps",
-    "compute_ecdf",
-    "dbm_to_mw",
-    "density_sweep",
     "min_rate_timeseries",
-    "pathloss_db",
-    "percentile",
     "run_batch",
-    "run_experiment",
     "run_scenario",
-    "run_single_scenario",
     "sample_scenario",
 ]

@@ -33,7 +33,7 @@ from .agents import Strategy, Tables, link_mask_matrix, policy_draws
 # The loop calls the policy through these names, which perfbench's
 # agents-layer probes wrap.
 from .agents import credit as update, select as select_action
-from .codec import dumps, write_csv
+from .codec import write_csv
 from .errors import ConfigError
 from .radio import all_neighbor_sets, dbm_to_mw, link_budget_matrix_mw, rates_bps
 from .scenario import Scenario
@@ -67,9 +67,6 @@ class RunResult:
     def mean_rates_bps(self) -> np.ndarray:
         """Each AP's rate averaged over the whole run, shape (n,)."""
         return self.rates_bps.mean(axis=0)
-
-    def to_json(self) -> str:
-        return dumps(self)
 
     def write_csv(self, path) -> None:
         """Compact per-iteration trace for plotting tools."""

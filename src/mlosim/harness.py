@@ -36,7 +36,6 @@ from .scenario import PhysicalConfig, Scenario, check_world, sample_scenario
 
 DEFAULT_NUM_SCENARIOS = 500
 DEFAULT_ITERATIONS = 2000
-DEFAULT_DENSITIES = (2, 4, 8, 12, 16)
 # Bytes one world's runs may allocate. Its L learning runs step together as
 # L*n agents (engine.run_learning), whose arrays are each at most (T, L*n):
 # the uint16 actions and float64 rates and rewards of each distinct joint
@@ -46,11 +45,20 @@ DEFAULT_DENSITIES = (2, 4, 8, 12, 16)
 # joint actions. The dict's keys, intp bytes, add 8 per agent-iteration
 # while it lives; it is freed before the gathers, and the tables with the
 # last run gathered.
+# Per action of the p = 2**k - 1, the L*n agents' bandit tables take 16
+# bytes per agent (float64 counts and means, agents.Tables) and `select`'s
+# temporaries 17 more (the bool ties, their int64 cast and its cumsum), so
+# 33 per agent-action, counted as 48: the other 15 cover each agent's
+# set-up (its generator, about 0.9 KB, and its reward segment) once k >= 8.
+# The (p, k) float64 link-mask matrix takes up to 24*k + 4 per action while
+# it is built (uint32 masks, two (p, k) arrays of 8-byte ints or floats and
+# numpy's cast buffer), 8*k after. So a world may allocate
+# (36*L*n + 48)*T + (48*L*n + 24*k + 4)*p bytes.
 # tests/test_harness.py checks that tracemalloc peaks of run_learning and of
-# a 4-strategy world stay within (36*L*n + 48)*T at n = 2, 8, 64 and
-# T = 32000, 16000, 8000, where per-iteration terms dominate: they read
-# 0.59-0.74 there; at n=64, T=500 set-up and the draw block push them to
-# 1.18. L counts at least 1, which also
+# a 4-strategy world stay within that at n = 2, 8, 64 and T = 32000, 16000,
+# 8000, where per-iteration terms dominate (they read 0.59-0.74 there; at
+# n=64, T=500 set-up and the draw block push them to 1.14-1.30), and at k = 8,
+# 12, 16, where the per-action terms do. L counts at least 1, which also
 # covers a fixed or random run. The same budget bounds the batch state of an
 # experiment's worlds (each world's task, outcome and share of the
 # StrategyStats, all held until the last world is reduced): tracemalloc
@@ -73,8 +81,9 @@ CHUNK_BYTES = 2**25
 
 def run_bytes(config: "ExperimentConfig", n: int) -> int:
     """The bytes that one world of n APs may allocate under `config`."""
-    learners = max(1, sum(s in LEARNING for s in config.strategies))
-    return (36 * learners * n + 48) * config.iterations
+    agents = max(1, sum(s in LEARNING for s in config.strategies)) * n
+    actions = 2**config.k - 1
+    return (36 * agents + 48) * config.iterations + (48 * agents + 24 * config.k + 4) * actions
 
 
 @dataclass(frozen=True)
@@ -116,8 +125,9 @@ class ExperimentConfig:
         world_bytes = run_bytes(self, max(self.n_values))
         if world_bytes > RUN_BYTES_BUDGET:
             raise ConfigError(
-                f"iterations={self.iterations} at {max(self.n_values)} APs needs about "
-                f"{world_bytes / 2**30:.3g} GiB per world, over {RUN_BYTES_BUDGET / 2**30:g} GiB")
+                f"iterations={self.iterations} and k={self.k} at {max(self.n_values)} APs need "
+                f"about {world_bytes / 2**30:.3g} GiB per world, over "
+                f"{RUN_BYTES_BUDGET / 2**30:g} GiB")
         worlds = self.num_scenarios * len(self.n_values)
         if worlds * 2**10 > RUN_BYTES_BUDGET:
             raise ConfigError(
@@ -146,9 +156,6 @@ class BatchSummary:
     master_seed: int
     scenario_digests: tuple[str, ...]
     per_strategy: dict[Strategy, StrategyStats]
-
-    def to_json(self) -> str:
-        return dumps(self)
 
 
 def compute_ecdf(values) -> list[tuple[float, float]]:
@@ -235,7 +242,7 @@ def _chunk_task(args) -> list[tuple[str, list[float]]]:
     for s, strategy, result in _world_runs(config, n, indices):
         mins[s][column[strategy]] = float(result.mean_rates_bps().min())
         if s not in digests:
-            digests[s] = hashlib.sha256(result.scenario.to_json().encode()).hexdigest()[:16]
+            digests[s] = hashlib.sha256(dumps(result.scenario).encode()).hexdigest()[:16]
     return [(digests[s], mins[s]) for s in indices]
 
 

@@ -50,10 +50,6 @@ class ActivationProfile:
             if ls.mask == 0:
                 raise ConfigError(f"entry {i} activates no links; actions must be nonempty")
 
-    @property
-    def n(self) -> int:
-        return len(self.per_ap)
-
 
 def pathloss_db(d, physical: PhysicalConfig):
     """Pathloss over d meters (scalar or array): intercept +
@@ -81,7 +77,7 @@ def link_budget_matrix_mw(scenario: Scenario) -> np.ndarray:
     computed once per world.
     """
     phys = scenario.physical
-    dist = _distances(scenario.ap_array(), scenario.sta_array())
+    dist = _distances(np.asarray(scenario.ap_positions), np.asarray(scenario.sta_positions))
     return dbm_to_mw(phys.tx_power_dbm - pathloss_db(dist, phys))
 
 
@@ -91,7 +87,7 @@ def all_neighbor_sets(scenario: Scenario) -> tuple[frozenset[int], ...]:
     distance, full TX power). Symmetric and irreflexive.
     """
     phys = scenario.physical
-    ap = scenario.ap_array()
+    ap = np.asarray(scenario.ap_positions)
     dist = _distances(ap, ap)
     np.fill_diagonal(dist, np.inf)  # infinite pathloss: no AP hears itself
     hears = phys.tx_power_dbm - pathloss_db(dist, phys) >= phys.sensitivity_dbm
@@ -119,8 +115,8 @@ def rates_bps(
 def achieved_rate_bps(scenario: Scenario, profile: ActivationProfile, i: int) -> float:
     """Downlink rate of AP i under the joint profile, in bits/second: entry
     i of `rates_bps` on the world's link budget (no sensitivity cutoff)."""
-    if profile.n != scenario.n:
-        raise ConfigError(f"profile covers {profile.n} APs, scenario has {scenario.n}")
+    if len(profile.per_ap) != scenario.n:
+        raise ConfigError(f"profile covers {len(profile.per_ap)} APs, scenario has {scenario.n}")
     if not 0 <= i < scenario.n:
         raise IndexError(f"AP index {i} out of range for n={scenario.n}")
     phys = scenario.physical

@@ -8,11 +8,11 @@ Geometry is static for the whole run.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import dumps
 from .errors import ConfigError, GeometryError
 
 # Residential 5 GHz pathloss constants (TMB model) and the TX/RX defaults
@@ -29,6 +29,9 @@ DEFAULT_NOISE_FLOOR_DBM = -95.0
 DEFAULT_SENSITIVITY_DBM = -82.0
 
 MAX_LINKS = 16  # LinkSet masks are 16-bit; 2**16 - 1 actions stays enumerable
+# Below this side (about 9.48e153 m) the squared distance of two points of
+# the area, at most 2 * side**2, is a finite float.
+MAX_AREA_SIDE_M = math.sqrt(sys.float_info.max / 2)
 
 _STA_ANGLE_RETRIES = 1000
 _DISTANCE_RTOL = 1e-9
@@ -117,27 +120,17 @@ class Scenario:
     def n(self) -> int:
         return len(self.ap_positions)
 
-    def ap_array(self) -> np.ndarray:
-        """AP coordinates as an (n, 2) float array."""
-        return np.asarray(self.ap_positions, dtype=float)
-
-    def sta_array(self) -> np.ndarray:
-        """STA coordinates as an (n, 2) float array."""
-        return np.asarray(self.sta_positions, dtype=float)
-
-    def to_json(self) -> str:
-        return dumps(self)
-
 
 def check_world(n: int, k: int, area_side_m: float, d: float) -> None:
-    """Raise `ConfigError` unless n >= 1 APs, k in [1, MAX_LINKS] links, a
-    finite, positive area side and 0 < d < area side can make a world."""
+    """Raise `ConfigError` unless n >= 1 APs, k in [1, MAX_LINKS] links, an
+    area side in (0, MAX_AREA_SIDE_M) and 0 < d < area side can make a world."""
     if n < 1:
         raise ConfigError(f"every AP count must be >= 1, got n={n}")
     if not 1 <= k <= MAX_LINKS:
         raise ConfigError(f"k must be in [1, {MAX_LINKS}], got {k}")
-    if not (math.isfinite(area_side_m) and area_side_m > 0):
-        raise ConfigError(f"area side must be finite and positive, got {area_side_m}")
+    if not 0 < area_side_m < MAX_AREA_SIDE_M:
+        raise ConfigError(
+            f"area side must be positive and below {MAX_AREA_SIDE_M:.3g} m, got {area_side_m}")
     if not 0 < d < area_side_m:
         raise ConfigError(f"AP-STA distance must satisfy 0 < d < area side, got d={d}")
 

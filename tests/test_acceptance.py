@@ -30,17 +30,15 @@ from mlosim import (
     Scenario,
     Strategy,
     achieved_rate_bps,
-    compute_ecdf,
-    density_sweep,
     min_rate_timeseries,
-    pathloss_db,
     run_batch,
     run_scenario,
     sample_scenario,
 )
 from mlosim.agents import Tables, credit
-from mlosim.harness import run_seed, scenario_for_index
-from mlosim.radio import all_neighbor_sets
+from mlosim.codec import dumps
+from mlosim.harness import compute_ecdf, density_sweep, run_seed, scenario_for_index
+from mlosim.radio import all_neighbor_sets, pathloss_db
 from mlosim.rng import generator
 from oracles import max_min_optima
 
@@ -263,15 +261,15 @@ class TestCriterion5NumericalOracles:
 class TestCriterion6Determinism:
     def test_byte_identical_artifacts(self):
         sc = sample_scenario(generator(606), n=4, k=4, area_side_m=100.0, d=10.0)
-        runs = [run_scenario(sc, Strategy.FEDERATED_RL, T=60, seed=7).to_json() for _ in range(2)]
+        runs = [dumps(run_scenario(sc, Strategy.FEDERATED_RL, T=60, seed=7)) for _ in range(2)]
         run_ok = runs[0] == runs[1]
 
         cfg = ExperimentConfig(
             num_scenarios=8, iterations=50, n_values=(4,), master_seed=616, workers=1
         )
-        serial = run_batch(cfg).to_json()
-        pooled = run_batch(replace(cfg, workers=8)).to_json()
-        rerun = run_batch(cfg).to_json()
+        serial = dumps(run_batch(cfg))
+        pooled = dumps(run_batch(replace(cfg, workers=8)))
+        rerun = dumps(run_batch(cfg))
         batch_ok = serial == pooled == rerun
         report(
             6,

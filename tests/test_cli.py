@@ -126,6 +126,19 @@ class TestMain:
         assert err.startswith("simulate: error:") and "Traceback" not in err
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_area_beyond_the_float_range_exits_with_error_alone(self, tmp_path, capsys):
+        # Its squared distances would overflow to inf in the link budget.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"area_side_m": 1e200, "d_m": 1e199}))
+        out = tmp_path / "out"
+        code = run_cli("--config", str(cfg), "--scenarios", "1", "--iterations", "2",
+                       "--aps", "2", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("simulate: error: area side") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("aps", ["8,x", "", "8,,4"])
     def test_malformed_aps_rejected_by_parser(self, tmp_path, capsys, aps):
         out = tmp_path / "out"
@@ -172,6 +185,8 @@ class TestMain:
             ({}, ["--iterations", "100000000000"], "iterations"),
             # Its batch state alone would fill the machine's memory.
             ({}, ["--scenarios", "1000000000"], "num_scenarios"),
+            # Its bandit tables over 2**16 - 1 link subsets would need 6 GiB.
+            ({"k": 16}, ["--aps", "1000"], "k=16"),
         ],
     )
     def test_mistyped_config_exits_with_error(self, tmp_path, capsys, config, argv, names):

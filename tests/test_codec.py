@@ -6,6 +6,7 @@ import io
 import json
 import os
 import tempfile
+from dataclasses import replace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,8 +14,7 @@ from hypothesis import strategies as st
 from mlosim import ConfigError, ExperimentConfig, PhysicalConfig, Strategy
 from mlosim.cli import main
 from mlosim.codec import dumps, from_json
-from mlosim.engine import LEARNING
-from mlosim.harness import RUN_BYTES_BUDGET
+from mlosim.harness import RUN_BYTES_BUDGET, run_bytes
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
@@ -82,15 +82,19 @@ def configs(draw):
     area = draw(st.floats(1.0, 1e4))
     strategies = tuple(draw(st.lists(st.sampled_from(Strategy), min_size=1, unique=True)))
     n_values = tuple(draw(st.lists(st.integers(1, 64), min_size=1, max_size=5, unique=True)))
-    # Up to 10**6 scenarios and iterations, inside the config's memory bounds.
-    learners = max(1, len(set(strategies) & set(LEARNING)))
-    max_iterations = RUN_BYTES_BUDGET // (36 * learners * max(n_values) + 48)
+    k = draw(st.integers(1, 16))
+    # Up to 10**6 scenarios and iterations, inside the config's memory bounds;
+    # each iteration adds the same bytes to a world's run_bytes.
+    n = max(n_values)
+    one = ExperimentConfig(strategies=strategies, iterations=1, n_values=n_values, k=k)
+    first = run_bytes(one, n)
+    fits = 1 + (RUN_BYTES_BUDGET - first) // (run_bytes(replace(one, iterations=2), n) - first)
     return ExperimentConfig(
         strategies=strategies,
         num_scenarios=draw(st.integers(1, min(10**6, RUN_BYTES_BUDGET // 2**10 // len(n_values)))),
-        iterations=draw(st.integers(1, min(10**6, max_iterations))),
+        iterations=draw(st.integers(1, min(10**6, fits))),
         n_values=n_values,
-        k=draw(st.integers(1, 16)),
+        k=k,
         area_side_m=area,
         d_m=area * draw(st.floats(0.01, 0.99)),
         physical=physical,

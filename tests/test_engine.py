@@ -18,6 +18,7 @@ from mlosim import (
     sample_scenario,
 )
 from mlosim import agents, engine, radio
+from mlosim.codec import dumps
 from mlosim.engine import RunResult, run_learning
 from mlosim.radio import all_neighbor_sets, dbm_to_mw, link_budget_matrix_mw, rates_bps
 from mlosim.rng import generator
@@ -47,7 +48,7 @@ class TestDeterminism:
         sc = world()
         a = run_scenario(sc, strategy, T=120, seed=9)
         b = run_scenario(sc, strategy, T=120, seed=9)
-        assert a.to_json() == b.to_json()
+        assert dumps(a) == dumps(b)
 
     def test_different_seeds_differ(self):
         sc = world()
@@ -85,7 +86,7 @@ class TestTrace:
         assert res.T == 25 and res.n == 3
         assert res.action_masks.shape == res.rates_bps.shape == res.global_rewards.shape
         assert res.action_masks.dtype == np.uint16
-        data = json.loads(res.to_json())
+        data = json.loads(dumps(res))
         assert set(data) == {
             "scenario", "strategy", "seed", "neighbor_sets",
             "action_masks", "rates_bps", "global_rewards",
@@ -98,7 +99,7 @@ class TestTrace:
     def test_non_federated_runs_have_no_global_rewards(self):
         res = run_scenario(world(n=2), Strategy.LOCAL_RL, T=10, seed=1)
         assert res.global_rewards is None
-        assert json.loads(res.to_json())["global_rewards"] is None
+        assert json.loads(dumps(res))["global_rewards"] is None
 
     def test_neighbor_sets_frozen_and_symmetric(self):
         sc = world(n=6, seed=10)
@@ -293,10 +294,10 @@ class TestBlockLayout:
     @pytest.mark.parametrize("strategy", [Strategy.RANDOM, *LEARNERS])
     def test_results_do_not_depend_on_block_size(self, monkeypatch, strategy):
         sc = world(n=5, seed=70)
-        default = run_scenario(sc, strategy, T=300, seed=71).to_json()
+        default = dumps(run_scenario(sc, strategy, T=300, seed=71))
         for block in (1, 7, 10**6):
             monkeypatch.setattr(agents, "_BLOCK", block)
-            assert run_scenario(sc, strategy, T=300, seed=71).to_json() == default
+            assert dumps(run_scenario(sc, strategy, T=300, seed=71)) == default
 
     @pytest.mark.parametrize("n", [8, 16, 64])
     def test_stacked_rates_equal_per_iteration_calls(self, n):
@@ -381,7 +382,7 @@ class TestLockstep:
             # At n=1 numpy sums a contiguous column pairwise, so the mean
             # depends on the layout as well as on the values.
             assert np.array_equal(res.mean_rates_bps(), alone.mean_rates_bps())
-            assert res.to_json() == alone.to_json()
+            assert dumps(res) == dumps(alone)
 
     @pytest.mark.parametrize("family", ["isolated", "clique", "sampled"])
     @pytest.mark.parametrize("n,k", list(itertools.product((1, 2, 3), (1, 2))))
@@ -442,7 +443,7 @@ class TestWorldChunks:
             in enumerate(itertools.product(worlds, LEARNERS))]
         for res in runs:
             alone = run_scenario(res.scenario, res.strategy, T, res.seed)
-            assert res.to_json() == alone.to_json()
+            assert dumps(res) == dumps(alone)
             assert np.array_equal(res.mean_rates_bps(), alone.mean_rates_bps())
 
     def test_results_are_gathered_one_at_a_time(self):
@@ -541,7 +542,7 @@ class TestMinRateTimeseries:
 class TestSerializationOutputs:
     def test_json_roundtrip_parses(self):
         res = run_scenario(world(n=2, seed=22), Strategy.FEDERATED_RL, T=12, seed=23)
-        data = json.loads(res.to_json())
+        data = json.loads(dumps(res))
         assert data["strategy"] == "frl"
         assert len(data["action_masks"]) == 12
         assert data["rates_bps"][3][1] == res.rates_bps[3, 1]

@@ -14,18 +14,20 @@ from mlosim import (
     ExperimentConfig,
     PhysicalConfig,
     Strategy,
-    compute_ecdf,
-    density_sweep,
-    percentile,
     run_batch,
-    run_experiment,
     run_scenario,
-    run_single_scenario,
 )
 from mlosim import harness
 from mlosim.codec import dumps, from_json
-from mlosim.engine import LEARNING
-from mlosim.harness import run_seed, scenario_for_index
+from mlosim.harness import (
+    compute_ecdf,
+    density_sweep,
+    percentile,
+    run_experiment,
+    run_seed,
+    run_single_scenario,
+    scenario_for_index,
+)
 
 SMALL = ExperimentConfig(
     num_scenarios=6, iterations=40, n_values=(3,), k=2, master_seed=99
@@ -124,15 +126,29 @@ class TestConfig:
         (tuple(Strategy), 2),
     ])
     def test_run_bytes_budget_counts_every_learning_run(self, strategies, learners):
-        # A world's learning runs step together, holding (T, L*n) arrays.
+        # A world's learning runs step together as one run of L*n agents.
         n = 8
-        fits = harness.RUN_BYTES_BUDGET // (36 * learners * n + 48)
-        ExperimentConfig(strategies=strategies, iterations=fits, n_values=(n,))
-        with pytest.raises(ConfigError, match="iterations="):
-            ExperimentConfig(strategies=strategies, iterations=fits + 1, n_values=(n,))
+        one = ExperimentConfig(strategies=strategies, iterations=1, n_values=(n,))
+        frl = replace(one, strategies=(Strategy.FEDERATED_RL,))
+        assert harness.run_bytes(one, n) == harness.run_bytes(frl, learners * n)
+        # The most iterations within the budget: each adds the same bytes.
+        first = harness.run_bytes(one, n)
+        per_iteration = harness.run_bytes(replace(one, iterations=2), n) - first
+        fits = 1 + (harness.RUN_BYTES_BUDGET - first) // per_iteration
+        replace(one, iterations=fits)
+        with pytest.raises(ConfigError, match="iterations=.* and k=4"):
+            replace(one, iterations=fits + 1)
+
+    def test_run_bytes_budget_counts_every_link_subset(self):
+        # Each of the 2**k - 1 actions holds a table entry per agent, so a
+        # k=16 world needs about 16 times the bytes of a k=12 one.
+        cfg = ExperimentConfig(iterations=1, n_values=(8,), k=12)
+        assert harness.run_bytes(replace(cfg, k=16), 8) > 16 * harness.run_bytes(cfg, 8)
+        with pytest.raises(ConfigError, match="k=16 at 1000 APs"):
+            replace(cfg, k=16, n_values=(1000,))
 
     # Points where the per-iteration terms dominate (at n=64, T=500 set-up
-    # and the draw block still read 1.18 of the bound): one learning run,
+    # and the draw block still read 1.14-1.30 of the bound): one learning run,
     # a world of all four strategies, and a batch task's chunk of 3 such
     # worlds. A lone frl run at n=2 peaks lower than the world's two
     # learning runs there, so it is left out for time.
@@ -143,8 +159,6 @@ class TestConfig:
     def test_world_peak_stays_within_run_bytes(self, run, n, T):
         strategies = (Strategy.FEDERATED_RL,) if run == "frl" else tuple(Strategy)
         worlds = 3 if run == "chunk" else 1
-        # The bound that __post_init__ holds each world to, with L learning runs.
-        learners = sum(s in LEARNING for s in strategies)
         cfg = ExperimentConfig(strategies=strategies, num_scenarios=worlds, iterations=T,
                                n_values=(n,))
         tracemalloc.start()
@@ -156,7 +170,21 @@ class TestConfig:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= worlds * (36 * learners * n + 48) * T
+        assert peak <= worlds * harness.run_bytes(cfg, n)
+
+    # Points where the per-action terms dominate: a world of all four
+    # strategies over the 2**k - 1 link subsets of k links.
+    @pytest.mark.parametrize("k", [8, 12, 16])
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_world_peak_stays_within_run_bytes_at_large_k(self, k, n):
+        cfg = ExperimentConfig(num_scenarios=1, iterations=10, n_values=(n,), k=k)
+        tracemalloc.start()
+        try:
+            run_single_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= harness.run_bytes(cfg, n)
 
     @pytest.mark.parametrize("n_values, scenarios, workers, size", [
         ((2, 4, 8, 12, 16), 2, 2, 2),  # the benchmark's CLI sweep: 5 tasks
@@ -173,11 +201,12 @@ class TestConfig:
     def test_chunk_size_is_capped_by_chunk_bytes(self):
         cfg = replace(SMALL, num_scenarios=500, n_values=(8,), k=4, iterations=2000)
         world = harness.run_bytes(cfg, 8)
-        assert world == (36 * 2 * 8 + 48) * 2000
         assert harness._chunk_size(cfg, 8) == harness.CHUNK_BYTES // world < 500
-        # A world that alone exceeds CHUNK_BYTES still runs, one per task.
-        huge = replace(cfg, iterations=harness.CHUNK_BYTES // (36 * 2 * 8 + 48) + 1)
-        assert harness._chunk_size(huge, 8) == 1
+        # A world that alone exceeds CHUNK_BYTES, by its iterations or by its
+        # link subsets, still runs, one per task.
+        for huge in (replace(cfg, iterations=30 * 2000), replace(cfg, k=16)):
+            assert harness.run_bytes(huge, 8) > harness.CHUNK_BYTES
+            assert harness._chunk_size(huge, 8) == 1
 
 
 class TestRunBatch:
@@ -224,12 +253,12 @@ class TestRunBatch:
         )
 
     def test_deterministic_reruns(self):
-        assert run_batch(SMALL).to_json() == run_batch(SMALL).to_json()
+        assert dumps(run_batch(SMALL)) == dumps(run_batch(SMALL))
 
     def test_worker_count_does_not_change_results(self):
         serial = run_batch(SMALL)
         parallel = run_batch(replace(SMALL, workers=2))
-        assert serial.to_json() == parallel.to_json()
+        assert dumps(serial) == dumps(parallel)
 
     def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
         sizes = []
@@ -249,7 +278,7 @@ class TestRunBatch:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
         two = replace(SMALL, num_scenarios=2)
-        assert run_batch(replace(two, workers=64)).to_json() == run_batch(two).to_json()
+        assert dumps(run_batch(replace(two, workers=64))) == dumps(run_batch(two))
         run_batch(replace(SMALL, num_scenarios=1, workers=64))
         run_batch(replace(SMALL, workers=3))
         assert sizes == [2, 3]
@@ -278,14 +307,14 @@ class TestChunks:
     @pytest.mark.parametrize("n_values", [(3,), (1,), (1, 4, 2)])
     def test_results_do_not_depend_on_chunk_size_or_workers(self, monkeypatch, n_values):
         cfg = replace(SMALL, n_values=n_values, num_scenarios=8, iterations=30)
-        expected = {n: run_batch(cfg, n).to_json() for n in n_values}
+        expected = {n: dumps(run_batch(cfg, n)) for n in n_values}
         for size in (1, 3, 7):
             monkeypatch.setattr(harness, "_chunk_size", lambda config, n, size=size: size)
             for workers in (1, 2):
                 sweep = density_sweep(replace(cfg, workers=workers))
-                assert {n: s.to_json() for n, s in sweep.items()} == expected, (size, workers)
+                assert {n: dumps(s) for n, s in sweep.items()} == expected, (size, workers)
                 batch = run_batch(replace(cfg, workers=workers), n_values[0])
-                assert batch.to_json() == expected[n_values[0]], (size, workers)
+                assert dumps(batch) == expected[n_values[0]], (size, workers)
 
 
 class TestDensitySweep:
@@ -303,8 +332,8 @@ class TestDensitySweep:
         parallel = density_sweep(replace(self.SWEEP, workers=2))
         assert list(serial) == list(parallel) == [4, 2, 8]
         for n in self.SWEEP.n_values:
-            expected = run_batch(self.SWEEP, n).to_json()
-            assert serial[n].to_json() == parallel[n].to_json() == expected
+            expected = dumps(run_batch(self.SWEEP, n))
+            assert dumps(serial[n]) == dumps(parallel[n]) == expected
 
     def test_one_pool_per_sweep_gets_largest_densities_first(self, monkeypatch):
         pools = []
@@ -326,14 +355,14 @@ class TestDensitySweep:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         cfg = self.SWEEP
-        expected = {n: s.to_json() for n, s in density_sweep(cfg).items()}
+        expected = {n: dumps(s) for n, s in density_sweep(cfg).items()}
         assert pools == []
         largest_first = [(n, s) for n in (8, 4, 2) for s in range(cfg.num_scenarios)]
         # A task is a chunk of consecutive worlds of one AP count: 9 worlds
         # make 3 chunks of 3 on 2 workers, and 9 chunks of 1 on 64.
         for workers, size, chunk in ((2, 2, 3), (64, 9, 1)):
             summaries = density_sweep(replace(cfg, workers=workers))
-            assert {n: s.to_json() for n, s in summaries.items()} == expected
+            assert {n: dumps(s) for n, s in summaries.items()} == expected
             (pool,) = pools
             assert pool.max_workers == size
             assert {len(indices) for _, _, indices in pool.tasks} == {chunk}
@@ -344,7 +373,7 @@ class TestDensitySweep:
 class TestSingleScenario:
     def test_all_strategies_share_the_world(self):
         results = run_single_scenario(SMALL, scenario_index=1)
-        worlds = {res.scenario.to_json() for res in results.values()}
+        worlds = {dumps(res.scenario) for res in results.values()}
         assert len(worlds) == 1
         assert all(res.T == SMALL.iterations for res in results.values())
         assert results[Strategy.FIXED].scenario == scenario_for_index(SMALL, 3, 1)
@@ -361,7 +390,7 @@ class TestSingleScenario:
         world = scenario_for_index(cfg, 3, 2)
         for strategy, res in results.items():
             alone = run_scenario(world, strategy, cfg.iterations, run_seed(cfg, 3, 2, strategy))
-            assert res.to_json() == alone.to_json()
+            assert dumps(res) == dumps(alone)
 
 
 class TestOutputs:

@@ -15,10 +15,8 @@ from mlosim import (
     PhysicalConfig,
     Scenario,
     achieved_rate_bps,
-    dbm_to_mw,
-    pathloss_db,
 )
-from mlosim.radio import link_budget_matrix_mw, rates_bps
+from mlosim.radio import dbm_to_mw, link_budget_matrix_mw, pathloss_db, rates_bps
 
 PHYS = PhysicalConfig()
 

@@ -78,7 +78,8 @@ def test_acceptance_timings_interleave_and_start_no_process(record_bench, monkey
 
     monkeypatch.setattr(record_bench, "time_acceptance", fake_time_acceptance)
     monkeypatch.setattr(record_bench.subprocess, "run", no_process)
-    timings = record_bench.interleaved_acceptance({"parent": "/p", "change": "/c"})
+    timings = record_bench.interleaved_timings({"parent": "/p", "change": "/c"},
+                                               record_bench.time_acceptance)
     assert calls == ["/p", "/c", "/c", "/p", "/p", "/c"]
     assert [r["wall_s"] for r in timings["parent"]["runs"]] == [1.0, 4.0, 5.0]
     assert timings["parent"]["median_wall_s"] == 4.0
@@ -96,7 +97,8 @@ def test_batch_timings_interleave_keep_every_run_and_start_no_process(record_ben
         return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
 
     monkeypatch.setattr(record_bench.subprocess, "run", fake_run)
-    timings = record_bench.interleaved_batch({"parent": "/p", "change": "/c"}, 2)
+    timings = record_bench.interleaved_timings({"parent": "/p", "change": "/c"},
+                                               lambda root: record_bench.time_batch(root, 2))
     assert calls == [("/p", "2"), ("/c", "2"), ("/c", "2"), ("/p", "2"), ("/p", "2"), ("/c", "2")]
     assert [r.get("wall_s") for r in timings["parent"]["runs"]] == [1.0, None, 5.0]
     assert timings["parent"]["runs"][1]["error"] == "exit 1"

@@ -9,13 +9,17 @@ import pytest
 from mlosim import (
     ConfigError,
     DomainError,
+    ExperimentConfig,
     GeometryError,
     PhysicalConfig,
     Scenario,
+    run_batch,
     sample_scenario,
 )
+from mlosim.codec import dumps
 from mlosim.radio import all_neighbor_sets
 from mlosim.rng import generator
+from mlosim.scenario import MAX_AREA_SIDE_M
 
 PHYS = PhysicalConfig()
 
@@ -86,6 +90,8 @@ class TestSampling:
             dict(n=1, k=4, area_side_m=-5.0, d=1.0),
             dict(n=1, k=4, area_side_m=math.inf, d=1.0),
             dict(n=1, k=4, area_side_m=math.nan, d=1.0),
+            dict(n=1, k=4, area_side_m=MAX_AREA_SIDE_M, d=1.0),
+            dict(n=1, k=4, area_side_m=1e200, d=1e199),
         ],
     )
     def test_preconditions(self, kwargs):
@@ -153,6 +159,30 @@ class TestInvariants:
             )
 
 
+class TestAreaRange:
+    # Two points of an area of side s are up to sqrt(2) * s apart, and the
+    # link budget squares that distance.
+    def test_area_whose_squared_distances_overflow_rejected(self):
+        with pytest.raises(ConfigError, match="area side"):
+            ExperimentConfig(area_side_m=1e200, d_m=1e199)
+        with pytest.raises(ConfigError, match="area side"):
+            Scenario(
+                area_side_m=1e200,
+                ap_positions=((0.0, 0.0),),
+                sta_positions=((1e199, 0.0),),
+                ap_sta_distance_m=1e199,
+                num_links=4,
+            )
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_accepted_area_runs_without_numpy_warning(self):
+        assert 9e153 < MAX_AREA_SIDE_M
+        cfg = ExperimentConfig(num_scenarios=2, iterations=3, n_values=(3,),
+                               area_side_m=9e153, d_m=9e152)
+        for stats in run_batch(cfg).per_strategy.values():
+            assert all(math.isfinite(rate) for rate in stats.min_rates_bps)
+
+
 def oracle_neighbor_sets(sc):
     """Scalar oracle: one AP pair at a time, math.dist and the paper's
     constants written out (20 dBm TX, -82 dBm sensitivity)."""
@@ -218,6 +248,6 @@ class TestNeighbors:
 class TestSerialization:
     def test_physical_fields_serialized_by_name(self):
         sc = sample_scenario(generator(1), n=1, k=1, area_side_m=100.0, d=10.0)
-        data = json.loads(sc.to_json())
+        data = json.loads(dumps(sc))
         assert data["physical"]["sensitivity_dbm"] == -82.0
         assert data["ap_positions"][0] == list(sc.ap_positions[0])

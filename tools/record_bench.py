@@ -53,12 +53,13 @@ BATCH_WORLDS, BATCH_ITERATIONS, BATCH_N = 500, 2000, 8
 # SHA-256 of its JSON, so that checkouts can be seen to compute the same batch.
 BATCH_SCRIPT = """
 import hashlib, json, sys, time
+from mlosim.codec import dumps
 from mlosim.harness import ExperimentConfig, run_batch
 worlds, iterations, n, workers = map(int, sys.argv[1:])
 config = ExperimentConfig(num_scenarios=worlds, iterations=iterations, n_values=(n,),
                           workers=workers)
 t0 = time.perf_counter()
-text = run_batch(config, n).to_json()
+text = dumps(run_batch(config, n))
 wall = time.perf_counter() - t0
 print(json.dumps({"wall_s": round(wall, 1), "sha256": hashlib.sha256(text.encode()).hexdigest()}))
 """
@@ -171,10 +172,6 @@ def interleaved_timings(checkouts: dict, timer) -> dict:
     return out
 
 
-def interleaved_batch(checkouts: dict, workers: int) -> dict:
-    return interleaved_timings(checkouts, lambda root: time_batch(root, workers))
-
-
 def batch_digests(runs: dict) -> dict:
     """{SHA-256: ["label/workers", ...]} over every batch run that finished,
     of every checkout and worker count; one key when they all agree."""
@@ -185,10 +182,6 @@ def batch_digests(runs: dict) -> dict:
                 if "sha256" in run:
                     digests.setdefault(run["sha256"], []).append(f"{label}/{batch['workers']}")
     return digests
-
-
-def interleaved_acceptance(checkouts: dict) -> dict:
-    return interleaved_timings(checkouts, time_acceptance)
 
 
 def byte_compile(root: str) -> None:
@@ -252,10 +245,11 @@ def main(argv=None) -> int:
             runs[label]["untraced"][workload] = workload_runs
     for label, traced in interleaved(checkouts, TRACED_WORKLOAD, TRACED_SEEDS, 1).items():
         runs[label]["traced"] = {TRACED_WORKLOAD: traced}
-    batches = {workers: interleaved_batch(checkouts, workers) for workers in (1, nproc)}
+    batches = {workers: interleaved_timings(checkouts, lambda root: time_batch(root, workers))
+               for workers in (1, nproc)}
     for label in labels:
         runs[label]["batch"] = [{"workers": w, **b[label]} for w, b in batches.items()]
-    for label, acceptance in interleaved_acceptance(checkouts).items():
+    for label, acceptance in interleaved_timings(checkouts, time_acceptance).items():
         runs[label]["acceptance"] = acceptance
         runs[label]["src_lines"] = source_lines(checkouts[label])
 
