@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng as streams
-from .agents import Strategy
+from .agents import _BLOCK, Strategy
 from .codec import dump, dumps, write_csv
 from .engine import LEARNING, RunResult, min_rate_timeseries, run_learning, run_scenario
 from .errors import ConfigError, EmptyInputError
@@ -54,28 +53,44 @@ DEFAULT_ITERATIONS = 2000
 # it is built (uint32 masks, two (p, k) arrays of 8-byte ints or floats and
 # numpy's cast buffer), 8*k after. So a world may allocate
 # (36*L*n + 48)*T + (48*L*n + 24*k + 4)*p bytes.
+# A task also holds one block of B = min(128, T) iterations of draws and
+# rate temporaries at a time (agents.policy_draws). A `random` run's n
+# agents draw 41 bytes each per iteration (three float64 uniforms, the bool
+# explore coin, the intp arm and `pick`'s float64 product while it casts),
+# and its rate step holds up to four (B, n, k) float64 arrays (the link
+# rows, the totals and two temporaries), 32*k per AP; one world's learning
+# draws take 41*L <= 82 per AP. So a task adds B*n*(32*k + 64) bytes once,
+# whatever its number of worlds (block_bytes).
 # tests/test_harness.py checks that tracemalloc peaks of run_learning and of
-# a 4-strategy world stay within that at n = 2, 8, 64 and T = 32000, 16000,
-# 8000, where per-iteration terms dominate (they read 0.59-0.74 there; at
-# n=64, T=500 set-up and the draw block push them to 1.14-1.30), and at k = 8,
-# 12, 16, where the per-action terms do. L counts at least 1, which also
-# covers a fixed or random run. The same budget bounds the batch state of an
-# experiment's worlds (each world's task, outcome and share of the
-# StrategyStats, all held until the last world is reduced): tracemalloc
-# peaks of run_batch with 4 strategies at n=1, T=1 read 867, 799 and 731
-# bytes per world at 5,000, 10,000 and 20,000 worlds, so at 2**10 bytes per
-# world the budget holds 2**32 / 2**10 = 4,194,304 worlds.
+# a 4-strategy world stay within run_bytes at n = 2, 8, 64 and T = 32000,
+# 16000, 8000, where per-iteration terms dominate (they read 0.59-0.74
+# there; at n=64, T=500 a world reads 1.13-1.30 of run_bytes alone and
+# 0.50-0.79 with the block), and at k = 8, 12, 16, where the per-action
+# terms do; and that a `random` world's peak stays within run_bytes plus
+# the block at k=8, T=200, where the block weighs most (the peak alone
+# reads 1.06 and 1.63 of run_bytes at n = 2 and 8). L counts at least 1,
+# which also covers a fixed or random run. A config is rejected when a
+# world's run_bytes plus the block exceeds the budget. The same budget
+# bounds the batch state of an experiment's worlds (each world's task,
+# outcome and share of the StrategyStats, all held until the last world is
+# reduced): tracemalloc peaks of run_batch with 4 strategies at n=1, T=1
+# read 867, 799 and 731 bytes per world at 5,000, 10,000 and 20,000 worlds,
+# so at 2**10 bytes per world the budget holds 2**32 / 2**10 = 4,194,304
+# worlds.
 RUN_BYTES_BUDGET = 2**32
 # Bytes a batch task may allocate when it holds more than one world. A task
 # steps a chunk of S worlds together, S*n agents per run, so it allocates up
 # to S times a world's run_bytes (it reduces its runs one at a time, so S
 # times is a bound: tests/test_harness.py reads 0.6 of it for 3 worlds at
-# n=8, T=8000). A chunk holds at most CHUNK_BYTES // run_bytes worlds, and
-# one world at least, which RUN_BYTES_BUDGET bounds. Per-world time stops
-# falling near S=16: run_batch at n=8, T=2000, 4 strategies, 1 worker read
-# 45, 32, 23, 18, 16.0, 16.4 and 16.2 ms per world at S = 1, 2, 4, 8, 16,
-# 32 and 64 (2-core x86-64, numpy 2.4.6, one BLAS thread), and this cap
-# allows S=26 there.
+# n=8, T=8000), plus the task's one block. That leaves out the learning
+# draws of the chunk's other worlds, 41*L per AP of the block each: chunks
+# of 3-10 worlds at k = 1-8, n = 2-32 peak at up to 1.69, 1.02 and 0.81
+# times it at T = 130, 500 and 2000. A chunk holds at most
+# (CHUNK_BYTES - block_bytes) // run_bytes worlds, and one world at least,
+# which RUN_BYTES_BUDGET bounds. Per-world time stops falling near S=16:
+# run_batch at n=8, T=2000, 4 strategies, 1 worker read 45, 32, 23, 18,
+# 16.0, 16.4 and 16.2 ms per world at S = 1, 2, 4, 8, 16, 32 and 64 (2-core
+# x86-64, numpy 2.4.6, one BLAS thread), and this cap allows S=26 there.
 CHUNK_BYTES = 2**25
 
 
@@ -84,6 +99,12 @@ def run_bytes(config: "ExperimentConfig", n: int) -> int:
     agents = max(1, sum(s in LEARNING for s in config.strategies)) * n
     actions = 2**config.k - 1
     return (36 * agents + 48) * config.iterations + (48 * agents + 24 * config.k + 4) * actions
+
+
+def block_bytes(config: "ExperimentConfig", n: int) -> int:
+    """The bytes of draws and rate temporaries that a batch task of AP
+    count n holds once, beside its worlds' run_bytes."""
+    return min(_BLOCK, config.iterations) * n * (32 * config.k + 64)
 
 
 @dataclass(frozen=True)
@@ -122,10 +143,11 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.master_seed < 0:
             raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
-        world_bytes = run_bytes(self, max(self.n_values))
+        n = max(self.n_values)
+        world_bytes = run_bytes(self, n) + block_bytes(self, n)
         if world_bytes > RUN_BYTES_BUDGET:
             raise ConfigError(
-                f"iterations={self.iterations} and k={self.k} at {max(self.n_values)} APs need "
+                f"iterations={self.iterations} and k={self.k} at {n} APs need "
                 f"about {world_bytes / 2**30:.3g} GiB per world, over "
                 f"{RUN_BYTES_BUDGET / 2**30:g} GiB")
         worlds = self.num_scenarios * len(self.n_values)
@@ -249,9 +271,10 @@ def _chunk_task(args) -> list[tuple[str, list[float]]]:
 def _chunk_size(config: ExperimentConfig, n: int) -> int:
     """Worlds of AP count n per batch task: an equal share of the
     experiment's worlds per worker, at most the count's num_scenarios and
-    at most what fits in CHUNK_BYTES (never below one world)."""
+    at most what fits in CHUNK_BYTES beside the task's block (never below
+    one world)."""
     share = -(-config.num_scenarios * len(config.n_values) // config.workers)
-    fits = CHUNK_BYTES // run_bytes(config, n)
+    fits = (CHUNK_BYTES - block_bytes(config, n)) // run_bytes(config, n)
     return max(1, min(config.num_scenarios, share, fits))
 
 
@@ -272,6 +295,10 @@ def _run_worlds(config: ExperimentConfig, n_values) -> dict[int, list]:
     # no more of them than there are tasks.
     workers = min(config.workers, len(tasks))
     if workers > 1:
+        # Imported here, so that a run without a pool (and `import mlosim`)
+        # never loads concurrent.futures and multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_chunk_task, tasks))
     else:

@@ -117,11 +117,15 @@ def achieved_rate_bps(scenario: Scenario, profile: ActivationProfile, i: int) ->
     i of `rates_bps` on the world's link budget (no sensitivity cutoff)."""
     if len(profile.per_ap) != scenario.n:
         raise ConfigError(f"profile covers {len(profile.per_ap)} APs, scenario has {scenario.n}")
+    width = profile.per_ap[0].width
+    if width != scenario.num_links:
+        raise ConfigError(
+            f"profile has {width} link bits, scenario has {scenario.num_links} links")
     if not 0 <= i < scenario.n:
         raise IndexError(f"AP index {i} out of range for n={scenario.n}")
     phys = scenario.physical
     masks = np.array([ls.mask for ls in profile.per_ap])
-    active = link_mask_matrix(profile.per_ap[0].width)[masks - 1]
+    active = link_mask_matrix(width)[masks - 1]
     rates = rates_bps(link_budget_matrix_mw(scenario), active,
                       dbm_to_mw(phys.noise_floor_dbm), phys.bandwidth_hz_per_link)
     return float(rates[i])

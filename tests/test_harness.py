@@ -1,5 +1,6 @@
 """Batch driver tests: aggregation, pairing, determinism, file outputs."""
 
+import concurrent.futures
 import csv
 import json
 import tracemalloc
@@ -131,10 +132,12 @@ class TestConfig:
         one = ExperimentConfig(strategies=strategies, iterations=1, n_values=(n,))
         frl = replace(one, strategies=(Strategy.FEDERATED_RL,))
         assert harness.run_bytes(one, n) == harness.run_bytes(frl, learners * n)
-        # The most iterations within the budget: each adds the same bytes.
+        # The most iterations within the budget beside a full block: each
+        # adds the same bytes to run_bytes.
         first = harness.run_bytes(one, n)
         per_iteration = harness.run_bytes(replace(one, iterations=2), n) - first
-        fits = 1 + (harness.RUN_BYTES_BUDGET - first) // per_iteration
+        block = harness.block_bytes(replace(one, iterations=harness._BLOCK), n)
+        fits = 1 + (harness.RUN_BYTES_BUDGET - block - first) // per_iteration
         replace(one, iterations=fits)
         with pytest.raises(ConfigError, match="iterations=.* and k=4"):
             replace(one, iterations=fits + 1)
@@ -148,8 +151,8 @@ class TestConfig:
             replace(cfg, k=16, n_values=(1000,))
 
     # Points where the per-iteration terms dominate (at n=64, T=500 set-up
-    # and the draw block still read 1.14-1.30 of the bound): one learning run,
-    # a world of all four strategies, and a batch task's chunk of 3 such
+    # and the block read 1.13-1.30 of run_bytes alone): one learning run, a
+    # world of all four strategies, and a batch task's chunk of 3 such
     # worlds. A lone frl run at n=2 peaks lower than the world's two
     # learning runs there, so it is left out for time.
     @pytest.mark.parametrize("run, n, T", [
@@ -186,6 +189,20 @@ class TestConfig:
             tracemalloc.stop()
         assert peak <= harness.run_bytes(cfg, n)
 
+    # Where the block weighs most: a `random` world of short runs at k=8,
+    # whose peak alone reads 1.06 and 1.63 of run_bytes at n = 2 and 8.
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_random_world_peak_stays_within_run_bytes_and_block(self, n):
+        cfg = ExperimentConfig(strategies=(Strategy.RANDOM,), num_scenarios=1, iterations=200,
+                               n_values=(n,), k=8)
+        tracemalloc.start()
+        try:
+            run_single_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= harness.run_bytes(cfg, n) + harness.block_bytes(cfg, n)
+
     @pytest.mark.parametrize("n_values, scenarios, workers, size", [
         ((2, 4, 8, 12, 16), 2, 2, 2),  # the benchmark's CLI sweep: 5 tasks
         ((8,), 1, 1, 1),  # one world
@@ -200,13 +217,31 @@ class TestConfig:
 
     def test_chunk_size_is_capped_by_chunk_bytes(self):
         cfg = replace(SMALL, num_scenarios=500, n_values=(8,), k=4, iterations=2000)
-        world = harness.run_bytes(cfg, 8)
-        assert harness._chunk_size(cfg, 8) == harness.CHUNK_BYTES // world < 500
+        world, block = harness.run_bytes(cfg, 8), harness.block_bytes(cfg, 8)
+        assert harness._chunk_size(cfg, 8) == (harness.CHUNK_BYTES - block) // world == 26
+        # The task's block takes its share: at T=1200 it costs a world.
+        short = replace(cfg, iterations=1200)
+        assert harness._chunk_size(short, 8) == 43
+        assert harness.CHUNK_BYTES // harness.run_bytes(short, 8) == 44
         # A world that alone exceeds CHUNK_BYTES, by its iterations or by its
         # link subsets, still runs, one per task.
         for huge in (replace(cfg, iterations=30 * 2000), replace(cfg, k=16)):
             assert harness.run_bytes(huge, 8) > harness.CHUNK_BYTES
             assert harness._chunk_size(huge, 8) == 1
+
+    # The chunk sizes of the benchmark's workloads (sweep-cli at 2 workers)
+    # and of the 500-world batch at n=8, which chunking must keep.
+    @pytest.mark.parametrize("strategies, n_values, scenarios, T, workers, size", [
+        (tuple(Strategy), (8,), 1, 2000, 1, 1),  # paper-batch
+        ((Strategy.FIXED, Strategy.FEDERATED_RL), (64,), 1, 500, 1, 1),  # dense-n64
+        (tuple(Strategy), (2, 4, 8, 12, 16), 2, 2000, 2, 2),  # sweep-cli
+        (tuple(Strategy), (8,), 500, 2000, 1, 26),
+    ])
+    def test_chunk_sizes_of_the_benchmark_loads(self, strategies, n_values, scenarios, T,
+                                                workers, size):
+        cfg = ExperimentConfig(strategies=strategies, num_scenarios=scenarios, iterations=T,
+                               n_values=n_values, workers=workers)
+        assert {harness._chunk_size(cfg, n) for n in n_values} == {size}
 
 
 class TestRunBatch:
@@ -276,7 +311,7 @@ class TestRunBatch:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         two = replace(SMALL, num_scenarios=2)
         assert dumps(run_batch(replace(two, workers=64))) == dumps(run_batch(two))
         run_batch(replace(SMALL, num_scenarios=1, workers=64))
@@ -353,7 +388,7 @@ class TestDensitySweep:
                 self.tasks = list(tasks)
                 return map(fn, self.tasks)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = self.SWEEP
         expected = {n: dumps(s) for n, s in density_sweep(cfg).items()}
         assert pools == []

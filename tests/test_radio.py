@@ -213,6 +213,13 @@ class TestAchievedRate:
             865666601.1086223, rel=1e-12
         )
 
+    @pytest.mark.parametrize("width", [2, 16])
+    def test_profile_width_must_be_the_world_link_count(self, width):
+        world = make_world([(40.0, 50.0), (60.0, 50.0)], [(40.0, 60.0), (60.0, 60.0)])
+        every_link = 2**width - 1
+        with pytest.raises(ConfigError, match=f"{width} link bits, scenario has 4 links"):
+            achieved_rate_bps(world, profile_of(every_link, every_link, k=width), 0)
+
     def test_four_identical_links_quadruple_the_rate(self):
         world = make_world([(50.0, 50.0)], [(50.0, 60.0)])
         one = achieved_rate_bps(world, ActivationProfile((LinkSet(0b1, 4),)), 0)
