@@ -54,22 +54,13 @@ def link_mask_matrix(k: int) -> np.ndarray:
     return ((masks[:, None] >> np.arange(k)) & 1).astype(np.float64)
 
 
-def exploration_rate(t):
-    """Slow-decaying exploration probability 1/sqrt(t), for t >= 1 (scalar
-    or array). The only place the schedule is written."""
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 1):
-        raise ConfigError(f"iteration index starts at 1, got {t.min()}")
-    return 1.0 / np.sqrt(t)
-
-
 def policy_draws(seeds, n: int, T: int, p: int):
     """Yield (t0, explore, arm, tie) over T iterations in blocks: row b of
     each (B, len(seeds) * n) array belongs to iteration t0 + b + 1, column
     w * n + i to AP i of run w. `tie` is a view the next block overwrites.
 
     Agent-iteration (t, w * n + i) reads three uniforms, in order, from the
-    stream (seeds[w], i): the explore coin (explore = coin < epsilon(t)), the
+    stream (seeds[w], i): the explore coin (explore = coin < 1/sqrt(t)), the
     explore arm pick(u, p) and the tie uniform. So its draws depend only on
     (seeds[w], i), not on n, the other runs, the strategy or the block size.
     """
@@ -79,7 +70,7 @@ def policy_draws(seeds, n: int, T: int, p: int):
         u = u[: T - t0]  # the last block may be shorter
         for j, g in enumerate(gens):
             u[:, j] = g.random((len(u), 3))
-        eps = exploration_rate(np.arange(t0 + 1, t0 + len(u) + 1))
+        eps = 1.0 / np.sqrt(np.arange(t0 + 1, t0 + len(u) + 1, dtype=np.float64))
         yield t0, u[..., 0] < eps[:, None], pick(u[..., 1], p), u[..., 2]
 
 
@@ -93,7 +84,7 @@ def pick(u, count):
 
 class Tables:
     """The bandit tables of n agents over p actions: visit counts and
-    running means, each an (n, p) view of flat storage.
+    running means, stored flat; the means also as an (n, p) view.
 
     `select` and `credit` reach entry (i, a) at flat index offsets[i] + a;
     indexing the flat arrays is cheaper than 2-D or `take`/`put` indexing
@@ -104,7 +95,6 @@ class Tables:
     def __init__(self, n: int, p: int) -> None:
         self.flat_counts = np.zeros(n * p)
         self.flat_means = np.zeros(n * p)
-        self.counts = self.flat_counts.reshape(n, p)
         self.means = self.flat_means.reshape(n, p)
         self.offsets = np.arange(0, n * p, p)
 

@@ -82,9 +82,13 @@ class RunResult:
 LEARNING = (Strategy.LOCAL_RL, Strategy.FEDERATED_RL)
 
 
-def _check_iterations(T: int) -> None:
+def _check_runs(strategies, T: int, seeds) -> None:
     if T < 1:
         raise ConfigError(f"need at least one iteration, got T={T}")
+    if not all(isinstance(s, Strategy) for s in strategies):
+        raise ConfigError(f"strategies must be Strategy members, got {list(strategies)}")
+    if any(seed < 0 for seed in seeds):
+        raise ConfigError(f"seeds must be >= 0, got {list(seeds)}")
 
 
 def _worlds(scenarios):
@@ -117,9 +121,9 @@ def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> R
     from its own child stream of `seed`. A learning run is the one-run case
     of `run_learning`.
     """
+    _check_runs((strategy,), T, (seed,))
     if strategy in LEARNING:
         return next(run_learning((scenario,), (strategy,), T, (seed,)))
-    _check_iterations(T)
     n = scenario.n
     mask_bits, (neighbor_sets,), rates_of = _worlds((scenario,))
     p = len(mask_bits)
@@ -158,7 +162,7 @@ def run_learning(scenarios, strategies, T: int, seeds) -> Iterator[RunResult]:
     arrays are gathered only when the iterator reaches it, so a caller that
     reduces and drops each result holds one at a time.
     """
-    _check_iterations(T)
+    _check_runs(strategies, T, seeds)
     S, L = len(scenarios), len(strategies)
     if not S or not L or len(seeds) != S * L or not set(strategies) <= set(LEARNING):
         raise ConfigError(f"need worlds and learning strategies, one seed each per world, "

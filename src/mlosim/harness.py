@@ -35,7 +35,8 @@ from .scenario import PhysicalConfig, Scenario, check_world, sample_scenario
 
 DEFAULT_NUM_SCENARIOS = 500
 DEFAULT_ITERATIONS = 2000
-# Bytes one world's runs may allocate. Its L learning runs step together as
+# Bytes one world's runs may allocate, its blocks of draws and rate
+# temporaries included (run_bytes). Its L learning runs step together as
 # L*n agents (engine.run_learning), whose arrays are each at most (T, L*n):
 # the uint16 actions and float64 rates and rewards of each distinct joint
 # action (2 + 8 + 8) and the runs' gathered rewards, rates and masks
@@ -51,60 +52,51 @@ DEFAULT_ITERATIONS = 2000
 # set-up (its generator, about 0.9 KB, and its reward segment) once k >= 8.
 # The (p, k) float64 link-mask matrix takes up to 24*k + 4 per action while
 # it is built (uint32 masks, two (p, k) arrays of 8-byte ints or floats and
-# numpy's cast buffer), 8*k after. So a world may allocate
-# (36*L*n + 48)*T + (48*L*n + 24*k + 4)*p bytes.
-# A task also holds one block of B = min(128, T) iterations of draws and
-# rate temporaries at a time (agents.policy_draws). A `random` run's n
-# agents draw 41 bytes each per iteration (three float64 uniforms, the bool
+# numpy's cast buffer), 8*k after.
+# Draws come in blocks of B = min(128, T) iterations (agents.policy_draws):
+# an agent draws 41 bytes per iteration (three float64 uniforms, the bool
 # explore coin, the intp arm and `pick`'s float64 product while it casts),
-# and its rate step holds up to four (B, n, k) float64 arrays (the link
-# rows, the totals and two temporaries), 32*k per AP; one world's learning
-# draws take 41*L <= 82 per AP. So a task adds B*n*(32*k + 64) bytes once,
-# whatever its number of worlds (block_bytes).
-# tests/test_harness.py checks that tracemalloc peaks of run_learning and of
-# a 4-strategy world stay within run_bytes at n = 2, 8, 64 and T = 32000,
-# 16000, 8000, where per-iteration terms dominate (they read 0.59-0.74
-# there; at n=64, T=500 a world reads 1.13-1.30 of run_bytes alone and
-# 0.50-0.79 with the block), and at k = 8, 12, 16, where the per-action
-# terms do; and that a `random` world's peak stays within run_bytes plus
-# the block at k=8, T=200, where the block weighs most (the peak alone
-# reads 1.06 and 1.63 of run_bytes at n = 2 and 8). L counts at least 1,
-# which also covers a fixed or random run. A config is rejected when a
-# world's run_bytes plus the block exceeds the budget. The same budget
-# bounds the batch state of an experiment's worlds (each world's task,
-# outcome and share of the StrategyStats, all held until the last world is
-# reduced): tracemalloc peaks of run_batch with 4 strategies at n=1, T=1
-# read 867, 799 and 731 bytes per world at 5,000, 10,000 and 20,000 worlds,
-# so at 2**10 bytes per world the budget holds 2**32 / 2**10 = 4,194,304
-# worlds.
+# so the learning runs hold 41*L*n*B. A `random` run's n agents hold a block
+# of their own, and its rate step up to four (B, n, k) float64 arrays (the
+# link rows, the totals and two temporaries), so n*B*(41 + 32*k). So a world
+# may allocate
+#   (36*L*n + 48)*T + (48*L*n + 24*k + 4)*p + (41*L*n + (41 + 32*k)*n)*B
+# bytes, L counting at least 1, which also covers a fixed or random run.
+# A batch task of S worlds steps them together, S*L*n agents per run, and
+# reduces its runs one at a time, so it allocates at most S*run_bytes.
+# tests/test_harness.py checks tracemalloc peaks against that bound: of
+# run_learning and of a 4-strategy world at n = 2, 8, 64 and T = 32000,
+# 16000, 8000, where per-iteration terms dominate; at k = 8, 12, 16, where
+# the per-action terms do; of a `random` world at k=8, T=200, where its
+# block does; and of chunks of 3 and 10 learning worlds at T = 130 and 500
+# (k = 1-8, n = 2-32), where the chunk's draws do. They read 0.35-0.70 of
+# it (a world at n=64, T=500 reads 0.70 too); without the draws terms the
+# chunks read up to 1.91.
+# A config is rejected when a world's run_bytes at its largest AP count
+# exceeds the budget, and every world a batch runs has an AP count of the
+# config. The same budget bounds the batch state of an experiment's worlds
+# (each world's task, outcome and share of the StrategyStats, all held until
+# the last world is reduced): tracemalloc peaks of run_batch with 4
+# strategies at n=1, T=1 read 867, 799 and 731 bytes per world at 5,000,
+# 10,000 and 20,000 worlds, so at 2**10 bytes per world the budget holds
+# 2**32 / 2**10 = 4,194,304 worlds.
 RUN_BYTES_BUDGET = 2**32
-# Bytes a batch task may allocate when it holds more than one world. A task
-# steps a chunk of S worlds together, S*n agents per run, so it allocates up
-# to S times a world's run_bytes (it reduces its runs one at a time, so S
-# times is a bound: tests/test_harness.py reads 0.6 of it for 3 worlds at
-# n=8, T=8000), plus the task's one block. That leaves out the learning
-# draws of the chunk's other worlds, 41*L per AP of the block each: chunks
-# of 3-10 worlds at k = 1-8, n = 2-32 peak at up to 1.69, 1.02 and 0.81
-# times it at T = 130, 500 and 2000. A chunk holds at most
-# (CHUNK_BYTES - block_bytes) // run_bytes worlds, and one world at least,
-# which RUN_BYTES_BUDGET bounds. Per-world time stops falling near S=16:
-# run_batch at n=8, T=2000, 4 strategies, 1 worker read 45, 32, 23, 18,
-# 16.0, 16.4 and 16.2 ms per world at S = 1, 2, 4, 8, 16, 32 and 64 (2-core
-# x86-64, numpy 2.4.6, one BLAS thread), and this cap allows S=26 there.
+# Bytes a batch task may allocate when it holds more than one world: a
+# chunk holds at most CHUNK_BYTES // run_bytes worlds, and one world at
+# least, which RUN_BYTES_BUDGET bounds. Per-world time stops falling near
+# S=16: run_batch at n=8, T=2000, 4 strategies, 1 worker read 45, 32, 23,
+# 18, 16.0, 16.4 and 16.2 ms per world at S = 1, 2, 4, 8, 16, 32 and 64
+# (2-core x86-64, numpy 2.4.6, one BLAS thread), and this cap allows S=22
+# there.
 CHUNK_BYTES = 2**25
 
 
 def run_bytes(config: "ExperimentConfig", n: int) -> int:
     """The bytes that one world of n APs may allocate under `config`."""
     agents = max(1, sum(s in LEARNING for s in config.strategies)) * n
-    actions = 2**config.k - 1
-    return (36 * agents + 48) * config.iterations + (48 * agents + 24 * config.k + 4) * actions
-
-
-def block_bytes(config: "ExperimentConfig", n: int) -> int:
-    """The bytes of draws and rate temporaries that a batch task of AP
-    count n holds once, beside its worlds' run_bytes."""
-    return min(_BLOCK, config.iterations) * n * (32 * config.k + 64)
+    actions, block = 2**config.k - 1, min(_BLOCK, config.iterations)
+    return ((36 * agents + 48) * config.iterations + (48 * agents + 24 * config.k + 4) * actions
+            + (41 * agents + (41 + 32 * config.k) * n) * block)
 
 
 @dataclass(frozen=True)
@@ -126,6 +118,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.strategies:
             raise ConfigError("need at least one strategy")
+        if not all(isinstance(s, Strategy) for s in self.strategies):
+            raise ConfigError(f"strategies must be Strategy members, got {self.strategies}")
         if len(set(self.strategies)) != len(self.strategies):
             names = [s.value for s in self.strategies]
             raise ConfigError(f"strategies must be distinct, got {names}")
@@ -144,7 +138,7 @@ class ExperimentConfig:
         if self.master_seed < 0:
             raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
         n = max(self.n_values)
-        world_bytes = run_bytes(self, n) + block_bytes(self, n)
+        world_bytes = run_bytes(self, n)
         if world_bytes > RUN_BYTES_BUDGET:
             raise ConfigError(
                 f"iterations={self.iterations} and k={self.k} at {n} APs need "
@@ -217,10 +211,12 @@ def run_seed(config: ExperimentConfig, n: int, s: int, strategy: Strategy) -> in
 
 
 def _one_n(config: ExperimentConfig, n: int | None) -> int:
-    """`n`, or else the config's only AP count."""
+    """`n`, one of the config's AP counts, or else the config's only one."""
     if n is None and len(config.n_values) != 1:
         raise ConfigError(
             "config sweeps several AP counts; pass n explicitly or use density_sweep")
+    if n is not None and n not in config.n_values:
+        raise ConfigError(f"AP count {n} is not one of the config's n_values {config.n_values}")
     return config.n_values[0] if n is None else n
 
 
@@ -271,11 +267,9 @@ def _chunk_task(args) -> list[tuple[str, list[float]]]:
 def _chunk_size(config: ExperimentConfig, n: int) -> int:
     """Worlds of AP count n per batch task: an equal share of the
     experiment's worlds per worker, at most the count's num_scenarios and
-    at most what fits in CHUNK_BYTES beside the task's block (never below
-    one world)."""
+    at most what fits in CHUNK_BYTES (never below one world)."""
     share = -(-config.num_scenarios * len(config.n_values) // config.workers)
-    fits = (CHUNK_BYTES - block_bytes(config, n)) // run_bytes(config, n)
-    return max(1, min(config.num_scenarios, share, fits))
+    return max(1, min(config.num_scenarios, share, CHUNK_BYTES // run_bytes(config, n)))
 
 
 def _run_worlds(config: ExperimentConfig, n_values) -> dict[int, list]:
@@ -310,7 +304,7 @@ def _run_worlds(config: ExperimentConfig, n_values) -> dict[int, list]:
 def run_batch(
     config: ExperimentConfig, n: int | None = None, *, outcomes: list | None = None
 ) -> BatchSummary:
-    """Run the paired Monte Carlo batch for one AP count.
+    """Run the paired Monte Carlo batch for one AP count of config.n_values.
 
     Given `outcomes` (the batch's task results in scenario-index order),
     it only reduces them.

@@ -19,7 +19,6 @@ from mlosim import rng as streams
 from mlosim.agents import (
     Tables,
     credit,
-    exploration_rate,
     link_mask_matrix,
     policy_draws,
     select,
@@ -34,7 +33,7 @@ def choices(means, t, seed, trials):
     tables = Tables(1, len(means))
     tables.means[0] = means
     u = generator(seed).random((trials, 1, 3))
-    explore = u[..., 0] < exploration_rate(t)
+    explore = u[..., 0] < 1 / np.sqrt(t)
     arm = np.floor(u[..., 1] * len(means)).astype(int)
     return np.array([select(tables, explore[r], arm[r], u[r, :, 2])[0] for r in range(trials)])
 
@@ -76,19 +75,23 @@ class TestActionSpace:
 
 
 class TestExplorationRate:
+    """The explore coins of policy_draws: agent-iteration t explores when its
+    coin, the first uniform of its stream, is below 1/sqrt(t)."""
+
+    SEEDS, N, T = (3, 8), 10, 10000
+
     def test_starts_fully_exploratory(self):
-        assert exploration_rate(1) == 1.0
+        t0, explore, _, _ = next(policy_draws(self.SEEDS, self.N, self.T, 15))
+        assert t0 == 0 and explore[0].all()
 
     def test_inverse_square_root(self):
-        assert exploration_rate(4) == 0.5
-        assert exploration_rate(10000) == pytest.approx(0.01)
-        assert exploration_rate([1, 4, 100]).tolist() == [1.0, 0.5, 0.1]
-
-    def test_rejects_zero(self):
-        with pytest.raises(ConfigError):
-            exploration_rate(0)
-        with pytest.raises(ConfigError):
-            exploration_rate([3, 0, 5])
+        explore = np.concatenate([explore for _, explore, _, _
+                                  in policy_draws(self.SEEDS, self.N, self.T, 15)])
+        coins = np.stack([generator(seed, streams.PURPOSE_AGENT, i).random((self.T, 3))[:, 0]
+                          for seed in self.SEEDS for i in range(self.N)], axis=1)
+        for t, rate in ((4, 0.5), (100, 0.1), (10000, 0.01)):
+            assert np.array_equal(explore[t - 1], coins[t - 1] < rate), t
+        assert 0 < explore[3].sum() < explore.shape[1]  # t=4 splits the agents
 
 
 class TestPolicyDraws:
@@ -189,7 +192,7 @@ class TestSelection:
         trials = 4000
         for bin_idx, t in enumerate((4, 25, 100, 400)):
             observed = int((choices(means, t, 1000 + bin_idx, trials) != 6).sum())
-            expected = trials * exploration_rate(t) * 14 / 15
+            expected = trials / np.sqrt(t) * 14 / 15
             chi2 += (observed - expected) ** 2 / (expected * (1 - expected / trials))
         assert chi2 < 13.277
 
@@ -290,24 +293,25 @@ class TestRewardTable:
     def test_first_sample(self):
         tables = Tables(1, 15)
         credit_one(tables, 3, 10.0)
-        assert tables.counts[0, 3] == 1 and tables.means[0, 3] == 10.0
+        assert tables.flat_counts.reshape(1, 15)[0, 3] == 1 and tables.means[0, 3] == 10.0
 
     def test_two_samples_average(self):
         tables = Tables(1, 15)
         credit_one(tables, 3, 10.0)
         credit_one(tables, 3, 20.0)
-        assert tables.counts[0, 3] == 2 and tables.means[0, 3] == 15.0
+        assert tables.flat_counts.reshape(1, 15)[0, 3] == 2 and tables.means[0, 3] == 15.0
 
     def test_unvisited_actions_stay_zero(self):
         tables = Tables(1, 4)
         credit_one(tables, 0, 5.0)
-        assert tables.counts.tolist() == [[1, 0, 0, 0]]
+        assert tables.flat_counts.reshape(1, 4).tolist() == [[1, 0, 0, 0]]
         assert tables.means.tolist() == [[5.0, 0.0, 0.0, 0.0]]
 
     def test_rows_are_credited_independently(self):
         tables = Tables(3, 4)
         credit(tables, np.array([2, 0, 2]), np.array([1.0, 2.0, 3.0]))
-        assert tables.counts.tolist() == [[0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 1, 0]]
+        counts = tables.flat_counts.reshape(3, 4)
+        assert counts.tolist() == [[0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 1, 0]]
         assert tables.means.tolist() == [[0, 0, 1.0, 0], [2.0, 0, 0, 0], [0, 0, 3.0, 0]]
 
     @given(
@@ -322,7 +326,7 @@ class TestRewardTable:
             credit_one(tables, action, reward)
         for action in range(7):
             rewards = [r for a, r in events if a == action]
-            assert tables.counts[0, action] == len(rewards)
+            assert tables.flat_counts.reshape(1, 7)[0, action] == len(rewards)
             if rewards:
                 batch = sum(rewards) / len(rewards)
                 assert tables.means[0, action] == pytest.approx(batch, rel=1e-9, abs=1e-9)

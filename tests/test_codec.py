@@ -15,7 +15,7 @@ from mlosim import ConfigError, ExperimentConfig, PhysicalConfig, Strategy
 from mlosim.agents import _BLOCK
 from mlosim.cli import main
 from mlosim.codec import dumps, from_json
-from mlosim.harness import RUN_BYTES_BUDGET, block_bytes, run_bytes
+from mlosim.harness import RUN_BYTES_BUDGET, run_bytes
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
@@ -84,15 +84,14 @@ def configs(draw):
     strategies = tuple(draw(st.lists(st.sampled_from(Strategy), min_size=1, unique=True)))
     n_values = tuple(draw(st.lists(st.integers(1, 64), min_size=1, max_size=5, unique=True)))
     k = draw(st.integers(1, 16))
-    # Up to 10**6 scenarios and iterations, inside the config's memory bounds
-    # beside a full block; each iteration adds the same bytes to a world's
-    # run_bytes.
+    # Up to 10**6 scenarios and iterations, inside the config's memory
+    # bounds; past a full block of draws, each iteration adds the same bytes
+    # to a world's run_bytes.
     n = max(n_values)
-    one = ExperimentConfig(strategies=strategies, iterations=1, n_values=n_values, k=k)
+    one = ExperimentConfig(strategies=strategies, iterations=_BLOCK, n_values=n_values, k=k)
     first = run_bytes(one, n)
-    block = block_bytes(replace(one, iterations=_BLOCK), n)
-    per_iteration = run_bytes(replace(one, iterations=2), n) - first
-    fits = 1 + (RUN_BYTES_BUDGET - block - first) // per_iteration
+    per_iteration = run_bytes(replace(one, iterations=_BLOCK + 1), n) - first
+    fits = _BLOCK + (RUN_BYTES_BUDGET - first) // per_iteration
     return ExperimentConfig(
         strategies=strategies,
         num_scenarios=draw(st.integers(1, min(10**6, RUN_BYTES_BUDGET // 2**10 // len(n_values)))),

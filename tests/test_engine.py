@@ -114,6 +114,19 @@ class TestTrace:
         with pytest.raises(ConfigError):
             run_scenario(world(n=1), Strategy.FIXED, T=0, seed=1)
 
+    # Strategy is a str-Enum, so a name compares equal to its member; only
+    # members select a strategy.
+    @pytest.mark.parametrize("name", ["frl", "rl", "fixed", "random", "bogus"])
+    def test_rejects_strategy_names(self, name):
+        with pytest.raises(ConfigError, match="Strategy members"):
+            run_scenario(world(n=2), name, T=10, seed=7)
+
+    # Every strategy rejects a negative seed, fixed too, which draws nothing.
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_rejects_negative_seed(self, strategy):
+        with pytest.raises(ConfigError, match="seeds must be >= 0"):
+            run_scenario(world(n=2), strategy, T=10, seed=-1)
+
 
 class TestFixedStrategy:
     def test_full_mask_every_iteration(self):
@@ -410,6 +423,9 @@ class TestLockstep:
         ((Strategy.LOCAL_RL, Strategy.FEDERATED_RL), (1,), 10),
         ((Strategy.FIXED,), (1,), 10),
         ((), (), 10),
+        (("frl",), (1,), 10),
+        ((Strategy.LOCAL_RL, "frl"), (1, 2), 10),
+        ((Strategy.FEDERATED_RL,), (-1,), 10),
     ])
     def test_rejects_bad_runs(self, strategies, seeds, T):
         with pytest.raises(ConfigError):

@@ -115,6 +115,9 @@ class TestConfig:
             dict(workers=0),
             dict(n_values=(4, 2, 4)),
             dict(strategies=(Strategy.FEDERATED_RL, Strategy.FEDERATED_RL)),
+            # Names equal their members (a str-Enum); only members are strategies.
+            dict(strategies=("fixed", "frl")),
+            dict(strategies=(Strategy.FIXED, "bogus")),
         ],
     )
     def test_validation(self, kwargs):
@@ -127,17 +130,20 @@ class TestConfig:
         (tuple(Strategy), 2),
     ])
     def test_run_bytes_budget_counts_every_learning_run(self, strategies, learners):
-        # A world's learning runs step together as one run of L*n agents.
-        n = 8
-        one = ExperimentConfig(strategies=strategies, iterations=1, n_values=(n,))
+        # A world's learning runs step together as one run of L*n agents:
+        # past a full block of draws, an iteration costs what it does for one
+        # run of L*n agents.
+        n, B = 8, harness._BLOCK
+        one = ExperimentConfig(strategies=strategies, iterations=B, n_values=(n,))
         frl = replace(one, strategies=(Strategy.FEDERATED_RL,))
-        assert harness.run_bytes(one, n) == harness.run_bytes(frl, learners * n)
-        # The most iterations within the budget beside a full block: each
-        # adds the same bytes to run_bytes.
-        first = harness.run_bytes(one, n)
-        per_iteration = harness.run_bytes(replace(one, iterations=2), n) - first
-        block = harness.block_bytes(replace(one, iterations=harness._BLOCK), n)
-        fits = 1 + (harness.RUN_BYTES_BUDGET - block - first) // per_iteration
+
+        def per_iteration(cfg, aps):
+            return (harness.run_bytes(replace(cfg, iterations=B + 1), aps)
+                    - harness.run_bytes(cfg, aps))
+
+        assert per_iteration(one, n) == per_iteration(frl, learners * n)
+        # The most iterations within the budget: each adds the same bytes.
+        fits = B + (harness.RUN_BYTES_BUDGET - harness.run_bytes(one, n)) // per_iteration(one, n)
         replace(one, iterations=fits)
         with pytest.raises(ConfigError, match="iterations=.* and k=4"):
             replace(one, iterations=fits + 1)
@@ -150,8 +156,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="k=16 at 1000 APs"):
             replace(cfg, k=16, n_values=(1000,))
 
-    # Points where the per-iteration terms dominate (at n=64, T=500 set-up
-    # and the block read 1.13-1.30 of run_bytes alone): one learning run, a
+    # Points where the per-iteration terms dominate: one learning run, a
     # world of all four strategies, and a batch task's chunk of 3 such
     # worlds. A lone frl run at n=2 peaks lower than the world's two
     # learning runs there, so it is left out for time.
@@ -189,10 +194,11 @@ class TestConfig:
             tracemalloc.stop()
         assert peak <= harness.run_bytes(cfg, n)
 
-    # Where the block weighs most: a `random` world of short runs at k=8,
-    # whose peak alone reads 1.06 and 1.63 of run_bytes at n = 2 and 8.
+    # Where a `random` run's block weighs most: a world of short runs at k=8
+    # (without the block its peak reads 1.06 and 1.63 of run_bytes at n = 2
+    # and 8).
     @pytest.mark.parametrize("n", [2, 8])
-    def test_random_world_peak_stays_within_run_bytes_and_block(self, n):
+    def test_random_world_peak_stays_within_run_bytes(self, n):
         cfg = ExperimentConfig(strategies=(Strategy.RANDOM,), num_scenarios=1, iterations=200,
                                n_values=(n,), k=8)
         tracemalloc.start()
@@ -201,7 +207,25 @@ class TestConfig:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= harness.run_bytes(cfg, n) + harness.block_bytes(cfg, n)
+        assert peak <= harness.run_bytes(cfg, n)
+
+    # Where a chunk's learning draws weigh most: chunks of S learning worlds
+    # of short runs, whose draws are held for all S*L*n agents at once
+    # (without them in run_bytes, peaks read up to 1.91 of S*run_bytes).
+    @pytest.mark.parametrize("T", [130, 500])
+    @pytest.mark.parametrize("S", [3, 10])
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    @pytest.mark.parametrize("n", [2, 32])
+    def test_chunk_peak_stays_within_run_bytes_per_world(self, n, k, S, T):
+        cfg = ExperimentConfig(strategies=(Strategy.LOCAL_RL, Strategy.FEDERATED_RL),
+                               num_scenarios=S, iterations=T, n_values=(n,), k=k)
+        tracemalloc.start()
+        try:
+            harness._chunk_task((cfg, n, range(S)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= S * harness.run_bytes(cfg, n)
 
     @pytest.mark.parametrize("n_values, scenarios, workers, size", [
         ((2, 4, 8, 12, 16), 2, 2, 2),  # the benchmark's CLI sweep: 5 tasks
@@ -212,17 +236,14 @@ class TestConfig:
     ])
     def test_chunk_size_shares_the_worlds_among_workers(self, n_values, scenarios, workers,
                                                          size):
-        cfg = replace(SMALL, n_values=n_values, num_scenarios=scenarios, workers=workers)
+        # Runs short enough that CHUNK_BYTES holds all 500 worlds of n=8.
+        cfg = replace(SMALL, n_values=n_values, num_scenarios=scenarios, workers=workers,
+                      iterations=10)
         assert {harness._chunk_size(cfg, n) for n in n_values} == {size}
 
     def test_chunk_size_is_capped_by_chunk_bytes(self):
         cfg = replace(SMALL, num_scenarios=500, n_values=(8,), k=4, iterations=2000)
-        world, block = harness.run_bytes(cfg, 8), harness.block_bytes(cfg, 8)
-        assert harness._chunk_size(cfg, 8) == (harness.CHUNK_BYTES - block) // world == 26
-        # The task's block takes its share: at T=1200 it costs a world.
-        short = replace(cfg, iterations=1200)
-        assert harness._chunk_size(short, 8) == 43
-        assert harness.CHUNK_BYTES // harness.run_bytes(short, 8) == 44
+        assert harness._chunk_size(cfg, 8) == harness.CHUNK_BYTES // harness.run_bytes(cfg, 8) == 22
         # A world that alone exceeds CHUNK_BYTES, by its iterations or by its
         # link subsets, still runs, one per task.
         for huge in (replace(cfg, iterations=30 * 2000), replace(cfg, k=16)):
@@ -235,7 +256,7 @@ class TestConfig:
         (tuple(Strategy), (8,), 1, 2000, 1, 1),  # paper-batch
         ((Strategy.FIXED, Strategy.FEDERATED_RL), (64,), 1, 500, 1, 1),  # dense-n64
         (tuple(Strategy), (2, 4, 8, 12, 16), 2, 2000, 2, 2),  # sweep-cli
-        (tuple(Strategy), (8,), 500, 2000, 1, 26),
+        (tuple(Strategy), (8,), 500, 2000, 1, 22),
     ])
     def test_chunk_sizes_of_the_benchmark_loads(self, strategies, n_values, scenarios, T,
                                                 workers, size):
@@ -325,6 +346,24 @@ class TestRunBatch:
         with pytest.raises(ConfigError):
             run_single_scenario(cfg)
         assert run_batch(cfg, n=2).n == 2
+        # Only the config's AP counts, which it checked, run.
+        with pytest.raises(ConfigError, match="AP count 4"):
+            run_batch(cfg, n=4)
+        with pytest.raises(ConfigError, match="AP count 4"):
+            run_single_scenario(cfg, n=4)
+
+    def test_unchecked_ap_count_is_rejected_before_any_world(self, monkeypatch):
+        # 2000 APs at k=16 need about 12 GiB per world, which the config
+        # would reject; the config at its 8 APs is fine.
+        def no_world(*args, **kwargs):
+            raise AssertionError("a world was sampled")
+
+        monkeypatch.setattr(harness, "sample_scenario", no_world)
+        cfg = ExperimentConfig(k=16)
+        with pytest.raises(ConfigError, match="AP count 2000"):
+            run_batch(cfg, n=2000)
+        with pytest.raises(ConfigError, match="GiB"):
+            replace(cfg, n_values=(2000,))
 
     def test_run_seeds_distinct_per_strategy_and_scenario(self):
         seeds = {
