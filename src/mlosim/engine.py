@@ -9,10 +9,10 @@ are the runs' own; a batch task passes a chunk of worlds, and `run_scenario`
 runs a learning strategy as the one-world, one-run case. Every learning
 agent is rewarded with the minimum rate over one segment of a flat member
 list: the AP alone under `rl`, the AP then its neighbors under `frl`, each
-run's segments offset by its place in the population. The loop evaluates
-each world's distinct joint actions once, into tables from which every
-run's rows are gathered at the end, and skips the explore merge on rows
-where no agent explores.
+run's segments offset by its place in the population. The loop keys each
+iteration on the joint action of all its agents, evaluates each distinct
+one once, into tables from which every run's rows are gathered at the end,
+and skips the explore merge on rows where no agent explores.
 
 Moves are simultaneous: every agent commits its link subset before any
 rate is computed, so no agent observes another's current-iteration choice.
@@ -24,6 +24,7 @@ t=0 because the geometry never changes.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -82,13 +83,19 @@ class RunResult:
 LEARNING = (Strategy.LOCAL_RL, Strategy.FEDERATED_RL)
 
 
-def _check_runs(strategies, T: int, seeds) -> None:
+def _check_runs(strategies, T: int, seeds) -> tuple[int, list[int]]:
+    """T and the seeds as Python ints, once the runs are checked."""
+    try:  # numpy integers pass; floats, strings and None do not
+        T, seeds = operator.index(T), [operator.index(seed) for seed in seeds]
+    except TypeError:
+        raise ConfigError(f"T and seeds must be integers, got {T!r} and {list(seeds)}") from None
     if T < 1:
         raise ConfigError(f"need at least one iteration, got T={T}")
     if not all(isinstance(s, Strategy) for s in strategies):
         raise ConfigError(f"strategies must be Strategy members, got {list(strategies)}")
     if any(seed < 0 for seed in seeds):
         raise ConfigError(f"seeds must be >= 0, got {list(seeds)}")
+    return T, seeds
 
 
 def _worlds(scenarios):
@@ -121,7 +128,7 @@ def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> R
     from its own child stream of `seed`. A learning run is the one-run case
     of `run_learning`.
     """
-    _check_runs((strategy,), T, (seed,))
+    T, (seed,) = _check_runs((strategy,), T, (seed,))
     if strategy in LEARNING:
         return next(run_learning((scenario,), (strategy,), T, (seed,)))
     n = scenario.n
@@ -155,14 +162,15 @@ def run_learning(scenarios, strategies, T: int, seeds) -> Iterator[RunResult]:
 
     The runs step in lockstep as one population of S * L * n agents, run
     r = w * L + l's AP i being agent r * n + i, so each iteration makes one
-    policy step, one rate call and one reward call for all of them. A
+    policy step for all of them, and one rate call and one reward call when
+    their joint action is new. A
     learning agent's reward is the minimum instant rate over its segment:
     itself under `rl` (its own rate), itself and its neighbors under `frl`
     (the global reward). The loop runs before this returns; each result's
     arrays are gathered only when the iterator reaches it, so a caller that
     reduces and drops each result holds one at a time.
     """
-    _check_runs(strategies, T, seeds)
+    T, seeds = _check_runs(strategies, T, seeds)
     S, L = len(scenarios), len(strategies)
     if not S or not L or len(seeds) != S * L or not set(strategies) <= set(LEARNING):
         raise ConfigError(f"need worlds and learning strategies, one seed each per world, "
@@ -179,68 +187,47 @@ def run_learning(scenarios, strategies, T: int, seeds) -> Iterator[RunResult]:
     members = np.array([m for segment in segments for m in segment])
     starts = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
     tables = Tables(agents, p)
-    # The geometry is static, so a world's joint action always has the same
-    # rates and rewards. Each world keys its joint actions (its L * n agents'
-    # slice of the iteration's intp bytes) in its own dict. An iteration where
-    # some world meets a new one evaluates every world's, into the next free
-    # row of these (T, S * L * n) tables. Viewed as (T * S, L * n), their
-    # world row d * S + w is world w's part of row d: a dict maps a joint
-    # action to its world row, and source[t - 1, w] is world w's at iteration
-    # t, from which every run's rows are gathered at the end.
-    distinct = [{} for _ in range(S)]  # per world: a joint action's bytes: its world row
-    width = L * n * np.dtype(np.intp).itemsize
-    cuts = [(seen, w * width, (w + 1) * width, w) for w, seen in enumerate(distinct)]
-    only = distinct[0]
+    # The geometry is static, so a joint action always has the same rates and
+    # rewards. The iteration's intp bytes, all S * L * n agents' choices, key
+    # one dict; a new joint action is evaluated once, into the next free row
+    # of these (T, S * L * n) tables, and source[t - 1] is iteration t's row,
+    # from which every run's rows are gathered at the end.
+    distinct: dict[bytes, int] = {}  # a joint action's bytes: its row
     distinct_actions = np.empty((T, agents), dtype=np.uint16)
     distinct_rates = np.empty((T, agents), dtype=np.float64)
     distinct_rewards = np.empty((T, agents), dtype=np.float64)
-    world_rewards = distinct_rewards.reshape(T * S, L * n)
-    source: list[int] = []  # every iteration's world rows, world-major
-    fresh = first = 0  # the next free row and its first world row, fresh * S
+    source: list[int] = []  # every iteration's row
     for t0, explore, arm, tie in policy_draws(seeds, n, T, p):
         rows = zip(explore.any(axis=1).tolist(), explore, arm, tie)
         for anyone, explore_row, arm_row, tie_row in rows:
             chosen = select_action(tables, explore_row if anyone else None, arm_row, tie_row)
-            raw = chosen.tobytes()
-            if S == 1:  # the whole row is the one world's key
-                hit = only.setdefault(raw, first)
-                source.append(hit)
-                new = hit == first
-                reward = distinct_rewards[hit]
-            else:
-                hits = [seen.setdefault(raw[lo:hi], first + w) for seen, lo, hi, w in cuts]
-                source += hits
-                new = max(hits) >= first  # some world met a new joint action
-                if not new:
-                    reward = world_rewards.take(hits, axis=0).reshape(agents)
-            if new:
+            fresh = len(distinct)  # the next free row
+            hit = distinct.setdefault(chosen.tobytes(), fresh)
+            source.append(hit)
+            reward = distinct_rewards[hit]
+            if hit == fresh:
                 distinct_actions[fresh] = chosen
                 rates = distinct_rates[fresh] = rates_of(chosen.reshape(joint)).reshape(agents)
                 reward = distinct_rewards[fresh] = np.minimum.reduceat(rates[members], starts)
-                fresh += 1
-                first += S
             update(tables, chosen, reward)
-    del distinct, cuts, only
+    del distinct
     distinct_actions += np.uint16(1)  # action index a is link mask a + 1
-    return _gather(scenarios, strategies, seeds, neighbor_sets,
-                   np.array(source, dtype=np.intp).reshape(T, S),
+    return _gather(scenarios, strategies, seeds, neighbor_sets, np.array(source, dtype=np.intp),
                    [distinct_actions, distinct_rates, distinct_rewards])
 
 
 def _gather(scenarios, strategies, seeds, neighbor_sets, source, tables):
-    """Yield each run of `run_learning` in order, gathering its (T, n) rows
-    from the world rows of the distinct-row tables [masks, rates, rewards].
-    The last run frees each table once gathered from it, so that a caller
-    that keeps every run peaks near the size of its results."""
-    (T, S), n, L = source.shape, scenarios[0].n, len(strategies)
-    tables = [table.reshape(T * S, L * n) for table in tables]
+    """Yield each run r of `run_learning` in order, gathering its columns
+    r * n to (r + 1) * n of the distinct-row tables [masks, rates, rewards]
+    at the rows `source` names. The last run frees each table once gathered
+    from it, so that a caller that keeps every run peaks near its results."""
+    n, L = scenarios[0].n, len(strategies)
     for r, seed in enumerate(seeds):
         w, strategy = r // L, strategies[r % L]
-        rows, run = source[:, w], slice(r % L * n, (r % L + 1) * n)
         federated = strategy is Strategy.FEDERATED_RL
         columns = []
         for i, table in enumerate(tables):
-            columns.append(table[rows, run] if federated or i < 2 else None)
+            columns.append(table[source, r * n:(r + 1) * n] if federated or i < 2 else None)
             if r + 1 == len(seeds):
                 tables[i] = None
         masks, rates, rewards = columns

@@ -21,6 +21,7 @@ decimals.
 from __future__ import annotations
 
 import hashlib
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -41,10 +42,11 @@ DEFAULT_ITERATIONS = 2000
 # the uint16 actions and float64 rates and rewards of each distinct joint
 # action (2 + 8 + 8) and the runs' gathered rewards, rates and masks
 # (8 + 8 + 2), so 36 bytes per agent-iteration; plus 48*T for the intp
-# `source` entry of each iteration (8) and the world's dict of distinct
-# joint actions. The dict's keys, intp bytes, add 8 per agent-iteration
-# while it lives; it is freed before the gathers, and the tables with the
-# last run gathered.
+# `source` entry of each iteration (8) and the dict of distinct joint
+# actions; a task's chunk of S worlds holds one of each, which S*run_bytes
+# counts S times. The dict's keys, the intp bytes of every agent's action,
+# add 8 per agent-iteration while it lives; it is freed before the gathers,
+# and the tables with the last run gathered.
 # Per action of the p = 2**k - 1, the L*n agents' bandit tables take 16
 # bytes per agent (float64 counts and means, agents.Tables) and `select`'s
 # temporaries 17 more (the bool ties, their int64 cast and its cumsum), so
@@ -69,9 +71,11 @@ DEFAULT_ITERATIONS = 2000
 # 16000, 8000, where per-iteration terms dominate; at k = 8, 12, 16, where
 # the per-action terms do; of a `random` world at k=8, T=200, where its
 # block does; and of chunks of 3 and 10 learning worlds at T = 130 and 500
-# (k = 1-8, n = 2-32), where the chunk's draws do. They read 0.35-0.70 of
+# (k = 1-8, n = 2-32), where the chunk's draws do. They read 0.33-0.70 of
 # it (a world at n=64, T=500 reads 0.70 too); without the draws terms the
-# chunks read up to 1.91.
+# chunks read up to 1.91. A 2-world task at n=16, T=2000 reads 0.66 (3.68
+# MiB): a chunk's joint action recurs less often than a world's, so its
+# dict holds more keys per world than a lone world's.
 # A config is rejected when a world's run_bytes at its largest AP count
 # exceeds the budget, and every world a batch runs has an AP count of the
 # config. The same budget bounds the batch state of an experiment's worlds
@@ -244,8 +248,15 @@ def run_single_scenario(
 ) -> dict[Strategy, RunResult]:
     """Full traces of every strategy on batch world `scenario_index`, in
     config.strategies order: the one-world case of a batch task."""
+    try:  # numpy integers pass; floats, strings and None do not
+        index = operator.index(scenario_index)
+    except TypeError:
+        index = -1
+    if index not in range(config.num_scenarios):
+        raise ConfigError(f"scenario_index must be an integer in range({config.num_scenarios}), "
+                          f"got {scenario_index!r}")
     results = {strategy: result for _, strategy, result
-               in _world_runs(config, _one_n(config, n), [scenario_index])}
+               in _world_runs(config, _one_n(config, n), [index])}
     return {strategy: results[strategy] for strategy in config.strategies}
 
 
@@ -264,11 +275,12 @@ def _chunk_task(args) -> list[tuple[str, list[float]]]:
     return [(digests[s], mins[s]) for s in indices]
 
 
-def _chunk_size(config: ExperimentConfig, n: int) -> int:
-    """Worlds of AP count n per batch task: an equal share of the
-    experiment's worlds per worker, at most the count's num_scenarios and
-    at most what fits in CHUNK_BYTES (never below one world)."""
-    share = -(-config.num_scenarios * len(config.n_values) // config.workers)
+def _chunk_size(config: ExperimentConfig, n: int, n_values) -> int:
+    """Worlds of AP count n per batch task of a run of the AP counts
+    `n_values`: an equal share of the run's worlds per worker, at most the
+    count's num_scenarios and at most what fits in CHUNK_BYTES (never below
+    one world)."""
+    share = -(-config.num_scenarios * len(n_values) // config.workers)
     return max(1, min(config.num_scenarios, share, CHUNK_BYTES // run_bytes(config, n)))
 
 
@@ -283,7 +295,7 @@ def _run_worlds(config: ExperimentConfig, n_values) -> dict[int, list]:
     m = config.num_scenarios
     largest_first = sorted(n_values, reverse=True)
     tasks = [(config, n, range(lo, min(lo + size, m)))
-             for n in largest_first for size in (_chunk_size(config, n),)
+             for n in largest_first for size in (_chunk_size(config, n, n_values),)
              for lo in range(0, m, size)]
     # A forked pool starts all its workers at the first submit, so it gets
     # no more of them than there are tasks.

@@ -127,6 +127,21 @@ class TestTrace:
         with pytest.raises(ConfigError, match="seeds must be >= 0"):
             run_scenario(world(n=2), strategy, T=10, seed=-1)
 
+    # Only integers, numpy's too, count iterations or seed a run, and they
+    # are recorded as Python ints.
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("T, seed", [
+        (10, 1.5), (10.0, 1), (10, "1"), (None, 1), (10, None), (10, 1.0),
+    ])
+    def test_rejects_non_integer_iterations_or_seed(self, strategy, T, seed):
+        with pytest.raises(ConfigError, match="must be integers"):
+            run_scenario(world(n=2), strategy, T=T, seed=seed)
+
+    def test_numpy_integers_pass(self):
+        for strategy in Strategy:
+            res = run_scenario(world(n=2), strategy, T=np.int64(10), seed=np.uint32(7))
+            assert dumps(res) == dumps(run_scenario(world(n=2), strategy, T=10, seed=7))
+
 
 class TestFixedStrategy:
     def test_full_mask_every_iteration(self):
@@ -461,6 +476,28 @@ class TestWorldChunks:
             alone = run_scenario(res.scenario, res.strategy, T, res.seed)
             assert dumps(res) == dumps(alone)
             assert np.array_equal(res.mean_rates_bps(), alone.mean_rates_bps())
+
+    # Long enough that joint actions recur, at S = 2 too: the chunk's whole
+    # joint action, every run's, keys one dict, so the kernel runs once per
+    # distinct row of the runs' stacked actions, and a recurring row must
+    # give every run the rows it would have had alone.
+    @pytest.mark.parametrize("S", [1, 2])
+    def test_each_distinct_joint_action_calls_the_kernel_once(self, monkeypatch, S):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return rates_bps(*args)
+
+        monkeypatch.setattr(engine, "rates_bps", counted)
+        worlds = [world(n=8, seed=250 + w) for w in range(S)]
+        T, seeds = 2000, list(range(17, 17 + S * len(LEARNERS)))
+        runs = list(run_learning(worlds, LEARNERS, T, seeds))
+        stacked = np.hstack([res.action_masks for res in runs])  # (T, S * L * n)
+        assert len(calls) == len(np.unique(stacked, axis=0)) < T
+        monkeypatch.undo()
+        for res in runs:
+            assert dumps(res) == dumps(run_scenario(res.scenario, res.strategy, T, res.seed))
 
     def test_results_are_gathered_one_at_a_time(self):
         worlds = [world(n=4, seed=230 + w) for w in range(2)]

@@ -239,16 +239,46 @@ class TestConfig:
         # Runs short enough that CHUNK_BYTES holds all 500 worlds of n=8.
         cfg = replace(SMALL, n_values=n_values, num_scenarios=scenarios, workers=workers,
                       iterations=10)
-        assert {harness._chunk_size(cfg, n) for n in n_values} == {size}
+        assert {harness._chunk_size(cfg, n, n_values) for n in n_values} == {size}
+
+    def test_one_count_batch_splits_its_worlds_among_the_workers(self, monkeypatch):
+        # With all five counts' worlds shared out, n=8's 100 would make one
+        # task, so run_batch would start no pool.
+        cfg = replace(SMALL, n_values=(2, 4, 8, 12, 16), num_scenarios=100, workers=4)
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        def no_run(task):
+            _, n, indices = task
+            return [(f"{n}:{s}", [0.0] * len(cfg.strategies)) for s in indices]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "_chunk_task", no_run)
+        assert harness._chunk_size(cfg, 8, (8,)) == 25
+        assert run_batch(cfg, 8).scenario_digests == tuple(f"8:{s}" for s in range(100))
+        assert pools == [4]
 
     def test_chunk_size_is_capped_by_chunk_bytes(self):
         cfg = replace(SMALL, num_scenarios=500, n_values=(8,), k=4, iterations=2000)
-        assert harness._chunk_size(cfg, 8) == harness.CHUNK_BYTES // harness.run_bytes(cfg, 8) == 22
+        assert harness._chunk_size(cfg, 8, (8,)) == 22
+        assert harness.CHUNK_BYTES // harness.run_bytes(cfg, 8) == 22
         # A world that alone exceeds CHUNK_BYTES, by its iterations or by its
         # link subsets, still runs, one per task.
         for huge in (replace(cfg, iterations=30 * 2000), replace(cfg, k=16)):
             assert harness.run_bytes(huge, 8) > harness.CHUNK_BYTES
-            assert harness._chunk_size(huge, 8) == 1
+            assert harness._chunk_size(huge, 8, (8,)) == 1
 
     # The chunk sizes of the benchmark's workloads (sweep-cli at 2 workers)
     # and of the 500-world batch at n=8, which chunking must keep.
@@ -262,7 +292,7 @@ class TestConfig:
                                                 workers, size):
         cfg = ExperimentConfig(strategies=strategies, num_scenarios=scenarios, iterations=T,
                                n_values=n_values, workers=workers)
-        assert {harness._chunk_size(cfg, n) for n in n_values} == {size}
+        assert {harness._chunk_size(cfg, n, n_values) for n in n_values} == {size}
 
 
 class TestRunBatch:
@@ -383,7 +413,8 @@ class TestChunks:
         cfg = replace(SMALL, n_values=n_values, num_scenarios=8, iterations=30)
         expected = {n: dumps(run_batch(cfg, n)) for n in n_values}
         for size in (1, 3, 7):
-            monkeypatch.setattr(harness, "_chunk_size", lambda config, n, size=size: size)
+            monkeypatch.setattr(harness, "_chunk_size",
+                                lambda config, n, n_values, size=size: size)
             for workers in (1, 2):
                 sweep = density_sweep(replace(cfg, workers=workers))
                 assert {n: dumps(s) for n, s in sweep.items()} == expected, (size, workers)
@@ -465,6 +496,17 @@ class TestSingleScenario:
         for strategy, res in results.items():
             alone = run_scenario(world, strategy, cfg.iterations, run_seed(cfg, 3, 2, strategy))
             assert dumps(res) == dumps(alone)
+
+    # A batch world's index: an integer of range(num_scenarios), numpy's too.
+    @pytest.mark.parametrize("index", [-1, SMALL.num_scenarios, 10**30, 2.5, 2.0, "1", None])
+    def test_rejects_an_index_outside_the_batch(self, index):
+        with pytest.raises(ConfigError, match="scenario_index"):
+            run_single_scenario(SMALL, scenario_index=index)
+
+    def test_numpy_index_passes(self):
+        results = run_single_scenario(SMALL, scenario_index=np.int64(1))
+        expected = run_single_scenario(SMALL, scenario_index=1)
+        assert [dumps(r) for r in results.values()] == [dumps(r) for r in expected.values()]
 
 
 class TestOutputs:
