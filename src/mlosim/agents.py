@@ -86,10 +86,10 @@ class Tables:
     """The bandit tables of n agents over p actions: visit counts and
     running means, stored flat; the means also as an (n, p) view.
 
-    `select` and `credit` reach entry (i, a) at flat index offsets[i] + a;
-    indexing the flat arrays is cheaper than 2-D or `take`/`put` indexing
-    at these sizes. Counts are float64, exact below 2**53, so that a
-    running mean divides float by float.
+    Entry (i, a) sits at flat index offsets[i] + a, which `select` returns
+    and `credit` takes; indexing the flat arrays is cheaper than 2-D or
+    `take`/`put` indexing at these sizes. Counts are float64, exact below
+    2**53, so that a running mean divides float by float.
     """
 
     def __init__(self, n: int, p: int) -> None:
@@ -100,32 +100,39 @@ class Tables:
 
 
 def select(tables: Tables, explore: np.ndarray | None, arm: np.ndarray,
-           tie: np.ndarray) -> np.ndarray:
-    """One epsilon-greedy step of all n agents; returns their action indices.
+           tie: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One epsilon-greedy step of all n agents: each one's flat index
+    offsets[i] + a of its action a, and that entry's current mean.
 
-    Agent i takes arm[i] where explore[i]; otherwise the pick(tie[i], m)-th
-    of the m actions of largest tables.means[i], in index order. `explore`
-    may be None when no agent explores.
+    Agent i takes the flat index arm[i] (offsets[i] plus its explore arm)
+    where explore[i]; otherwise the pick(tie[i], m)-th of the m actions of
+    largest tables.means[i], in index order. `explore` may be None when no
+    agent explores.
 
     The first maximum of each row (argmax) is the answer unless some row
     holds its maximum more than once; only then are the maxima ranked.
+    Every maximum of a row has its mean, so that is the greedy agents' mean.
     """
-    means = tables.means
-    greedy = means.argmax(axis=1)
-    ties = means == tables.flat_means[tables.offsets + greedy][:, None]
+    means, offsets = tables.means, tables.offsets
+    flat = means.argmax(axis=1)
+    flat += offsets
+    top = tables.flat_means[flat]
+    ties = means == top[:, None]
     if np.count_nonzero(ties) != len(means):
         # Some row has several maxima, as every row has at t = 1.
-        greedy = (ties.cumsum(axis=1) > pick(tie, ties.sum(axis=1))[:, None]).argmax(axis=1)
-    return greedy if explore is None else np.where(explore, arm, greedy)
+        flat = (ties.cumsum(axis=1) > pick(tie, ties.sum(axis=1))[:, None]).argmax(axis=1)
+        flat += offsets
+    if explore is None:
+        return flat, top
+    np.copyto(flat, arm, where=explore)
+    return flat, tables.flat_means[flat]
 
 
-def credit(tables: Tables, index: np.ndarray, reward) -> None:
-    """Credit reward[i] to action index[i] of table row i, in place; each
-    mean stays the arithmetic mean (up to rounding) of the rewards credited
-    to it."""
-    flat = tables.offsets + index
-    counts, means = tables.flat_counts, tables.flat_means
+def credit(tables: Tables, flat: np.ndarray, reward, mean: np.ndarray) -> None:
+    """Credit reward[i] to the entry at flat index flat[i], whose current
+    mean is mean[i], in place; each mean stays the arithmetic mean (up to
+    rounding) of the rewards credited to it."""
+    counts = tables.flat_counts
     visits = counts[flat] + 1
     counts[flat] = visits
-    mean = means[flat]
-    means[flat] = mean + (reward - mean) / visits
+    tables.flat_means[flat] = mean + (reward - mean) / visits

@@ -9,10 +9,14 @@ are the runs' own; a batch task passes a chunk of worlds, and `run_scenario`
 runs a learning strategy as the one-world, one-run case. Every learning
 agent is rewarded with the minimum rate over one segment of a flat member
 list: the AP alone under `rl`, the AP then its neighbors under `frl`, each
-run's segments offset by its place in the population. The loop keys each
-iteration on the joint action of all its agents, evaluates each distinct
-one once, into tables from which every run's rows are gathered at the end,
-and skips the explore merge on rows where no agent explores.
+run's segments offset by its place in the population. Actions travel
+through the loop as flat table indices (agents.Tables), each with the mean
+that `select` read for it. The loop keys each iteration on the joint
+action of all its agents, evaluates each distinct one once, through a rate
+kernel built once per run, into tables from which every run's rows are
+gathered at the end, and skips the explore merge on rows where no agent
+explores. A world's link budget and neighbor sets are built once while its
+Scenario lives, however many runs step it.
 
 Moves are simultaneous: every agent commits its link subset before any
 rate is computed, so no agent observes another's current-iteration choice.
@@ -24,7 +28,7 @@ t=0 because the geometry never changes.
 from __future__ import annotations
 
 import itertools
-import operator
+import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -35,8 +39,8 @@ from .agents import Strategy, Tables, link_mask_matrix, policy_draws
 # agents-layer probes wrap.
 from .agents import credit as update, select as select_action
 from .codec import write_csv
-from .errors import ConfigError
-from .radio import all_neighbor_sets, dbm_to_mw, link_budget_matrix_mw, rates_bps
+from .errors import ConfigError, integer
+from .radio import all_neighbor_sets, dbm_to_mw, link_budget_matrix_mw, rate_kernel
 from .scenario import Scenario
 
 
@@ -85,8 +89,8 @@ LEARNING = (Strategy.LOCAL_RL, Strategy.FEDERATED_RL)
 
 def _check_runs(strategies, T: int, seeds) -> tuple[int, list[int]]:
     """T and the seeds as Python ints, once the runs are checked."""
-    try:  # numpy integers pass; floats, strings and None do not
-        T, seeds = operator.index(T), [operator.index(seed) for seed in seeds]
+    try:  # numpy integers pass; bools, floats, strings and None do not
+        T, seeds = integer(T), [integer(seed) for seed in seeds]
     except TypeError:
         raise ConfigError(f"T and seeds must be integers, got {T!r} and {list(seeds)}") from None
     if T < 1:
@@ -98,6 +102,20 @@ def _check_runs(strategies, T: int, seeds) -> tuple[int, list[int]]:
     return T, seeds
 
 
+# Each live world's link budget and neighbor sets, by the identity of its
+# Scenario: a batch world's learning runs and its fixed and random runs
+# build them once. An entry goes when its Scenario is freed.
+_STATIC: dict[int, tuple] = {}
+
+
+def _static(scenario: Scenario) -> tuple:
+    key = id(scenario)
+    if key not in _STATIC:
+        _STATIC[key] = link_budget_matrix_mw(scenario), all_neighbor_sets(scenario)
+        weakref.finalize(scenario, _STATIC.pop, key)
+    return _STATIC[key]
+
+
 def _worlds(scenarios):
     """The worlds' link-mask matrix, their neighbor sets and the rate function
     of their joint actions: action indices of shape (S, ..., n), world w's in
@@ -107,18 +125,18 @@ def _worlds(scenarios):
     shape = (first.n, first.num_links, first.physical)
     if any((sc.n, sc.num_links, sc.physical) != shape for sc in scenarios):
         raise ConfigError("worlds stepped together need the same n, k and physical constants")
-    mask_bits = link_mask_matrix(first.num_links)  # (p, k), as rates_bps takes it
+    mask_bits = link_mask_matrix(first.num_links)  # (p, k), as the rate kernel takes it
     # Static link budgets: power[w, 0, j, i] is AP j's power at STA i of world
     # w in mW; one world's is (n, n), which costs less per call than a stack.
-    budgets = [link_budget_matrix_mw(sc) for sc in scenarios]
+    budgets, neighbor_sets = zip(*map(_static, scenarios))
     power = budgets[0] if len(budgets) == 1 else np.stack(budgets)[:, None]
-    noise_mw = dbm_to_mw(first.physical.noise_floor_dbm)
-    bandwidth = first.physical.bandwidth_hz_per_link
+    rates = rate_kernel(power, dbm_to_mw(first.physical.noise_floor_dbm),
+                        first.physical.bandwidth_hz_per_link)
 
     def rates_of(index: np.ndarray) -> np.ndarray:
-        return rates_bps(power, mask_bits[index], noise_mw, bandwidth)
+        return rates(mask_bits[index])
 
-    return mask_bits, [all_neighbor_sets(sc) for sc in scenarios], rates_of
+    return mask_bits, list(neighbor_sets), rates_of
 
 
 def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> RunResult:
@@ -192,24 +210,25 @@ def run_learning(scenarios, strategies, T: int, seeds) -> Iterator[RunResult]:
     # one dict; a new joint action is evaluated once, into the next free row
     # of these (T, S * L * n) tables, and source[t - 1] is iteration t's row,
     # from which every run's rows are gathered at the end.
-    distinct: dict[bytes, int] = {}  # a joint action's bytes: its row
+    distinct: dict[bytes, int] = {}  # a joint action's flat indices' bytes: its row
     distinct_actions = np.empty((T, agents), dtype=np.uint16)
     distinct_rates = np.empty((T, agents), dtype=np.float64)
     distinct_rewards = np.empty((T, agents), dtype=np.float64)
     source: list[int] = []  # every iteration's row
     for t0, explore, arm, tie in policy_draws(seeds, n, T, p):
+        arm += tables.offsets  # the explore arms as flat table indices
         rows = zip(explore.any(axis=1).tolist(), explore, arm, tie)
         for anyone, explore_row, arm_row, tie_row in rows:
-            chosen = select_action(tables, explore_row if anyone else None, arm_row, tie_row)
+            flat, mean = select_action(tables, explore_row if anyone else None, arm_row, tie_row)
             fresh = len(distinct)  # the next free row
-            hit = distinct.setdefault(chosen.tobytes(), fresh)
+            hit = distinct.setdefault(flat.tobytes(), fresh)
             source.append(hit)
             reward = distinct_rewards[hit]
             if hit == fresh:
-                distinct_actions[fresh] = chosen
+                chosen = distinct_actions[fresh] = flat - tables.offsets
                 rates = distinct_rates[fresh] = rates_of(chosen.reshape(joint)).reshape(agents)
                 reward = distinct_rewards[fresh] = np.minimum.reduceat(rates[members], starts)
-            update(tables, chosen, reward)
+            update(tables, flat, reward, mean)
     del distinct
     distinct_actions += np.uint16(1)  # action index a is link mask a + 1
     return _gather(scenarios, strategies, seeds, neighbor_sets, np.array(source, dtype=np.intp),

@@ -1,4 +1,6 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and its integer check."""
+
+import operator
 
 
 class MlosimError(Exception):
@@ -19,3 +21,11 @@ class DomainError(MlosimError):
 
 class EmptyInputError(MlosimError):
     """An aggregation was asked to operate on an empty collection."""
+
+
+def integer(value) -> int:
+    """`value` as a Python int if it is an int or a numpy integer; a bool,
+    float, string or None raises TypeError."""
+    if isinstance(value, bool):  # operator.index(True) is 1
+        raise TypeError(f"{value!r} is a bool, not an integer")
+    return operator.index(value)

@@ -21,7 +21,6 @@ decimals.
 from __future__ import annotations
 
 import hashlib
-import operator
 import os
 from dataclasses import dataclass, field
 
@@ -31,7 +30,7 @@ from . import rng as streams
 from .agents import _BLOCK, Strategy
 from .codec import dump, dumps, write_csv
 from .engine import LEARNING, RunResult, min_rate_timeseries, run_learning, run_scenario
-from .errors import ConfigError, EmptyInputError
+from .errors import ConfigError, EmptyInputError, integer
 from .scenario import PhysicalConfig, Scenario, check_world, sample_scenario
 
 DEFAULT_NUM_SCENARIOS = 500
@@ -127,6 +126,13 @@ class ExperimentConfig:
         if len(set(self.strategies)) != len(self.strategies):
             names = [s.value for s in self.strategies]
             raise ConfigError(f"strategies must be distinct, got {names}")
+        counts = [(name, getattr(self, name))
+                  for name in ("num_scenarios", "iterations", "k", "master_seed", "workers")]
+        for name, value in counts + [("n_values", n) for n in self.n_values]:
+            try:  # numpy integers pass; bools, floats and strings do not
+                integer(value)
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
         if self.num_scenarios < 1:
             raise ConfigError(f"num_scenarios must be >= 1, got {self.num_scenarios}")
         if self.iterations < 1:
@@ -216,12 +222,18 @@ def run_seed(config: ExperimentConfig, n: int, s: int, strategy: Strategy) -> in
 
 def _one_n(config: ExperimentConfig, n: int | None) -> int:
     """`n`, one of the config's AP counts, or else the config's only one."""
-    if n is None and len(config.n_values) != 1:
-        raise ConfigError(
-            "config sweeps several AP counts; pass n explicitly or use density_sweep")
-    if n is not None and n not in config.n_values:
+    if n is None:
+        if len(config.n_values) != 1:
+            raise ConfigError(
+                "config sweeps several AP counts; pass n explicitly or use density_sweep")
+        return config.n_values[0]
+    try:  # numpy integers pass; bools and floats, even equal to a count, do not
+        count = integer(n)
+    except TypeError:
+        count = None
+    if count not in config.n_values:
         raise ConfigError(f"AP count {n} is not one of the config's n_values {config.n_values}")
-    return config.n_values[0] if n is None else n
+    return count
 
 
 def _world_runs(config: ExperimentConfig, n: int, indices):
@@ -248,8 +260,8 @@ def run_single_scenario(
 ) -> dict[Strategy, RunResult]:
     """Full traces of every strategy on batch world `scenario_index`, in
     config.strategies order: the one-world case of a batch task."""
-    try:  # numpy integers pass; floats, strings and None do not
-        index = operator.index(scenario_index)
+    try:  # numpy integers pass; bools, floats, strings and None do not
+        index = integer(scenario_index)
     except TypeError:
         index = -1
     if index not in range(config.num_scenarios):

@@ -4,7 +4,7 @@ All SINR math happens in linear milliwatts; dBm appears only at the
 boundaries. Rates follow the per-link Shannon form
 B * log2(1 + P / (I + N)) summed over the active links, where I aggregates
 the power received from every other AP transmitting on the same link;
-`rates_bps` is the one place that form is written.
+`rate_kernel` is the one place that form is written.
 """
 
 from __future__ import annotations
@@ -89,27 +89,42 @@ def all_neighbor_sets(scenario: Scenario) -> tuple[frozenset[int], ...]:
     phys = scenario.physical
     ap = np.asarray(scenario.ap_positions)
     dist = _distances(ap, ap)
-    np.fill_diagonal(dist, np.inf)  # infinite pathloss: no AP hears itself
+    np.fill_diagonal(dist, 1.0)  # any positive distance: the diagonal is cleared below
     hears = phys.tx_power_dbm - pathloss_db(dist, phys) >= phys.sensitivity_dbm
+    np.fill_diagonal(hears, False)  # no AP hears itself
     return tuple(frozenset(np.flatnonzero(row).tolist()) for row in hears)
+
+
+def rate_kernel(power: np.ndarray, noise_mw: float, bandwidth: float):
+    """The rate function of one link budget or a stack of them: active ->
+    rates (bits/second) of all n APs under joint actions, shape (..., n).
+
+    `power` is the (n, n) link budget of link_budget_matrix_mw, or a stack
+    of them, shape (..., n, n), and `active[..., i, l]` says whether AP i
+    transmits on link l, shape (..., n, k); leading axes index independent
+    joint actions and broadcast against the stack of worlds. The terms
+    that depend on `power` alone are taken once, when the kernel is built.
+    """
+    gain = power.swapaxes(-1, -2)  # a view: a contiguous copy rounds differently
+    signal = power.diagonal(0, -2, -1)[..., None]
+
+    def rates(active: np.ndarray) -> np.ndarray:
+        active_f = np.asarray(active, dtype=np.float64)
+        # total[..., i, l]: power on link l at STA i from every active AP, plus noise
+        total = gain @ active_f + noise_mw
+        # On an active link 1 + S/(I + N) = total / (total - S); inactive gives 1.
+        ratio = total / (total - active_f * signal)
+        return np.add.reduce(np.log2(ratio), axis=-1) * bandwidth
+
+    return rates
 
 
 def rates_bps(
     power: np.ndarray, active: np.ndarray, noise_mw: float, bandwidth: float
 ) -> np.ndarray:
-    """Rates (bits/second) of all n APs under joint actions, shape (..., n).
-
-    `power` is the (n, n) link budget of link_budget_matrix_mw, or a stack
-    of them, shape (..., n, n), and `active[..., i, l]` says whether AP i
-    transmits on link l, shape (..., n, k); leading axes index independent
-    joint actions and broadcast against the stack of worlds.
-    """
-    active_f = np.asarray(active, dtype=np.float64)
-    # total[..., i, l]: power on link l at STA i from every active AP, plus noise
-    total = power.swapaxes(-1, -2) @ active_f + noise_mw
-    # On an active link 1 + S/(I + N) = total / (total - S); inactive gives 1.
-    ratio = total / (total - active_f * power.diagonal(0, -2, -1)[..., None])
-    return np.log2(ratio).sum(axis=-1) * bandwidth
+    """Rates (bits/second) of all n APs under joint actions, shape (..., n):
+    `rate_kernel(power, noise_mw, bandwidth)(active)`."""
+    return rate_kernel(power, noise_mw, bandwidth)(active)
 
 
 def achieved_rate_bps(scenario: Scenario, profile: ActivationProfile, i: int) -> float:

@@ -241,7 +241,7 @@ class TestCriterion5NumericalOracles:
             rewards = rng.uniform(0.0, 4e9, size=int(rng.integers(1, 60)))
             tables = Tables(1, 1)
             for r in rewards:
-                credit(tables, np.array([0]), np.array([r]))
+                credit(tables, np.array([0]), np.array([r]), tables.flat_means[:1].copy())
             batch = float(rewards.mean())
             if abs(tables.means[0, 0] - batch) > 1e-9 * abs(batch):
                 means_ok = False

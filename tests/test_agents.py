@@ -29,17 +29,20 @@ from oracles import reference_run
 
 def choices(means, t, seed, trials):
     """`trials` selections of one agent with a frozen table at iteration t,
-    each from fresh uniforms of stream `seed`."""
+    each from fresh uniforms of stream `seed`. The agent's row starts at
+    flat index 0, so its flat indices are its actions."""
     tables = Tables(1, len(means))
     tables.means[0] = means
     u = generator(seed).random((trials, 1, 3))
     explore = u[..., 0] < 1 / np.sqrt(t)
     arm = np.floor(u[..., 1] * len(means)).astype(int)
-    return np.array([select(tables, explore[r], arm[r], u[r, :, 2])[0] for r in range(trials)])
+    return np.array([select(tables, explore[r], arm[r], u[r, :, 2])[0][0] for r in range(trials)])
 
 
 def credit_one(tables, action, reward):
-    credit(tables, np.array([action]), np.array([reward]))
+    """Credit one agent's action; its row starts at flat index 0."""
+    flat = np.array([action])
+    credit(tables, flat, np.array([reward]), tables.flat_means[flat])
 
 
 class TestActionSpace:
@@ -217,11 +220,36 @@ class TestTieRule:
         tie = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
         tables, arm = Tables(n, p), np.zeros(n, dtype=np.intp)
         tables.means[:] = means
-        got = select(tables, None, arm, tie)
-        assert np.array_equal(got, select(tables, np.zeros(n, dtype=bool), arm, tie))
+        flat, mean = select(tables, None, arm, tie)
+        same = select(tables, np.zeros(n, dtype=bool), arm, tie)
+        assert np.array_equal(flat, same[0]) and np.array_equal(mean, same[1])
         for i, row in enumerate(means.tolist()):
             maxima = [a for a, m in enumerate(row) if m == max(row)]
-            assert got[i] == maxima[math.floor(tie[i] * len(maxima))]
+            action = maxima[math.floor(tie[i] * len(maxima))]
+            assert flat[i] == i * p + action and mean[i] == row[action]
+
+
+    # An explorer takes its flat arm, offsets[i] plus its action, and that
+    # entry's mean; every other agent's pick is the greedy one.
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_explorers_take_their_flat_arm_and_its_mean(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+        p = data.draw(st.integers(1, 15), label="p")
+        tables = Tables(n, p)
+        values = st.lists(st.sampled_from([0.0, 1.0, 2.5, 7.0]), min_size=n * p, max_size=n * p)
+        tables.flat_means[:] = data.draw(values)
+        explore = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        action = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
+        unit = st.floats(0.0, 1.0, exclude_max=True)
+        tie = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
+        arm = tables.offsets + action
+        flat, mean = select(tables, explore, arm, tie)
+        greedy, greedy_mean = select(tables, None, arm, tie)
+        for i in range(n):
+            want = arm[i] if explore[i] else greedy[i]
+            assert flat[i] == want and mean[i] == tables.flat_means[want]
+            assert greedy_mean[i] == tables.means[i].max() == tables.means[i, greedy[i] - i * p]
 
 
 def crossed_pair():
@@ -309,7 +337,8 @@ class TestRewardTable:
 
     def test_rows_are_credited_independently(self):
         tables = Tables(3, 4)
-        credit(tables, np.array([2, 0, 2]), np.array([1.0, 2.0, 3.0]))
+        flat = tables.offsets + [2, 0, 2]
+        credit(tables, flat, np.array([1.0, 2.0, 3.0]), tables.flat_means[flat])
         counts = tables.flat_counts.reshape(3, 4)
         assert counts.tolist() == [[0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 1, 0]]
         assert tables.means.tolist() == [[0, 0, 1.0, 0], [2.0, 0, 0, 0], [0, 0, 3.0, 0]]

@@ -20,7 +20,8 @@ from mlosim import (
 from mlosim import agents, engine, radio
 from mlosim.codec import dumps
 from mlosim.engine import RunResult, run_learning
-from mlosim.radio import all_neighbor_sets, dbm_to_mw, link_budget_matrix_mw, rates_bps
+from mlosim.radio import (all_neighbor_sets, dbm_to_mw, link_budget_matrix_mw, rate_kernel,
+                          rates_bps)
 from mlosim.rng import generator
 from oracles import max_min_optima, reference_run, scalar_rate_bps
 
@@ -131,7 +132,7 @@ class TestTrace:
     # are recorded as Python ints.
     @pytest.mark.parametrize("strategy", list(Strategy))
     @pytest.mark.parametrize("T, seed", [
-        (10, 1.5), (10.0, 1), (10, "1"), (None, 1), (10, None), (10, 1.0),
+        (10, 1.5), (10.0, 1), (10, "1"), (None, 1), (10, None), (10, 1.0), (True, 1), (10, False),
     ])
     def test_rejects_non_integer_iterations_or_seed(self, strategy, T, seed):
         with pytest.raises(ConfigError, match="must be integers"):
@@ -175,13 +176,44 @@ class TestRatesMatchScalarRadio:
             monkeypatch.setattr(radio, "pathloss_db",
                                 lambda d, phys: pathloss(d, phys) + 10 * np.log10(d))
         else:
-            kernel = radio.rates_bps
-            monkeypatch.setattr(engine, "rates_bps", lambda *args: kernel(*args) / 2)
+            kernel = radio.rate_kernel
+            monkeypatch.setattr(engine, "rate_kernel",
+                                lambda *args: lambda active: kernel(*args)(active) / 2)
         sc = world(n=5, seed=45)
         res = run_scenario(sc, Strategy.FIXED, T=1, seed=3)
         assert res.rates_bps[0] != pytest.approx(
             [scalar_rate_bps(sc, [0b1111] * sc.n, i) for i in range(sc.n)], rel=1e-12
         )
+
+
+class TestWorldRateFunction:
+    """The rate function that the engine builds once per world (or stack of
+    worlds) must give, call after call, the bits of a fresh `rates_bps`
+    call on each world's budget, and of the kernel's form written out with
+    a transposed view and `.sum`."""
+
+    @staticmethod
+    def written_out(power, active, noise_mw, bandwidth):
+        total = power.T @ active + noise_mw
+        return np.log2(total / (total - active * power.diagonal()[:, None])).sum(axis=-1) * bandwidth
+
+    @pytest.mark.parametrize("k", [1, 4, 8, 9, 16])
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_equals_rates_bps_bit_for_bit(self, n, k):
+        worlds = [world(seed=60 + w, n=n, k=k) for w in range(3)]
+        bits = agents.link_mask_matrix(k)
+        index = generator(n * k).integers(0, len(bits), size=(3, 4, n))
+        noise_mw, bandwidth = dbm_to_mw(-95.0), 80e6
+        stacked = engine._worlds(worlds)[2]
+        for w, sc in enumerate(worlds):
+            alone = engine._worlds([sc])[2]
+            power = link_budget_matrix_mw(sc)
+            expected = rates_bps(power, bits[index[w]], noise_mw, bandwidth)
+            assert np.array_equal(expected, self.written_out(power, bits[index[w]], noise_mw,
+                                                             bandwidth))
+            for rates_of in (alone, alone):  # a second call of the same function too
+                assert np.array_equal(rates_of(index[w]), expected)
+            assert np.array_equal(stacked(index)[w], expected)
 
 
 class TestFederatedExchange:
@@ -486,10 +518,15 @@ class TestWorldChunks:
         calls = []
 
         def counted(*args):
-            calls.append(1)
-            return rates_bps(*args)
+            rates = rate_kernel(*args)
 
-        monkeypatch.setattr(engine, "rates_bps", counted)
+            def counted_rates(active):
+                calls.append(1)
+                return rates(active)
+
+            return counted_rates
+
+        monkeypatch.setattr(engine, "rate_kernel", counted)
         worlds = [world(n=8, seed=250 + w) for w in range(S)]
         T, seeds = 2000, list(range(17, 17 + S * len(LEARNERS)))
         runs = list(run_learning(worlds, LEARNERS, T, seeds))

@@ -18,7 +18,7 @@ from mlosim import (
     run_batch,
     run_scenario,
 )
-from mlosim import harness
+from mlosim import engine, harness
 from mlosim.codec import dumps, from_json
 from mlosim.harness import (
     compute_ecdf,
@@ -123,6 +123,17 @@ class TestConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             replace(ExperimentConfig(), **kwargs)
+
+    # Counts built directly (JSON configs go through codec) take integers,
+    # numpy's too, but no bool, whose operator.index is 0 or 1.
+    @pytest.mark.parametrize("name, value", [
+        ("num_scenarios", True), ("iterations", True), ("iterations", 2.5), ("k", True),
+        ("master_seed", False), ("workers", True), ("n_values", (True,)), ("n_values", (2.0,)),
+    ])
+    def test_rejects_non_integer_counts(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            replace(SMALL, **{name: value})
+        replace(SMALL, **{name: np.int64(3) if name != "n_values" else (np.int64(3),)})
 
     @pytest.mark.parametrize("strategies, learners", [
         ((Strategy.FIXED,), 1),
@@ -295,6 +306,37 @@ class TestConfig:
         assert {harness._chunk_size(cfg, n, n_values) for n in n_values} == {size}
 
 
+class TestWorldBuild:
+    # A world's link budget and neighbor sets are built once, although its
+    # learning runs and each of its fixed and random runs use them.
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_each_world_is_built_once(self, monkeypatch, chunk):
+        calls = {"all_neighbor_sets": 0, "link_budget_matrix_mw": 0}
+
+        def counted(name):
+            build = getattr(engine, name)
+
+            def wrapper(scenario):
+                calls[name] += 1
+                return build(scenario)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(engine, name, counted(name))
+        monkeypatch.setattr(harness, "_chunk_size", lambda config, n, n_values: chunk)
+        run_batch(replace(SMALL, num_scenarios=3))
+        assert calls == {"all_neighbor_sets": 3, "link_budget_matrix_mw": 3}
+
+    def test_a_freed_world_leaves_no_build(self):
+        sc = scenario_for_index(SMALL, 3, 0)
+        res = run_scenario(sc, Strategy.FIXED, 5, 1)
+        key = id(sc)
+        assert key in engine._STATIC
+        del sc, res
+        assert key not in engine._STATIC
+
+
 class TestRunBatch:
     def test_summary_shape_and_stats(self):
         summary = run_batch(SMALL)
@@ -381,6 +423,17 @@ class TestRunBatch:
             run_batch(cfg, n=4)
         with pytest.raises(ConfigError, match="AP count 4"):
             run_single_scenario(cfg, n=4)
+
+    # An AP count is an integer of n_values, numpy's too: a float or bool
+    # equal to one is not.
+    def test_ap_count_must_be_an_integer(self):
+        cfg = replace(SMALL, n_values=(1, 3))
+        for n in (3.0, np.float64(3.0), True):
+            for run in (run_batch, run_single_scenario):
+                with pytest.raises(ConfigError, match=f"AP count {n}"):
+                    run(cfg, n)
+        summary = run_batch(cfg, np.int64(3))
+        assert type(summary.n) is int and dumps(summary) == dumps(run_batch(cfg, 3))
 
     def test_unchecked_ap_count_is_rejected_before_any_world(self, monkeypatch):
         # 2000 APs at k=16 need about 12 GiB per world, which the config

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,16 +185,19 @@ class TestAreaRange:
 
 
 def oracle_neighbor_sets(sc):
-    """Scalar oracle: one AP pair at a time, math.dist and the paper's
-    constants written out (20 dBm TX, -82 dBm sensitivity)."""
+    """Scalar oracle: one AP pair at a time, math.dist and the pathloss
+    written out from the world's physical fields (the paper's by default:
+    20 dBm TX, -82 dBm sensitivity)."""
+    phys = sc.physical
     out = []
     for i, a in enumerate(sc.ap_positions):
         heard = set()
         for j, b in enumerate(sc.ap_positions):
             if j != i:
                 d = math.dist(a, b)
-                pathloss = 54.12 + 10 * 2.06067 * math.log10(d) + 5.25 * 0.1467 * d
-                if 20.0 - pathloss >= -82.0:
+                pathloss = (phys.pathloss_intercept_db + 10 * phys.attenuation_factor * math.log10(d)
+                            + phys.wall_attenuation_db_per_wall * phys.walls_per_meter * d)
+                if phys.tx_power_dbm - pathloss >= phys.sensitivity_dbm:
                     heard.add(j)
         out.append(frozenset(heard))
     return tuple(out)
@@ -239,6 +243,20 @@ class TestNeighbors:
                 assert all_neighbor_sets(sc) == oracle_neighbor_sets(sc), (n, rep)
                 worlds += 1
         assert worlds == 189
+
+    # A zero pathloss term used to meet the infinite distance that kept each
+    # AP from hearing itself, and numpy warned of 0 * inf.
+    @pytest.mark.parametrize("field", [
+        "walls_per_meter", "wall_attenuation_db_per_wall", "attenuation_factor"])
+    def test_zero_valued_fields_match_the_oracle_without_warning(self, field):
+        physical = PhysicalConfig(**{field: 0.0})
+        for n in (1, 2, 9, 30):
+            sc = sample_scenario(generator(8000 + n), n=n, k=1, area_side_m=100.0, d=10.0,
+                                 physical=physical)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sets = all_neighbor_sets(sc)
+            assert sets == oracle_neighbor_sets(sc), n
 
     def test_colocated_aps_rejected(self):
         with pytest.raises(DomainError):
