@@ -195,7 +195,8 @@ class TestWorldRateFunction:
     @staticmethod
     def written_out(power, active, noise_mw, bandwidth):
         total = power.T @ active + noise_mw
-        return np.log2(total / (total - active * power.diagonal()[:, None])).sum(axis=-1) * bandwidth
+        ratio = total / (total - active * power.diagonal()[:, None])
+        return np.log2(ratio).sum(axis=-1) * bandwidth
 
     @pytest.mark.parametrize("k", [1, 4, 8, 9, 16])
     @pytest.mark.parametrize("n", [1, 8, 64])
@@ -211,8 +212,8 @@ class TestWorldRateFunction:
             expected = rates_bps(power, bits[index[w]], noise_mw, bandwidth)
             assert np.array_equal(expected, self.written_out(power, bits[index[w]], noise_mw,
                                                              bandwidth))
-            for rates_of in (alone, alone):  # a second call of the same function too
-                assert np.array_equal(rates_of(index[w]), expected)
+            for _ in range(2):  # the kernel's second call too
+                assert np.array_equal(alone(index[w]), expected)
             assert np.array_equal(stacked(index)[w], expected)
 
 

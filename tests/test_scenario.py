@@ -244,8 +244,8 @@ class TestNeighbors:
                 worlds += 1
         assert worlds == 189
 
-    # A zero pathloss term used to meet the infinite distance that kept each
-    # AP from hearing itself, and numpy warned of 0 * inf.
+    # No distance the pathloss sees may be infinite: with a zero slope or
+    # wall field, 0 * inf is NaN and numpy warns.
     @pytest.mark.parametrize("field", [
         "walls_per_meter", "wall_attenuation_db_per_wall", "attenuation_factor"])
     def test_zero_valued_fields_match_the_oracle_without_warning(self, field):
