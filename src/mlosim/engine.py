@@ -136,7 +136,7 @@ def _worlds(scenarios):
     def rates_of(index: np.ndarray) -> np.ndarray:
         return rates(mask_bits[index])
 
-    return mask_bits, list(neighbor_sets), rates_of
+    return mask_bits, neighbor_sets, rates_of
 
 
 def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> RunResult:
