@@ -57,29 +57,34 @@ def link_mask_matrix(k: int) -> np.ndarray:
 def policy_draws(seeds, n: int, T: int, p: int):
     """Yield (t0, explore, arm, tie) over T iterations in blocks: row b of
     each (B, len(seeds) * n) array belongs to iteration t0 + b + 1, column
-    w * n + i to AP i of run w. `tie` is a view the next block overwrites.
+    w * n + i to AP i of run w. `explore` and `arm` are C-contiguous, so
+    their rows are too; `tie` is a strided view that the next block
+    overwrites.
 
     Agent-iteration (t, w * n + i) reads three uniforms, in order, from the
     stream (seeds[w], i): the explore coin (explore = coin < 1/sqrt(t)), the
     explore arm pick(u, p) and the tie uniform. So its draws depend only on
     (seeds[w], i), not on n, the other runs, the strategy or the block size.
+    Each stream fills its own agent-major row of one (len(seeds) * n, B, 3)
+    buffer in place.
     """
     gens = [streams.generator(seed, streams.PURPOSE_AGENT, i) for seed in seeds for i in range(n)]
-    u = np.empty((min(_BLOCK, T), len(gens), 3))
+    u = np.empty((len(gens), min(_BLOCK, T), 3))
     for t0 in range(0, T, _BLOCK):
-        u = u[: T - t0]  # the last block may be shorter
+        u = u[:, : T - t0]  # the last block may be shorter
         for j, g in enumerate(gens):
-            u[:, j] = g.random((len(u), 3))
-        eps = 1.0 / np.sqrt(np.arange(t0 + 1, t0 + len(u) + 1, dtype=np.float64))
-        yield t0, u[..., 0] < eps[:, None], pick(u[..., 1], p), u[..., 2]
+            g.random(out=u[j])
+        coin, arm, tie = u.T  # each (B, len(gens)), strided
+        eps = 1.0 / np.sqrt(np.arange(t0 + 1, t0 + len(coin) + 1, dtype=np.float64))
+        yield t0, np.less(coin, eps[:, None], order="C"), pick(arm, p), tie
 
 
 def pick(u, count):
     """floor(u * count) for uniforms u in [0, 1): an index below count.
 
     The product rounds below count for any u < 1, since u is at most
-    1 - 2**-53."""
-    return (u * count).astype(np.intp)
+    1 - 2**-53. The result is C-contiguous whatever the layout of u."""
+    return (u * count).astype(np.intp, order="C")
 
 
 class Tables:

@@ -55,11 +55,12 @@ DEFAULT_ITERATIONS = 2000
 # it is built (uint32 masks, two (p, k) arrays of 8-byte ints or floats and
 # numpy's cast buffer), 8*k after.
 # Draws come in blocks of B = min(128, T) iterations (agents.policy_draws):
-# an agent draws 41 bytes per iteration (three float64 uniforms, the bool
-# explore coin, the intp arm and `pick`'s float64 product while it casts),
-# so the learning runs hold 41*L*n*B. A `random` run's n agents hold a block
-# of their own, and its rate step up to four (B, n, k) float64 arrays (the
-# link rows, the totals and two temporaries), so n*B*(41 + 32*k). So a world
+# an agent holds 41 bytes per iteration (its agent-major row of three
+# float64 uniforms, 24; the C-order bool explore coin, 1; `pick`'s float64
+# product, 8, and the C-order intp arm it casts to, 8), so the learning
+# runs hold 41*L*n*B. A `random` run's n agents hold a block of their own,
+# and its rate step up to four (B, n, k) float64 arrays (the link rows that
+# `take` gathers, the totals and two temporaries), so n*B*(41 + 32*k). So a world
 # may allocate
 #   (36*L*n + 48)*T + (48*L*n + 24*k + 4)*p + (41*L*n + (41 + 32*k)*n)*B
 # bytes, L counting at least 1, which also covers a fixed or random run.

@@ -6,6 +6,9 @@ calls no pathloss, dBm or rate function of `mlosim`, so a fault in those
 cannot also hide in it. `max_min_optima` is the brute-force max-min
 optimum over every joint action of a tiny world, through it.
 
+`monotonicity_case` draws the small worlds and activation profiles on
+which the model's link-monotonicity properties are checked.
+
 `reference_run` is a per-agent epsilon-greedy bandit written one agent and
 one iteration at a time with Python floats. It reads the same three
 uniforms per agent-iteration from the same per-AP streams as the engine,
@@ -18,7 +21,7 @@ import math
 
 import numpy as np
 
-from mlosim import Strategy
+from mlosim import Scenario, Strategy
 from mlosim.radio import all_neighbor_sets, link_budget_matrix_mw, rates_bps
 from mlosim.rng import PURPOSE_AGENT, generator
 
@@ -46,6 +49,26 @@ def scalar_rate_bps(scenario, masks, i):
             rate += phys.bandwidth_hz_per_link * math.log2(
                 1 + received_mw(i) / (interference + noise_mw))
     return rate
+
+
+def monotonicity_case(rng, k=3):
+    """(world, masks, i, j): a world of 2 to 4 APs in the 100 m square, each
+    STA 10 m north of its AP, with k links; a nonempty link mask per AP; an
+    AP i and another AP j, all drawn from `rng`."""
+    n = int(rng.integers(2, 5))
+    pts = rng.uniform(0, 90, size=(n, 2))
+    stas = pts + [0.0, 10.0]
+    world = Scenario(
+        area_side_m=100.0,
+        ap_positions=tuple(map(tuple, pts)),
+        sta_positions=tuple(map(tuple, stas)),
+        ap_sta_distance_m=10.0,
+        num_links=k,
+    )
+    masks = rng.integers(1, 2**k, size=n)
+    i = int(rng.integers(n))
+    j = int((i + 1 + rng.integers(n - 1)) % n)
+    return world, masks, i, j
 
 
 class ReferenceAgent:

@@ -40,7 +40,7 @@ from mlosim.codec import dumps
 from mlosim.harness import compute_ecdf, density_sweep, run_seed, scenario_for_index
 from mlosim.radio import all_neighbor_sets, pathloss_db
 from mlosim.rng import generator
-from oracles import max_min_optima
+from oracles import max_min_optima, monotonicity_case
 
 WORKERS = min(8, os.cpu_count() or 1)
 
@@ -317,19 +317,7 @@ class TestCriterion7Invariants:
         # rate monotonicity when any other AP activates one more link
         mono_cases = 0
         while mono_cases < 1000:
-            n = int(rng.integers(2, 5))
-            pts = rng.uniform(0, 90, size=(n, 2))
-            stas = pts + [0.0, 10.0]
-            world = Scenario(
-                area_side_m=100.0,
-                ap_positions=tuple(map(tuple, pts)),
-                sta_positions=tuple(map(tuple, stas)),
-                ap_sta_distance_m=10.0,
-                num_links=3,
-            )
-            masks = rng.integers(1, 8, size=n)
-            i = int(rng.integers(n))
-            j = int((i + 1 + rng.integers(n - 1)) % n)
+            world, masks, i, j = monotonicity_case(rng)
             off = [link for link in range(3) if not masks[j] >> link & 1]
             if not off:
                 continue

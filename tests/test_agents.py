@@ -99,10 +99,11 @@ class TestExplorationRate:
 
 class TestPolicyDraws:
     """Column w * n + i of the population's draws is AP i of run w: it
-    reads stream (seeds[w], i) as if alone, whatever the block size."""
+    reads stream (seeds[w], i) as if alone, whatever the block size. Every
+    block's `explore` and `arm` are C-contiguous, so the loop's rows are."""
 
-    @pytest.mark.parametrize("T", [300, 5])  # 300 is no multiple of 7 or 128
-    @pytest.mark.parametrize("block", [1, 7, 128])
+    @pytest.mark.parametrize("T", [300, 5, 1])  # 300 is no multiple of 7 or 128
+    @pytest.mark.parametrize("block", [1, 7, 128, 10**6])  # 10**6: one block, longer than T
     @pytest.mark.parametrize("seeds", [(5,), (5, 9), (11, 5, 2)])
     def test_each_column_reads_its_own_stream(self, monkeypatch, seeds, block, T):
         monkeypatch.setattr(agents, "_BLOCK", block)
@@ -112,6 +113,9 @@ class TestPolicyDraws:
         starts = []
         for t0, *draws in policy_draws(seeds, n, T, p):
             starts.append(t0)
+            for block_draws in draws[:2]:  # explore, arm
+                assert block_draws.flags.c_contiguous
+                assert block_draws.shape == (min(block, T - t0), len(seeds) * n)
             # Copied before the next block: `tie` is a view that it overwrites.
             explore[t0 : t0 + block], arm[t0 : t0 + block], tie[t0 : t0 + block] = draws
         assert starts == list(range(0, T, block))

@@ -190,7 +190,9 @@ class TestWorldRateFunction:
     """The rate function that the engine builds once per world (or stack of
     worlds) must give, call after call, the bits of a fresh `rates_bps`
     call on each world's budget, and of the kernel's form written out with
-    a transposed view and `.sum`."""
+    a transposed view and `.sum`; for action indices of the dtypes and
+    shapes the engine passes too: intp or uint16 (the learning loop's
+    distinct rows), and a `random` run's (128, n) block."""
 
     @staticmethod
     def written_out(power, active, noise_mw, bandwidth):
@@ -204,6 +206,7 @@ class TestWorldRateFunction:
         worlds = [world(seed=60 + w, n=n, k=k) for w in range(3)]
         bits = agents.link_mask_matrix(k)
         index = generator(n * k).integers(0, len(bits), size=(3, 4, n))
+        block = generator(n * k + 1).integers(0, len(bits), size=(128, n), dtype=np.intp)
         noise_mw, bandwidth = dbm_to_mw(-95.0), 80e6
         stacked = engine._worlds(worlds)[2]
         for w, sc in enumerate(worlds):
@@ -214,7 +217,12 @@ class TestWorldRateFunction:
                                                              bandwidth))
             for _ in range(2):  # the kernel's second call too
                 assert np.array_equal(alone(index[w]), expected)
-            assert np.array_equal(stacked(index)[w], expected)
+                assert np.array_equal(alone(index[w].astype(np.uint16)), expected)
+            for stack in (index, index.astype(np.uint16)):
+                assert np.array_equal(stacked(stack)[w], expected)
+            expected = rates_bps(power, bits[block], noise_mw, bandwidth)
+            assert np.array_equal(alone(block), expected)
+            assert np.array_equal(alone(block.astype(np.uint16)), expected)
 
 
 class TestFederatedExchange:

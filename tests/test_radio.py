@@ -1,6 +1,7 @@
 """RF arithmetic tests against hand-evaluated oracle values."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from mlosim import (
     achieved_rate_bps,
 )
 from mlosim.radio import dbm_to_mw, link_budget_matrix_mw, pathloss_db, rates_bps
+
+import oracles
+from oracles import monotonicity_case, scalar_rate_bps
 
 PHYS = PhysicalConfig()
 
@@ -201,6 +205,55 @@ class TestStackedWorlds:
             for run in range(2):
                 alone = rates_bps(power[w], active[w, run], noise, 80e6)
                 assert np.array_equal(stacked[w, run], alone)
+
+
+class TestLinkMonotonicity:
+    """The model's link monotonicity, on the independent oracle
+    `scalar_rate_bps` over criterion 7's worlds: when AP i activates one
+    more link, its own rate never falls, and no other AP's rate rises. So
+    activating every link is a selfish agent's dominant action."""
+
+    @staticmethod
+    def raised(k, cases=300):
+        """(world, masks, raised masks, i): each link that AP i of a drawn
+        case has off, switched on in the raised masks."""
+        rng = np.random.default_rng(720 + k)
+        for _ in range(cases):
+            world, masks, i, _ = monotonicity_case(rng, k)
+            for link in range(k):
+                if not masks[i] >> link & 1:
+                    raised = masks.copy()
+                    raised[i] |= 1 << link
+                    yield world, masks, raised, i
+
+    @classmethod
+    def own_rate_falls(cls, k):
+        """(cases where AP i's rate fell, cases) over `raised(k)`."""
+        falls = [scalar_rate_bps(world, raised, i) < scalar_rate_bps(world, masks, i)
+                 for world, masks, raised, i in cls.raised(k)]
+        return sum(falls), len(falls)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_own_link_never_lowers_own_rate(self, k):
+        falls, cases = self.own_rate_falls(k)
+        assert cases > 100 and falls == 0
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_own_link_never_raises_another_rate(self, k):
+        cases = 0
+        for world, masks, raised, i in self.raised(k):
+            for j in range(world.n):
+                if j != i:
+                    assert scalar_rate_bps(world, raised, j) <= scalar_rate_bps(world, masks, j)
+                    cases += 1
+        assert cases > 100
+
+    def test_a_self_harming_link_fails_the_own_rate_property(self, monkeypatch):
+        # Mutant oracle: each active link subtracts its Shannon term, so an
+        # AP's own active link lowers its rate.
+        monkeypatch.setattr(oracles, "math", SimpleNamespace(
+            dist=math.dist, log10=math.log10, log2=lambda x: -math.log2(x)))
+        assert self.own_rate_falls(3)[0] > 0
 
 
 class TestAchievedRate:
