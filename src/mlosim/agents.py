@@ -54,21 +54,23 @@ def link_mask_matrix(k: int) -> np.ndarray:
     return ((masks[:, None] >> np.arange(k)) & 1).astype(np.float64)
 
 
-def policy_draws(seeds, n: int, T: int, p: int):
+def policy_draws(seeds, ns, T: int, p: int):
     """Yield (t0, explore, arm, tie) over T iterations in blocks: row b of
-    each (B, len(seeds) * n) array belongs to iteration t0 + b + 1, column
-    w * n + i to AP i of run w. `explore` and `arm` are C-contiguous, so
+    each (B, sum(ns)) array belongs to iteration t0 + b + 1, and run w's
+    ns[w] APs take the columns after those of the runs before it, AP i of
+    run w column sum(ns[:w]) + i. `explore` and `arm` are C-contiguous, so
     their rows are too; `tie` is a strided view that the next block
     overwrites.
 
-    Agent-iteration (t, w * n + i) reads three uniforms, in order, from the
-    stream (seeds[w], i): the explore coin (explore = coin < 1/sqrt(t)), the
-    explore arm pick(u, p) and the tie uniform. So its draws depend only on
-    (seeds[w], i), not on n, the other runs, the strategy or the block size.
-    Each stream fills its own agent-major row of one (len(seeds) * n, B, 3)
-    buffer in place.
+    Agent-iteration (t, sum(ns[:w]) + i) reads three uniforms, in order,
+    from the stream (seeds[w], i): the explore coin (explore = coin <
+    1/sqrt(t)), the explore arm pick(u, p) and the tie uniform. So its draws
+    depend only on (seeds[w], i), not on n, the other runs, the strategy or
+    the block size. Each stream fills its own agent-major row of one
+    (sum(ns), B, 3) buffer in place.
     """
-    gens = [streams.generator(seed, streams.PURPOSE_AGENT, i) for seed in seeds for i in range(n)]
+    gens = [streams.generator(seed, streams.PURPOSE_AGENT, i)
+            for seed, n in zip(seeds, ns, strict=True) for i in range(n)]
     u = np.empty((len(gens), min(_BLOCK, T), 3))
     for t0 in range(0, T, _BLOCK):
         u = u[:, : T - t0]  # the last block may be shorter

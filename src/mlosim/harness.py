@@ -2,14 +2,16 @@
 
 A batch samples `num_scenarios` worlds and runs every configured strategy
 on the same geometry (paired comparison), reducing each run to the
-scenario's min rate: the whole-run average rate of its worst AP. A task is
-a chunk of consecutive worlds of one AP count, whose learning runs step
-together in one `run_learning` loop; tasks are independent, so they can be
-distributed over a worker pool. An experiment uses one pool: a density
-sweep submits the tasks of every AP count at once, largest AP counts first
-(a world's cost grows with n), and then reduces each count's outcomes in
+scenario's min rate: the whole-run average rate of its worst AP. Each AP
+count's worlds are cut into chunks of consecutive worlds, and a task is one
+chunk or a few, of one AP count or several, whose learning runs step
+together in one `run_learning` loop; a task allocates at most the sum of
+its worlds' run_bytes. Tasks are independent, so they can be distributed
+over a worker pool. An experiment uses one pool: a density sweep deals the
+chunks of every AP count into tasks at once, largest AP counts first (a
+world's cost grows with n), and then reduces each count's outcomes in
 scenario-index order, which keeps summaries byte-identical for any worker
-count and any chunk size.
+count and any task layout.
 
 Every world, in a batch task or in the convergence view, runs through
 `_world_runs`; `run_single_scenario` is its one-world case. Outputs are CSV
@@ -64,18 +66,22 @@ DEFAULT_ITERATIONS = 2000
 # may allocate
 #   (36*L*n + 48)*T + (48*L*n + 24*k + 4)*p + (41*L*n + (41 + 32*k)*n)*B
 # bytes, L counting at least 1, which also covers a fixed or random run.
-# A batch task of S worlds steps them together, S*L*n agents per run, and
-# reduces its runs one at a time, so it allocates at most S*run_bytes.
-# tests/test_harness.py checks tracemalloc peaks against that bound: of
-# run_learning and of a 4-strategy world at n = 2, 8, 64 and T = 32000,
-# 16000, 8000, where per-iteration terms dominate; at k = 8, 12, 16, where
-# the per-action terms do; of a `random` world at k=8, T=200, where its
-# block does; and of chunks of 3 and 10 learning worlds at T = 130 and 500
-# (k = 1-8, n = 2-32), where the chunk's draws do. They read 0.33-0.70 of
-# it (a world at n=64, T=500 reads 0.70 too); without the draws terms the
+# A batch task steps its worlds together, of one AP count or several, and
+# reduces its runs one at a time, so it allocates at most the sum of its
+# worlds' run_bytes: each group of worlds of one AP count holds its own
+# distinct-row tables and dict, and every group's dict is freed before the
+# gathers. tests/test_harness.py checks tracemalloc peaks against that
+# bound: of run_learning and of a 4-strategy world at n = 2, 8, 64 and T =
+# 32000, 16000, 8000, where per-iteration terms dominate; at k = 8, 12, 16,
+# where the per-action terms do; of a `random` world at k=8, T=200, where
+# its block does; and of chunks of 3 and 10 learning worlds at T = 130 and
+# 500 (k = 1-8, n = 2-32), where the chunk's draws do. They read 0.33-0.70
+# of it (a world at n=64, T=500 reads 0.70 too); without the draws terms the
 # chunks read up to 1.91. A 2-world task at n=16, T=2000 reads 0.66 (3.68
-# MiB): a chunk's joint action recurs less often than a world's, so its
-# dict holds more keys per world than a lone world's.
+# MiB): a chunk's joint action recurs less often than a world's, so its dict
+# holds more keys per world than a lone world's. Tasks of worlds of two or
+# three AP counts (n = 1-64, k = 1-8, T = 130-4000) read 0.40-0.62 of the
+# sum of their worlds' run_bytes.
 # A config is rejected when a world's run_bytes at its largest AP count
 # exceeds the budget, and every world a batch runs has an AP count of the
 # config. The same budget bounds the batch state of an experiment's worlds
@@ -85,9 +91,10 @@ DEFAULT_ITERATIONS = 2000
 # 10,000 and 20,000 worlds, so at 2**10 bytes per world the budget holds
 # 2**32 / 2**10 = 4,194,304 worlds.
 RUN_BYTES_BUDGET = 2**32
-# Bytes a batch task may allocate when it holds more than one world: a
-# chunk holds at most CHUNK_BYTES // run_bytes worlds, and one world at
-# least, which RUN_BYTES_BUDGET bounds. Per-world time stops falling near
+# Bytes a batch task may allocate when it holds more than one world: a chunk
+# holds at most CHUNK_BYTES // run_bytes worlds, and one world at least,
+# which RUN_BYTES_BUDGET bounds; a task of several chunks holds at most
+# CHUNK_BYTES of their worlds' run_bytes. Per-world time stops falling near
 # S=16: run_batch at n=8, T=2000, 4 strategies, 1 worker read 45, 32, 23,
 # 18, 16.0, 16.4 and 16.2 ms per world at S = 1, 2, 4, 8, 16, 32 and 64
 # (2-core x86-64, numpy 2.4.6, one BLAS thread), and this cap allows S=22
@@ -237,23 +244,25 @@ def _one_n(config: ExperimentConfig, n: int | None) -> int:
     return count
 
 
-def _world_runs(config: ExperimentConfig, n: int, indices):
-    """Yield (scenario index, strategy, result) of every run on the batch
-    worlds `indices` of AP count n: first the learning runs of all of them,
-    stepped together in one `run_learning` lockstep loop and produced one at
-    a time, then each world's `fixed`/`random` runs."""
-    scenarios = [scenario_for_index(config, n, s) for s in indices]
+def _world_runs(config: ExperimentConfig, parts):
+    """Yield (AP count, scenario index, strategy, result) of every run on the
+    batch worlds of `parts`, a list of (AP count, scenario indices): first
+    the learning runs of all of them, stepped together in one `run_learning`
+    lockstep loop and produced one at a time, then each world's
+    `fixed`/`random` runs."""
+    worlds = [(n, s) for n, indices in parts for s in indices]
+    scenarios = [scenario_for_index(config, n, s) for n, s in worlds]
     T = config.iterations
     learners = [s for s in config.strategies if s in LEARNING]
     if learners:
-        seeds = [run_seed(config, n, s, strategy) for s in indices for strategy in learners]
+        seeds = [run_seed(config, n, s, strategy) for n, s in worlds for strategy in learners]
         for r, result in enumerate(run_learning(scenarios, learners, T, seeds)):
-            yield indices[r // len(learners)], result.strategy, result
-    for s, scenario in zip(indices, scenarios):
+            yield *worlds[r // len(learners)], result.strategy, result
+    for (n, s), scenario in zip(worlds, scenarios):
         for strategy in config.strategies:
             if strategy not in LEARNING:
                 seed = run_seed(config, n, s, strategy)
-                yield s, strategy, run_scenario(scenario, strategy, T, seed)
+                yield n, s, strategy, run_scenario(scenario, strategy, T, seed)
 
 
 def run_single_scenario(
@@ -268,48 +277,71 @@ def run_single_scenario(
     if index not in range(config.num_scenarios):
         raise ConfigError(f"scenario_index must be an integer in range({config.num_scenarios}), "
                           f"got {scenario_index!r}")
-    results = {strategy: result for _, strategy, result
-               in _world_runs(config, _one_n(config, n), [index])}
+    results = {strategy: result for _, _, strategy, result
+               in _world_runs(config, [(_one_n(config, n), [index])])}
     return {strategy: results[strategy] for strategy in config.strategies}
 
 
-def _chunk_task(args) -> list[tuple[str, list[float]]]:
-    """One batch task: the digest of each world of a chunk of consecutive
-    scenario indices of one AP count, and each strategy's min rate on it.
-    Every run is reduced to its min rate as it is produced, then dropped."""
-    config, n, indices = args  # indices: a range of scenario indices
+def _chunk_task(args) -> list[tuple[int, int, str, list[float]]]:
+    """One batch task: (AP count, scenario index, digest, min rates) of each
+    world of the task's chunks, a list of (AP count, range of consecutive
+    scenario indices), with each strategy's min rate on the world. Every run
+    is reduced to its min rate as it is produced, then dropped."""
+    config, parts = args
     column = {strategy: col for col, strategy in enumerate(config.strategies)}
-    mins = {s: [0.0] * len(column) for s in indices}
+    mins = {(n, s): [0.0] * len(column) for n, indices in parts for s in indices}
     digests = {}
-    for s, strategy, result in _world_runs(config, n, indices):
-        mins[s][column[strategy]] = float(result.mean_rates_bps().min())
-        if s not in digests:
-            digests[s] = hashlib.sha256(dumps(result.scenario).encode()).hexdigest()[:16]
-    return [(digests[s], mins[s]) for s in indices]
+    for n, s, strategy, result in _world_runs(config, parts):
+        mins[n, s][column[strategy]] = float(result.mean_rates_bps().min())
+        if (n, s) not in digests:
+            digests[n, s] = hashlib.sha256(dumps(result.scenario).encode()).hexdigest()[:16]
+    return [(n, s, digests[n, s], row) for (n, s), row in mins.items()]
 
 
 def _chunk_size(config: ExperimentConfig, n: int, n_values) -> int:
-    """Worlds of AP count n per batch task of a run of the AP counts
-    `n_values`: an equal share of the run's worlds per worker, at most the
-    count's num_scenarios and at most what fits in CHUNK_BYTES (never below
-    one world)."""
+    """Worlds of AP count n per chunk of a run of the AP counts `n_values`:
+    an equal share of the run's worlds per worker, at most the count's
+    num_scenarios and at most what fits in CHUNK_BYTES (never below one
+    world)."""
     share = -(-config.num_scenarios * len(n_values) // config.workers)
     return max(1, min(config.num_scenarios, share, CHUNK_BYTES // run_bytes(config, n)))
 
 
-def _run_worlds(config: ExperimentConfig, n_values) -> dict[int, list]:
-    """Task outcomes of every world of each AP count, in scenario-index order.
+def _tasks(config: ExperimentConfig, n_values) -> list[list[tuple[int, range]]]:
+    """The batch tasks of a run of the AP counts `n_values`, each a list of
+    chunks (AP count, range of consecutive scenario indices).
 
-    A task is a chunk of consecutive worlds of one AP count, stepped
-    together. All tasks are built up front, largest AP counts first (a
-    world's cost grows with n), and run inline at one worker or mapped once
-    over one pool.
-    """
+    Each count's worlds are cut into chunks of `_chunk_size`, which are
+    dealt out largest AP count first (a world's cost grows with n): the
+    first `workers` chunks each open a task, and each later one joins the
+    task of fewest run_bytes that it still fits in within CHUNK_BYTES, or
+    else opens a task of its own. A one-count run's chunks are at most
+    `workers`, or fill CHUNK_BYTES, or are one, so each is a task alone."""
     m = config.num_scenarios
-    largest_first = sorted(n_values, reverse=True)
-    tasks = [(config, n, range(lo, min(lo + size, m)))
-             for n in largest_first for size in (_chunk_size(config, n, n_values),)
-             for lo in range(0, m, size)]
+    chunks = [(n, range(lo, min(lo + size, m))) for n in sorted(n_values, reverse=True)
+              for size in (_chunk_size(config, n, n_values),) for lo in range(0, m, size)]
+    tasks, loads = [], []
+    for n, indices in chunks:
+        need = len(indices) * run_bytes(config, n)
+        fits = [t for t, load in enumerate(loads) if load + need <= CHUNK_BYTES]
+        if len(tasks) < config.workers or not fits:
+            tasks.append([(n, indices)])
+            loads.append(need)
+        else:
+            t = min(fits, key=loads.__getitem__)
+            tasks[t].append((n, indices))
+            loads[t] += need
+    return tasks
+
+
+def _run_worlds(config: ExperimentConfig, n_values) -> dict[int, list]:
+    """Task outcomes (digest, min rates) of every world of each AP count, in
+    scenario-index order.
+
+    The tasks of `_tasks` are all built up front, and run inline at one
+    worker or mapped once over one pool; a task's worlds step together.
+    """
+    tasks = [(config, parts) for parts in _tasks(config, n_values)]
     # A forked pool starts all its workers at the first submit, so it gets
     # no more of them than there are tasks.
     workers = min(config.workers, len(tasks))
@@ -322,8 +354,11 @@ def _run_worlds(config: ExperimentConfig, n_values) -> dict[int, list]:
             chunks = list(pool.map(_chunk_task, tasks))
     else:
         chunks = [_chunk_task(t) for t in tasks]
-    outcomes = [outcome for chunk in chunks for outcome in chunk]
-    return {n: outcomes[i * m:(i + 1) * m] for i, n in enumerate(largest_first)}
+    outcomes = {n: [None] * config.num_scenarios for n in n_values}
+    for chunk in chunks:
+        for n, s, digest, mins in chunk:
+            outcomes[n][s] = digest, mins
+    return outcomes
 
 
 def run_batch(
@@ -331,8 +366,8 @@ def run_batch(
 ) -> BatchSummary:
     """Run the paired Monte Carlo batch for one AP count of config.n_values.
 
-    Given `outcomes` (the batch's task results in scenario-index order),
-    it only reduces them.
+    Given `outcomes` (each world's digest and min rates, in scenario-index
+    order), it only reduces them.
     """
     n = _one_n(config, n)
     if outcomes is None:

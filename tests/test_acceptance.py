@@ -7,10 +7,17 @@ sized to the machine.
 Criteria 1 and 2 assert the published comparison targets (strategy
 ordering with RL above Random, and per-scheme means within +-40% of the
 reported Mbps values at a -95 dBm noise floor). Faithful evaluation of
-the stated rate model in this geometry does not produce those targets:
-interference here is too mild to crush the fixed scheme by two orders of
-magnitude, and time-diversity makes the random scheme outperform the
-selfish local learner. The assertions are kept as written rather than
+the stated rate model in this geometry does not produce those targets,
+for a structural reason. In the model an AP's own rate never falls when
+it adds a link, and no other AP's rate rises (tests/test_radio.py::
+TestLinkMonotonicity, on the independent scalar oracle). So activating
+every link is a selfish agent's dominant action, and `rl` converges
+toward `fixed`'s joint action: on 20 sampled n=8 worlds it spent 92 % of
+its last 200 iterations on the all-links action. `random` activates
+32/15 ~ 2.13 of 4 links on average and so interferes less than `rl`:
+rl > random, the link that criterion 2 misses in 94 % of draws, is not
+expected wherever random beats fixed, and fixed stays near a quarter of
+frl, not under 5 %. The assertions are kept as written rather than
 loosened, so those two tests document the discrepancy by failing; the
 printed lines carry the measured values.
 """

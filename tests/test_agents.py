@@ -84,12 +84,12 @@ class TestExplorationRate:
     SEEDS, N, T = (3, 8), 10, 10000
 
     def test_starts_fully_exploratory(self):
-        t0, explore, _, _ = next(policy_draws(self.SEEDS, self.N, self.T, 15))
+        t0, explore, _, _ = next(policy_draws(self.SEEDS, (self.N, self.N), self.T, 15))
         assert t0 == 0 and explore[0].all()
 
     def test_inverse_square_root(self):
         explore = np.concatenate([explore for _, explore, _, _
-                                  in policy_draws(self.SEEDS, self.N, self.T, 15)])
+                                  in policy_draws(self.SEEDS, (self.N, self.N), self.T, 15)])
         coins = np.stack([generator(seed, streams.PURPOSE_AGENT, i).random((self.T, 3))[:, 0]
                           for seed in self.SEEDS for i in range(self.N)], axis=1)
         for t, rate in ((4, 0.5), (100, 0.1), (10000, 0.01)):
@@ -98,8 +98,8 @@ class TestExplorationRate:
 
 
 class TestPolicyDraws:
-    """Column w * n + i of the population's draws is AP i of run w: it
-    reads stream (seeds[w], i) as if alone, whatever the block size. Every
+    """Column sum(ns[:w]) + i of the population's draws is AP i of run w:
+    it reads stream (seeds[w], i) as if alone, whatever the block size. Every
     block's `explore` and `arm` are C-contiguous, so the loop's rows are."""
 
     @pytest.mark.parametrize("T", [300, 5, 1])  # 300 is no multiple of 7 or 128
@@ -111,7 +111,7 @@ class TestPolicyDraws:
         explore, arm, tie = (np.empty((T, len(seeds) * n), dtype)
                              for dtype in (bool, np.intp, np.float64))
         starts = []
-        for t0, *draws in policy_draws(seeds, n, T, p):
+        for t0, *draws in policy_draws(seeds, [n] * len(seeds), T, p):
             starts.append(t0)
             for block_draws in draws[:2]:  # explore, arm
                 assert block_draws.flags.c_contiguous
@@ -126,6 +126,27 @@ class TestPolicyDraws:
                 assert np.array_equal(explore[:, w * n + i], u[:, 0] < epsilon)
                 assert np.array_equal(arm[:, w * n + i], np.floor(u[:, 1] * p))
                 assert np.array_equal(tie[:, w * n + i], u[:, 2])
+
+    # Runs of several AP counts: run w's ns[w] APs take the columns after
+    # those of the runs before it, each reading its own stream.
+    @pytest.mark.parametrize("seeds, ns", [((5, 9, 2), (1, 3, 2)), ((4, 4), (8, 1))])
+    def test_runs_of_several_ap_counts_take_consecutive_columns(self, seeds, ns):
+        T, p = 20, 7
+        (t0, explore, arm, tie), = policy_draws(seeds, ns, T, p)
+        assert t0 == 0 and explore.shape == arm.shape == tie.shape == (T, sum(ns))
+        column = 0
+        epsilon = 1 / np.sqrt(np.arange(1, T + 1))
+        for seed, n in zip(seeds, ns):
+            for i in range(n):
+                u = generator(seed, streams.PURPOSE_AGENT, i).random((T, 3))
+                assert np.array_equal(explore[:, column], u[:, 0] < epsilon)
+                assert np.array_equal(arm[:, column], np.floor(u[:, 1] * p))
+                assert np.array_equal(tie[:, column], u[:, 2])
+                column += 1
+
+    def test_every_run_needs_its_ap_count(self):
+        with pytest.raises(ValueError):
+            next(policy_draws((1, 2), (3,), 5, 7))
 
 
 class TestSelection:

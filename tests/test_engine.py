@@ -487,12 +487,18 @@ class TestLockstep:
         with pytest.raises(ConfigError):
             run_learning([world(n=2)], strategies, T, seeds)
 
+    # Worlds of several AP counts step together (TestMixedCounts); worlds of
+    # several k, whose action sets differ, or of other physical constants
+    # cannot.
     @pytest.mark.parametrize("worlds, seeds", [
         ([], []),
-        ([world(n=2), world(n=3)], [1, 2, 3, 4]),
         ([world(n=2), world(n=2, k=3)], [1, 2, 3, 4]),
+        ([world(n=3), world(n=2, k=3)], [1, 2, 3, 4]),
+        ([world(n=3), sample_scenario(generator(43), n=2, k=4, area_side_m=100.0, d=10.0,
+                                      physical=PhysicalConfig(noise_floor_dbm=-90.0))],
+         [1, 2, 3, 4]),
         ([world(n=2), world(n=2, seed=43)], [1, 2, 3]),
-    ], ids=["no-world", "mixed-n", "mixed-k", "seed-short"])
+    ], ids=["no-world", "mixed-k", "mixed-n-and-k", "mixed-physical", "seed-short"])
     def test_rejects_worlds_that_cannot_step_together(self, worlds, seeds):
         with pytest.raises(ConfigError):
             run_learning(worlds, LEARNERS, 10, seeds)
@@ -524,23 +530,12 @@ class TestWorldChunks:
     # give every run the rows it would have had alone.
     @pytest.mark.parametrize("S", [1, 2])
     def test_each_distinct_joint_action_calls_the_kernel_once(self, monkeypatch, S):
-        calls = []
-
-        def counted(*args):
-            rates = rate_kernel(*args)
-
-            def counted_rates(active):
-                calls.append(1)
-                return rates(active)
-
-            return counted_rates
-
-        monkeypatch.setattr(engine, "rate_kernel", counted)
+        calls = counted_kernels(monkeypatch)
         worlds = [world(n=8, seed=250 + w) for w in range(S)]
         T, seeds = 2000, list(range(17, 17 + S * len(LEARNERS)))
         runs = list(run_learning(worlds, LEARNERS, T, seeds))
         stacked = np.hstack([res.action_masks for res in runs])  # (T, S * L * n)
-        assert len(calls) == len(np.unique(stacked, axis=0)) < T
+        assert calls == [len(np.unique(stacked, axis=0))] and calls[0] < T
         monkeypatch.undo()
         for res in runs:
             assert dumps(res) == dumps(run_scenario(res.scenario, res.strategy, T, res.seed))
@@ -551,6 +546,73 @@ class TestWorldChunks:
         first = next(runs)
         assert first.scenario == worlds[0] and first.strategy is LEARNERS[0]
         assert len(list(runs)) == 3
+
+
+def counted_kernels(monkeypatch):
+    """Patch the engine's rate kernel so that each kernel it builds counts
+    its calls: returns the list of counts, one per kernel built, in order."""
+    counts = []
+
+    def counted(*args):
+        rates = rate_kernel(*args)
+        counts.append(0)
+        kernel = len(counts) - 1
+
+        def counted_rates(active):
+            counts[kernel] += 1
+            return rates(active)
+
+        return counted_rates
+
+    monkeypatch.setattr(engine, "rate_kernel", counted)
+    return counts
+
+
+class TestMixedCounts:
+    """Worlds of several AP counts (one k) step together: one policy step
+    for all their runs' agents, and per group of consecutive worlds of one
+    AP count, one key, rate call and reward call per new joint action.
+    Every run must equal the run alone, bit for bit."""
+
+    @pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
+    @pytest.mark.parametrize("counts", [
+        (2, 3), (1, 2, 3, 8), (8, 8, 3, 2, 2, 1), (3, 8, 8, 3), (1, 1, 8, 2),
+    ], ids=["mixed-n", "1-2-3-8", "8-8-3-2-2-1", "3-8-8-3", "1-1-8-2"])
+    @pytest.mark.parametrize("block", [7, 128])
+    def test_each_run_equals_the_run_alone(self, monkeypatch, counts, order, block):
+        monkeypatch.setattr(agents, "_BLOCK", block)
+        worlds = [world(n=n, seed=300 + 10 * n + w) for w, n in enumerate(counts)]
+        T, L = 300, len(order)
+        seeds = [5 * len(counts) + r for r in range(len(worlds) * L)]
+        runs = list(run_learning(worlds, order, T, seeds))
+        assert [(res.scenario, res.strategy, res.seed) for res in runs] == [
+            (sc, strategy, seeds[r]) for r, (sc, strategy)
+            in enumerate(itertools.product(worlds, order))]
+        for res in runs:
+            alone = run_scenario(res.scenario, res.strategy, T, res.seed)
+            assert dumps(res) == dumps(alone)
+            assert np.array_equal(res.mean_rates_bps(), alone.mean_rates_bps())
+            assert res.action_masks.flags.c_contiguous and res.rates_bps.flags.c_contiguous
+
+    # Long enough that joint actions recur in every group: each group's
+    # kernel runs once per distinct row of its runs' stacked actions.
+    @pytest.mark.parametrize("counts", [(8, 8, 2), (2, 8, 8), (3, 8, 3)])
+    def test_each_group_calls_its_kernel_once_per_distinct_row(self, monkeypatch, counts):
+        calls = counted_kernels(monkeypatch)
+        worlds = [world(n=n, seed=260 + w) for w, n in enumerate(counts)]
+        T, L = 2000, len(LEARNERS)
+        seeds = list(range(40, 40 + len(worlds) * L))
+        runs = list(run_learning(worlds, LEARNERS, T, seeds))
+        groups = [len(list(g)) for _, g in itertools.groupby(counts)]
+        distinct, r = [], 0
+        for size in groups:
+            stacked = np.hstack([res.action_masks for res in runs[r:r + size * L]])
+            distinct.append(len(np.unique(stacked, axis=0)))
+            r += size * L
+        assert calls == distinct and max(distinct) < T
+        monkeypatch.undo()
+        for res in runs:
+            assert dumps(res) == dumps(run_scenario(res.scenario, res.strategy, T, res.seed))
 
 
 def expected_random_rates(sc):

@@ -30,6 +30,7 @@ from mlosim.harness import (
     scenario_for_index,
 )
 
+LEARNERS = (Strategy.LOCAL_RL, Strategy.FEDERATED_RL)
 SMALL = ExperimentConfig(
     num_scenarios=6, iterations=40, n_values=(3,), k=2, master_seed=99
 )
@@ -183,7 +184,7 @@ class TestConfig:
         tracemalloc.start()
         try:
             if run == "chunk":
-                harness._chunk_task((cfg, n, range(worlds)))
+                harness._chunk_task((cfg, [(n, range(worlds))]))
             else:
                 run_single_scenario(cfg)
             peak = tracemalloc.get_traced_memory()[1]
@@ -232,14 +233,39 @@ class TestConfig:
                                num_scenarios=S, iterations=T, n_values=(n,), k=k)
         tracemalloc.start()
         try:
-            harness._chunk_task((cfg, n, range(S)))
+            harness._chunk_task((cfg, [(n, range(S))]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= S * harness.run_bytes(cfg, n)
 
+    # Mixed tasks, whose worlds of several AP counts step together: a task
+    # allocates at most the sum of its worlds' run_bytes. The first two are
+    # the sweep-cli unit's tasks.
+    @pytest.mark.parametrize("parts, T, k", [
+        ([(16, 2), (4, 2), (2, 2)], 2000, 4),
+        ([(12, 2), (8, 2)], 2000, 4),
+        ([(64, 1), (8, 2)], 500, 4),
+        ([(32, 3), (2, 10)], 130, 8),
+        ([(8, 3), (2, 3), (1, 3)], 4000, 1),
+    ])
+    @pytest.mark.parametrize("learning_only", [False, True], ids=["all", "learning"])
+    def test_mixed_task_peak_stays_within_its_worlds_run_bytes(self, parts, T, k,
+                                                               learning_only):
+        strategies = LEARNERS if learning_only else tuple(Strategy)
+        cfg = ExperimentConfig(strategies=strategies, num_scenarios=max(S for _, S in parts),
+                               iterations=T, n_values=tuple(n for n, _ in parts), k=k)
+        task = [(n, range(S)) for n, S in parts]
+        tracemalloc.start()
+        try:
+            harness._chunk_task((cfg, task))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sum(S * harness.run_bytes(cfg, n) for n, S in parts)
+
     @pytest.mark.parametrize("n_values, scenarios, workers, size", [
-        ((2, 4, 8, 12, 16), 2, 2, 2),  # the benchmark's CLI sweep: 5 tasks
+        ((2, 4, 8, 12, 16), 2, 2, 2),  # the benchmark's CLI sweep: 5 chunks
         ((8,), 1, 1, 1),  # one world
         ((8,), 500, 1, 500),  # one worker: every world of a count in one task...
         ((8,), 500, 4, 125),  # ...else an equal share per worker
@@ -272,8 +298,9 @@ class TestConfig:
                 return map(fn, tasks)
 
         def no_run(task):
-            _, n, indices = task
-            return [(f"{n}:{s}", [0.0] * len(cfg.strategies)) for s in indices]
+            _, parts = task
+            return [(n, s, f"{n}:{s}", [0.0] * len(cfg.strategies))
+                    for n, indices in parts for s in indices]
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(harness, "_chunk_task", no_run)
@@ -304,6 +331,55 @@ class TestConfig:
         cfg = ExperimentConfig(strategies=strategies, num_scenarios=scenarios, iterations=T,
                                n_values=n_values, workers=workers)
         assert {harness._chunk_size(cfg, n, n_values) for n in n_values} == {size}
+
+    # The task layouts of the benchmark's workloads (sweep-cli at 2 workers)
+    # and of the 500-world batch at n=8: a sweep's chunks of small AP counts
+    # join the tasks of larger ones, and a one-count run keeps a task per
+    # chunk.
+    @pytest.mark.parametrize("strategies, n_values, scenarios, T, workers, layout", [
+        (tuple(Strategy), (8,), 1, 2000, 1, [[(8, range(1))]]),  # paper-batch
+        ((Strategy.FIXED, Strategy.FEDERATED_RL), (64,), 1, 500, 1,
+         [[(64, range(1))]]),  # dense-n64
+        (tuple(Strategy), (2, 4, 8, 12, 16), 2, 2000, 2,
+         [[(16, range(2)), (4, range(2)), (2, range(2))],
+          [(12, range(2)), (8, range(2))]]),  # sweep-cli
+        (tuple(Strategy), (8,), 500, 2000, 1,
+         [[(8, range(lo, min(lo + 22, 500)))] for lo in range(0, 500, 22)]),
+    ], ids=["paper-batch", "dense-n64", "sweep-cli", "batch-500"])
+    def test_task_layouts_of_the_benchmark_loads(self, strategies, n_values, scenarios, T,
+                                                 workers, layout):
+        cfg = ExperimentConfig(strategies=strategies, num_scenarios=scenarios, iterations=T,
+                               n_values=n_values, workers=workers)
+        assert harness._tasks(cfg, n_values) == layout
+
+    # A one-count run keeps a task per chunk: its chunks are a share per
+    # worker, or fill CHUNK_BYTES, or are one.
+    @pytest.mark.parametrize("scenarios, workers", [(1, 4), (7, 3), (100, 4), (500, 2), (45, 1)])
+    def test_one_count_tasks_are_its_chunks(self, scenarios, workers):
+        cfg = ExperimentConfig(num_scenarios=scenarios, n_values=(8,), workers=workers)
+        size = harness._chunk_size(cfg, 8, (8,))
+        assert harness._tasks(cfg, (8,)) == [[(8, range(lo, min(lo + size, scenarios)))]
+                                             for lo in range(0, scenarios, size)]
+
+    # Every mixed task fits in CHUNK_BYTES; only chunks past the first
+    # `workers` join a task.
+    @pytest.mark.parametrize("scenarios, workers", [(2, 2), (3, 2), (30, 2), (100, 2), (100, 8)])
+    def test_mixed_tasks_fit_in_chunk_bytes(self, scenarios, workers):
+        n_values = (2, 4, 8, 12, 16)
+        cfg = ExperimentConfig(num_scenarios=scenarios, n_values=n_values, workers=workers)
+        tasks = harness._tasks(cfg, n_values)
+        chunks = [(n, indices) for n in sorted(n_values, reverse=True)
+                  for size in (harness._chunk_size(cfg, n, n_values),)
+                  for indices in (range(lo, min(lo + size, scenarios))
+                                  for lo in range(0, scenarios, size))]
+        dealt = [chunk for parts in tasks for chunk in parts]
+        assert sorted(dealt, key=lambda c: (-c[0], c[1].start)) == chunks
+        assert [parts[0] for parts in tasks[:workers]] == chunks[:workers]
+        for parts in tasks:
+            assert parts == sorted(parts, key=lambda chunk: -chunk[0])
+            if len(parts) > 1:
+                assert sum(len(indices) * harness.run_bytes(cfg, n)
+                           for n, indices in parts) <= harness.CHUNK_BYTES
 
 
 class TestWorldBuild:
@@ -516,15 +592,20 @@ class TestDensitySweep:
         expected = {n: dumps(s) for n, s in density_sweep(cfg).items()}
         assert pools == []
         largest_first = [(n, s) for n in (8, 4, 2) for s in range(cfg.num_scenarios)]
-        # A task is a chunk of consecutive worlds of one AP count: 9 worlds
-        # make 3 chunks of 3 on 2 workers, and 9 chunks of 1 on 64.
-        for workers, size, chunk in ((2, 2, 3), (64, 9, 1)):
+        # A task is a list of chunks of consecutive worlds of one AP count.
+        # On 2 workers, 9 worlds make 3 chunks of 3: n=8's and n=4's open the
+        # two tasks, and n=2's joins n=4's, the task of fewer bytes. On 64,
+        # each of 9 chunks of 1 is a task.
+        for workers, layout in ((2, [[(8, 3)], [(4, 3), (2, 3)]]),
+                                (64, [[(n, 1)] for n, _ in largest_first])):
             summaries = density_sweep(replace(cfg, workers=workers))
             assert {n: dumps(s) for n, s in summaries.items()} == expected
             (pool,) = pools
-            assert pool.max_workers == size
-            assert {len(indices) for _, _, indices in pool.tasks} == {chunk}
-            assert [(n, s) for _, n, indices in pool.tasks for s in indices] == largest_first
+            assert pool.max_workers == len(layout)
+            assert [[(n, len(indices)) for n, indices in parts]
+                    for _, parts in pool.tasks] == layout
+            assert [(n, s) for _, parts in pool.tasks
+                    for n, indices in parts for s in indices] == largest_first
             pools.clear()
 
 

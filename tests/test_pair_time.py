@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -28,6 +29,20 @@ def test_smoke_two_pairs_of_one_checkout(pair_time, capsys):
     assert "median ratio" in lines[2] and lines[2].endswith("of 2 pairs")
 
 
+def test_smoke_one_pair_over_two_ap_counts(pair_time, capsys):
+    argv = ["--parent", ROOT, "--change", ROOT, "--n", "3,2", "--iterations", "5", "--pairs", "1"]
+    assert pair_time.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("n=3,2 S=1 T=5")
+
+
+def test_outcomes_are_every_counts_min_rates(pair_time):
+    harness = pair_time.load(ROOT, "mlosim_side")
+    outcome = pair_time.sweep(harness, [3, 2], 2, 5, ["fixed", "frl"], 1)
+    assert list(outcome) == [3, 2]
+    for rates in outcome.values():
+        assert list(rates) == ["fixed", "frl"] and all(len(mins) == 2 for mins in rates.values())
+
+
 def test_each_side_is_its_own_package(pair_time):
     harness = pair_time.load(ROOT, "mlosim_side")
     assert harness.__name__ == "mlosim_side.harness"
@@ -39,11 +54,10 @@ def test_outcomes_that_differ_fail(pair_time, monkeypatch, capsys):
 
     def load(root, name):
         harness = real(root, name)
-        if name == "mlosim_change":
-            chunk_task = harness._chunk_task
-            monkeypatch.setattr(harness, "_chunk_task",
-                                lambda args: [(d, [m * 2 for m in mins])
-                                              for d, mins in chunk_task(args)])
+        if name == "mlosim_change":  # the change's sweep runs other worlds
+            sweep = harness.density_sweep
+            monkeypatch.setattr(harness, "density_sweep",
+                                lambda config: sweep(replace(config, master_seed=7)))
         return harness
 
     monkeypatch.setattr(pair_time, "load", load)

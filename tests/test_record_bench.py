@@ -60,10 +60,12 @@ def test_traced_runs_interleave_and_alternate_the_first_side(record_bench, monke
     monkeypatch.setattr(record_bench, "run_bench", fake_run_bench)
     runs = record_bench.interleaved({"parent": "/p", "change": "/c"}, "paper-batch",
                                     record_bench.TRACED_SEEDS, 1)
-    assert calls == [("/p", 1, 1), ("/c", 1, 1), ("/c", 2, 1), ("/p", 2, 1),
-                     ("/p", 3, 1), ("/c", 3, 1)]
-    assert [r["seed"] for r in runs["parent"]] == [r["seed"] for r in runs["change"]] == [1, 2, 3]
-    assert record_bench.quartiles(runs["change"])["agents.select_us"][1] == 2.0
+    assert record_bench.TRACED_SEEDS == (1, 2, 3, 4, 5, 6)  # six traced runs per side
+    assert calls == [(root, seed, 1) for seed in record_bench.TRACED_SEEDS
+                     for root in (("/p", "/c") if seed % 2 else ("/c", "/p"))]
+    assert ([r["seed"] for r in runs["parent"]] == [r["seed"] for r in runs["change"]]
+            == [1, 2, 3, 4, 5, 6])
+    assert record_bench.quartiles(runs["change"])["agents.select_us"][1] == 3.5
 
 
 def test_acceptance_timings_interleave_and_start_no_process(record_bench, monkeypatch):

@@ -1,17 +1,19 @@
-"""Paired CPU timings of one batch task in two checkouts, side by side.
+"""Paired CPU timings of one density sweep in two checkouts, side by side.
 
     python3 tools/pair_time.py --parent /path/to/parent/checkout --change . \
-        --n 8 --worlds 22 --iterations 2000 --strategies fixed,random,rl,frl --pairs 10
+        --n 2,4,8,12,16 --worlds 2 --iterations 2000 --strategies fixed,random,rl,frl --pairs 10
 
 Each checkout's `src/mlosim` is imported under its own package name
 (`mlosim_parent`, `mlosim_change`), so both live in one interpreter. Pair i
-runs `harness._chunk_task` on one chunk of `--worlds` consecutive worlds
-(master seed i + 1) once per side, the side that goes first alternating
-from pair to pair, and records each side's CPU time per world. The ratio of
+runs the public `harness.density_sweep` at one worker over `--worlds`
+worlds of each AP count of `--n` (master seed i + 1) once per side, the
+side that goes first alternating from pair to pair, and records each side's
+CPU time per world. With one AP count and at most 22 worlds (n=8, T=2000),
+the sweep is one batch task, the chunk that `run_batch` runs. The ratio of
 a pair is change over parent. Printed: every pair, then the median ratio,
 its quartiles and the pairs the change won (ratio below 1). The tool exits
-1 if the two sides' task outcomes (world digests and min rates) differ in
-any pair.
+1 if the two sides' outcomes (every strategy's per-world min rates of
+every AP count) differ in any pair.
 
 Set `OPENBLAS_NUM_THREADS=1` (and its OMP/MKL kin) for one BLAS thread;
 the tool sets them itself when they are unset, which takes effect when it
@@ -42,33 +44,34 @@ def load(root: str, name: str):
     return importlib.import_module(f"{name}.harness")
 
 
-def task(harness, n: int, worlds: int, iterations: int, strategies, seed: int):
-    """The `_chunk_task` argument of one chunk of worlds 0..worlds-1."""
+def sweep(harness, ns, worlds: int, iterations: int, strategies, seed: int):
+    """Every strategy's per-world min rates of each AP count of one
+    `density_sweep` at one worker."""
     config = harness.ExperimentConfig(
         strategies=tuple(harness.Strategy(s) for s in strategies), num_scenarios=worlds,
-        iterations=iterations, n_values=(n,), master_seed=seed)
-    return config, n, range(worlds)
+        iterations=iterations, n_values=tuple(ns), master_seed=seed)
+    return {n: {strategy.value: stats.min_rates_bps for strategy, stats in
+                summary.per_strategy.items()}
+            for n, summary in harness.density_sweep(config).items()}
 
 
-def pair_times(harnesses: dict, n: int, worlds: int, iterations: int, strategies,
+def pair_times(harnesses: dict, ns, worlds: int, iterations: int, strategies,
                pairs: int) -> list[dict]:
     """One record per pair: each side's CPU ms per world, the ratio change /
     parent, and whether the sides' outcomes agree."""
     for harness in harnesses.values():  # warm each side's caches and lazy imports
-        harness._chunk_task(task(harness, n, 1, 1, strategies, 1))
+        sweep(harness, ns, 1, 1, strategies, 1)
     records = []
     for i in range(pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         seconds, outcomes = {}, {}
         for side in order:
-            harness = harnesses[side]
-            args = task(harness, n, worlds, iterations, strategies, i + 1)
             t0 = time.process_time()
-            outcomes[side] = harness._chunk_task(args)
+            outcomes[side] = sweep(harnesses[side], ns, worlds, iterations, strategies, i + 1)
             seconds[side] = time.process_time() - t0
         records.append({
             "first": order[0],
-            "ms_per_world": {side: 1e3 * seconds[side] / worlds for side in SIDES},
+            "ms_per_world": {side: 1e3 * seconds[side] / (worlds * len(ns)) for side in SIDES},
             "ratio": seconds["change"] / seconds["parent"],
             "equal": outcomes["parent"] == outcomes["change"],
         })
@@ -88,8 +91,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="pair_time.py")
     parser.add_argument("--parent", required=True, help="the checkout to compare against")
     parser.add_argument("--change", required=True, help="the checkout to measure")
-    parser.add_argument("--n", type=int, default=8, help="APs per world")
-    parser.add_argument("--worlds", type=int, default=1, help="worlds per chunk (S)")
+    parser.add_argument("--n", default="8", help="comma-separated AP counts")
+    parser.add_argument("--worlds", type=int, default=1, help="worlds per AP count")
     parser.add_argument("--iterations", type=int, default=2000, help="iterations per run (T)")
     parser.add_argument("--strategies", default="fixed,random,rl,frl",
                         help="comma-separated strategy names")
@@ -101,8 +104,8 @@ def main(argv=None) -> int:
         os.environ.setdefault(var, "1")  # read when numpy first loads
     harnesses = {side: load(getattr(args, side), f"mlosim_{side}") for side in SIDES}
     strategies = args.strategies.split(",")
-    records = pair_times(harnesses, args.n, args.worlds, args.iterations, strategies,
-                         args.pairs)
+    ns = [int(n) for n in args.n.split(",")]
+    records = pair_times(harnesses, ns, args.worlds, args.iterations, strategies, args.pairs)
     for i, r in enumerate(records):
         ms = r["ms_per_world"]
         print(f"pair {i}: parent {ms['parent']:.2f} ms/world, change {ms['change']:.2f} "
@@ -113,7 +116,7 @@ def main(argv=None) -> int:
           f"median ratio {s['median']:.3f} (IQR {s['iqr'][0]:.3f}-{s['iqr'][1]:.3f}), "
           f"change won {s['won']} of {s['pairs']} pairs")
     if not s["outcomes_equal"]:
-        print("FAILED: the two checkouts' task outcomes differ")
+        print("FAILED: the two checkouts' outcomes differ")
         return 1
     return 0
 

@@ -5,7 +5,8 @@
 
 For every workload in the checkout's BENCHMARK.json this runs
 `perfbench/run.py` untraced with seeds 1 to 10 (30 s each), then traced
-`paper-batch` runs with seeds 1 to 3. With several checkouts the runs of
+`paper-batch` runs with seeds 1 to 6, enough that a per-layer move of a
+few percent is not read from three samples. With several checkouts the runs of
 one seed take turns, and which checkout goes first alternates from seed to
 seed, so a drift of the machine's speed hits every side. Last, as plain
 timings with no gate, it times `harness.run_batch` over the batch layer's
@@ -44,7 +45,7 @@ import sys
 import time
 
 SEEDS = tuple(range(1, 11))
-TRACED_SEEDS = (1, 2, 3)
+TRACED_SEEDS = tuple(range(1, 7))
 SECONDS = 30
 TRACED_WORKLOAD = "paper-batch"
 TIMED_RUNS = 3
