@@ -2,9 +2,9 @@
 text, `dump` streams it to a file, `from_json` reads a config) and CSV for
 figures and traces (one writer).
 
-The JSON reader types each field by its annotation, so a value of the wrong
-JSON type fails here with a `ConfigError` that names the field; range checks
-stay in the dataclasses' `__post_init__`.
+The JSON reader types each field by its annotation (numbers by the rules of
+`errors`), so a value of the wrong JSON type fails here with a `ConfigError`
+that names the field; range checks stay in the dataclasses' `__post_init__`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, integer, number
 
 _type_hints = cache(get_type_hints)  # annotations are strings; resolve each class once
 
@@ -69,18 +69,11 @@ def from_json(cls, data, where: str = "config"):
 def _read(tp, value, where: str):
     """The value of annotation `tp` that the JSON value `value` gives."""
     if tp is int:
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
+        if isinstance(value, float) and value.is_integer():  # JSON's 5.0 reads as 5
+            value = int(value)
+        return integer(value, where)
     if tp is float:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            try:
-                return float(value)
-            except OverflowError:  # an integer beyond the float range
-                pass
-        raise ConfigError(f"{where} must be a number, got {value!r}")
+        return number(value, where)
     if tp is str:
         if isinstance(value, str):
             return value

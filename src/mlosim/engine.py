@@ -90,16 +90,9 @@ LEARNING = (Strategy.LOCAL_RL, Strategy.FEDERATED_RL)
 
 def _check_runs(strategies, T: int, seeds) -> tuple[int, list[int]]:
     """T and the seeds as Python ints, once the runs are checked."""
-    try:  # numpy integers pass; bools, floats, strings and None do not
-        T, seeds = integer(T), [integer(seed) for seed in seeds]
-    except TypeError:
-        raise ConfigError(f"T and seeds must be integers, got {T!r} and {list(seeds)}") from None
-    if T < 1:
-        raise ConfigError(f"need at least one iteration, got T={T}")
+    T, seeds = integer(T, "T", 1), [integer(seed, "seed", 0) for seed in seeds]
     if not all(isinstance(s, Strategy) for s in strategies):
         raise ConfigError(f"strategies must be Strategy members, got {list(strategies)}")
-    if any(seed < 0 for seed in seeds):
-        raise ConfigError(f"seeds must be >= 0, got {list(seeds)}")
     return T, seeds
 
 
@@ -122,8 +115,9 @@ def _worlds(scenarios):
     of their joint actions: action indices of shape (S, ..., n), world w's in
     row w, to rates of the same shape; one world's of shape (..., n). The
     indices' link rows are gathered with `take`, cheaper per call than fancy
-    indexing. Every world must share n, k and the physical constants, as
-    `run_learning` checks."""
+    indexing. Every world must share n, k and the physical constants:
+    `run_learning` checks k and the physical constants, and n is shared
+    because each of its groups holds one AP count."""
     first = scenarios[0]
     mask_bits = link_mask_matrix(first.num_links)  # (p, k), as the rate kernel takes it
     # Static link budgets: power[w, 0, j, i] is AP j's power at STA i of world

@@ -1,6 +1,8 @@
-"""Exception types shared across the simulator, and its integer check."""
+"""Exception types shared across the simulator, and the two rules by which
+every entry point reads its numeric arguments: `integer` and `number`."""
 
-import operator
+import math
+import numbers
 
 
 class MlosimError(Exception):
@@ -23,9 +25,23 @@ class EmptyInputError(MlosimError):
     """An aggregation was asked to operate on an empty collection."""
 
 
-def integer(value) -> int:
-    """`value` as a Python int if it is an int or a numpy integer; a bool,
-    float, string or None raises TypeError."""
-    if isinstance(value, bool):  # operator.index(True) is 1
-        raise TypeError(f"{value!r} is a bool, not an integer")
-    return operator.index(value)
+def integer(value, name: str, least: int | None = None) -> int:
+    """`value` as a Python int if it is a Python or numpy integer (not a bool)
+    of at least `least`; else a `ConfigError` that names it `name`."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if least is not None and int(value) < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
+def number(value, name: str) -> float:
+    """`value` as a Python float if it is a real number (numpy's too, not a
+    bool) that is finite as a float; else a `ConfigError` that names it `name`."""
+    real = isinstance(value, (float, numbers.Real)) and not isinstance(value, bool)
+    try:
+        if real and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")

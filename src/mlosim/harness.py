@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -129,33 +129,29 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.strategies:
             raise ConfigError("need at least one strategy")
+        object.__setattr__(self, "strategies", tuple(self.strategies))
         if not all(isinstance(s, Strategy) for s in self.strategies):
             raise ConfigError(f"strategies must be Strategy members, got {self.strategies}")
         if len(set(self.strategies)) != len(self.strategies):
             names = [s.value for s in self.strategies]
             raise ConfigError(f"strategies must be distinct, got {names}")
-        counts = [(name, getattr(self, name))
-                  for name in ("num_scenarios", "iterations", "k", "master_seed", "workers")]
-        for name, value in counts + [("n_values", n) for n in self.n_values]:
-            try:  # numpy integers pass; bools, floats and strings do not
-                integer(value)
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-        if self.num_scenarios < 1:
-            raise ConfigError(f"num_scenarios must be >= 1, got {self.num_scenarios}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
+        if not isinstance(self.physical, PhysicalConfig):
+            raise ConfigError(f"physical must be a PhysicalConfig, got {self.physical!r}")
+        if not isinstance(self.output_dir, str | None):
+            raise ConfigError(f"output_dir must be a string or None, got {self.output_dir!r}")
+        for name, least in (("num_scenarios", 1), ("iterations", 1), ("master_seed", 0),
+                            ("workers", 1)):
+            object.__setattr__(self, name, integer(getattr(self, name), name, least))
+        n_values = tuple(integer(n, "n_values", 1) for n in self.n_values)
+        object.__setattr__(self, "n_values", n_values)
         if not self.n_values:
             raise ConfigError("need at least one AP count")
         if len(set(self.n_values)) != len(self.n_values):
             raise ConfigError(f"AP counts must be distinct, got {self.n_values}")
-        for n in self.n_values:
-            check_world(n, self.k, self.area_side_m, self.d_m)
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.master_seed < 0:
-            raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
         n = max(self.n_values)
+        _, *values = check_world(n, self.k, self.area_side_m, self.d_m)
+        for name, value in zip(("k", "area_side_m", "d_m"), values):
+            object.__setattr__(self, name, value)
         world_bytes = run_bytes(self, n)
         if world_bytes > RUN_BYTES_BUDGET:
             raise ConfigError(
@@ -235,10 +231,7 @@ def _one_n(config: ExperimentConfig, n: int | None) -> int:
             raise ConfigError(
                 "config sweeps several AP counts; pass n explicitly or use density_sweep")
         return config.n_values[0]
-    try:  # numpy integers pass; bools and floats, even equal to a count, do not
-        count = integer(n)
-    except TypeError:
-        count = None
+    count = integer(n, "AP count")
     if count not in config.n_values:
         raise ConfigError(f"AP count {n} is not one of the config's n_values {config.n_values}")
     return count
@@ -270,13 +263,9 @@ def run_single_scenario(
 ) -> dict[Strategy, RunResult]:
     """Full traces of every strategy on batch world `scenario_index`, in
     config.strategies order: the one-world case of a batch task."""
-    try:  # numpy integers pass; bools, floats, strings and None do not
-        index = integer(scenario_index)
-    except TypeError:
-        index = -1
-    if index not in range(config.num_scenarios):
-        raise ConfigError(f"scenario_index must be an integer in range({config.num_scenarios}), "
-                          f"got {scenario_index!r}")
+    index = integer(scenario_index, "scenario_index", 0)
+    if index >= config.num_scenarios:
+        raise ConfigError(f"scenario_index must be in range({config.num_scenarios}), got {index}")
     results = {strategy: result for _, _, strategy, result
                in _world_runs(config, [(_one_n(config, n), [index])])}
     return {strategy: results[strategy] for strategy in config.strategies}
@@ -415,9 +404,11 @@ def _mbps(value_bps: float) -> str:
 def write_summary_json(
     config: ExperimentConfig, summaries: dict[int, BatchSummary], path
 ) -> None:
+    """The config and each AP count's batch summary as JSON at `path`, with
+    the config's `output_dir` null: the bytes do not depend on the directory."""
     batches = {str(n): summary for n, summary in summaries.items()}
     with open(path, "w") as fh:
-        dump({"config": config, "batches": batches}, fh, indent=2)
+        dump({"config": replace(config, output_dir=None), "batches": batches}, fh, indent=2)
 
 
 def run_experiment(config: ExperimentConfig) -> dict[int, BatchSummary]:

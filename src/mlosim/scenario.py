@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError, GeometryError, integer, number
 
 # Residential 5 GHz pathloss constants (TMB model) and the TX/RX defaults
 # used throughout the experiments: 20 dBm and 80 MHz per link, -82 dBm
@@ -62,8 +62,7 @@ class PhysicalConfig:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ConfigError(f"physical {name} must be finite, got {value}")
+            object.__setattr__(self, name, number(value, f"physical {name}"))
         for name in ("attenuation_factor", "wall_attenuation_db_per_wall", "walls_per_meter"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"physical {name} must be >= 0, got {getattr(self, name)}")
@@ -104,8 +103,13 @@ class Scenario:
                 f"need equal, nonzero AP/STA counts, got {n} APs and "
                 f"{len(self.sta_positions)} STAs"
             )
-        check_world(n, self.num_links, self.area_side_m, self.ap_sta_distance_m)
-        for label, pts in (("AP", self.ap_positions), ("STA", self.sta_positions)):
+        _, *values = check_world(n, self.num_links, self.area_side_m, self.ap_sta_distance_m)
+        for name, value in zip(("num_links", "area_side_m", "ap_sta_distance_m"), values):
+            object.__setattr__(self, name, value)
+        for label, name in (("AP", "ap_positions"), ("STA", "sta_positions")):
+            where = f"{label} coordinate"
+            pts = tuple((number(x, where), number(y, where)) for x, y in getattr(self, name))
+            object.__setattr__(self, name, pts)
             for i, (x, y) in enumerate(pts):
                 if not (0.0 <= x <= self.area_side_m and 0.0 <= y <= self.area_side_m):
                     raise ConfigError(f"{label} {i} at ({x}, {y}) is outside the area")
@@ -121,18 +125,19 @@ class Scenario:
         return len(self.ap_positions)
 
 
-def check_world(n: int, k: int, area_side_m: float, d: float) -> None:
-    """Raise `ConfigError` unless n >= 1 APs, k in [1, MAX_LINKS] links, an
-    area side in (0, MAX_AREA_SIDE_M) and 0 < d < area side can make a world."""
-    if n < 1:
-        raise ConfigError(f"every AP count must be >= 1, got n={n}")
-    if not 1 <= k <= MAX_LINKS:
+def check_world(n: int, k: int, area_side_m: float, d: float) -> tuple[int, int, float, float]:
+    """(n, k, area side, d) as Python numbers if n >= 1 APs, k in [1, MAX_LINKS]
+    links, a side in (0, MAX_AREA_SIDE_M) and 0 < d < side make a world."""
+    n, k = integer(n, "AP count", 1), integer(k, "k", 1)
+    area_side_m, d = number(area_side_m, "area side"), number(d, "AP-STA distance")
+    if k > MAX_LINKS:
         raise ConfigError(f"k must be in [1, {MAX_LINKS}], got {k}")
     if not 0 < area_side_m < MAX_AREA_SIDE_M:
         raise ConfigError(
             f"area side must be positive and below {MAX_AREA_SIDE_M:.3g} m, got {area_side_m}")
     if not 0 < d < area_side_m:
         raise ConfigError(f"AP-STA distance must satisfy 0 < d < area side, got d={d}")
+    return n, k, area_side_m, d
 
 
 def sample_scenario(
@@ -146,7 +151,7 @@ def sample_scenario(
     """Draw a world: APs uniform over the square, each STA on the circle of
     radius `d` around its AP at a uniform angle (redrawn while out of bounds).
     """
-    check_world(n, k, area_side_m, d)
+    n, k, area_side_m, d = check_world(n, k, area_side_m, d)
     physical = physical if physical is not None else PhysicalConfig()
 
     ap = rng.uniform(0.0, area_side_m, size=(n, 2))
@@ -165,11 +170,11 @@ def sample_scenario(
                 f"after {_STA_ANGLE_RETRIES} angle draws (d={d})"
             )
     return Scenario(
-        area_side_m=float(area_side_m),
-        ap_positions=tuple((float(x), float(y)) for x, y in ap),
-        sta_positions=tuple((float(x), float(y)) for x, y in sta),
-        ap_sta_distance_m=float(d),
-        num_links=int(k),
+        area_side_m=area_side_m,
+        ap_positions=tuple(map(tuple, ap.tolist())),
+        sta_positions=tuple(map(tuple, sta.tolist())),
+        ap_sta_distance_m=d,
+        num_links=k,
         physical=physical,
     )
 

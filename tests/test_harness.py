@@ -113,12 +113,20 @@ class TestConfig:
             dict(n_values=()),
             dict(n_values=(0,)),
             dict(strategies=()),
+            dict(strategies=None),
             dict(workers=0),
             dict(n_values=(4, 2, 4)),
             dict(strategies=(Strategy.FEDERATED_RL, Strategy.FEDERATED_RL)),
             # Names equal their members (a str-Enum); only members are strategies.
             dict(strategies=("fixed", "frl")),
             dict(strategies=(Strategy.FIXED, "bogus")),
+            dict(area_side_m="100"),
+            dict(d_m=None),
+            # Only what the JSON reader gives back.
+            dict(physical=None),
+            dict(physical={}),
+            dict(output_dir=3),
+            dict(output_dir=b"out"),
         ],
     )
     def test_validation(self, kwargs):
@@ -126,7 +134,7 @@ class TestConfig:
             replace(ExperimentConfig(), **kwargs)
 
     # Counts built directly (JSON configs go through codec) take integers,
-    # numpy's too, but no bool, whose operator.index is 0 or 1.
+    # numpy's too, but no bool.
     @pytest.mark.parametrize("name, value", [
         ("num_scenarios", True), ("iterations", True), ("iterations", 2.5), ("k", True),
         ("master_seed", False), ("workers", True), ("n_values", (True,)), ("n_values", (2.0,)),
@@ -506,7 +514,7 @@ class TestRunBatch:
         cfg = replace(SMALL, n_values=(1, 3))
         for n in (3.0, np.float64(3.0), True):
             for run in (run_batch, run_single_scenario):
-                with pytest.raises(ConfigError, match=f"AP count {n}"):
+                with pytest.raises(ConfigError, match="AP count must be an integer"):
                     run(cfg, n)
         summary = run_batch(cfg, np.int64(3))
         assert type(summary.n) is int and dumps(summary) == dumps(run_batch(cfg, 3))
@@ -704,11 +712,21 @@ class TestOutputs:
         for name, data in files[1].items():
             if name != "summary.json":
                 assert data == files[2][name], name
-        # summary.json differs only in the config's `workers` and `output_dir`.
+        # summary.json differs only in the config's `workers`.
         one, two = (json.loads(f["summary.json"]) for f in (files[1], files[2]))
         for summary in (one, two):
-            del summary["config"]["workers"], summary["config"]["output_dir"]
+            del summary["config"]["workers"]
         assert one == two
+
+    # The config's output_dir is written as null, so a run writes the same
+    # bytes wherever it writes them.
+    def test_summary_does_not_depend_on_the_output_dir(self, tmp_path):
+        summaries = []
+        for name in ("a", "a-much-longer-directory-name"):
+            run_experiment(replace(SMALL, num_scenarios=2, output_dir=str(tmp_path / name)))
+            summaries.append((tmp_path / name / "summary.json").read_bytes())
+        assert summaries[0] == summaries[1]
+        assert json.loads(summaries[0])["config"]["output_dir"] is None
 
     def test_per_ap_view_is_batch_world_zero(self, tmp_path):
         summaries = run_experiment(replace(SMALL, output_dir=str(tmp_path)))

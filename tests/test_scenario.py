@@ -56,6 +56,12 @@ class TestPhysicalConfig:
         with pytest.raises(ConfigError):
             PhysicalConfig(sensitivity_dbm=-96.0, noise_floor_dbm=-95.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(tx_power_dbm="20"), dict(walls_per_meter=True), dict(sensitivity_dbm=None)])
+    def test_fields_must_be_finite_numbers(self, kwargs):
+        with pytest.raises(ConfigError, match="must be a finite number"):
+            PhysicalConfig(**kwargs)
+
 
 class TestSampling:
     def test_reference_setup(self):
@@ -93,6 +99,11 @@ class TestSampling:
             dict(n=1, k=4, area_side_m=math.nan, d=1.0),
             dict(n=1, k=4, area_side_m=MAX_AREA_SIDE_M, d=1.0),
             dict(n=1, k=4, area_side_m=1e200, d=1e199),
+            # Only numbers of the right kind, by the rules of errors.
+            dict(n=2.0, k=2, area_side_m=100.0, d=10.0),
+            dict(n=2, k=np.True_, area_side_m=100.0, d=10.0),
+            dict(n=2, k=2, area_side_m="100", d=10.0),
+            dict(n=2, k=2, area_side_m=100.0, d="10"),
         ],
     )
     def test_preconditions(self, kwargs):
@@ -145,6 +156,14 @@ class TestInvariants:
                 ap_sta_distance_m=10.0,
                 num_links=4,
             )
+
+    @pytest.mark.parametrize("fields", [
+        dict(area_side_m="100"), dict(ap_positions=(("10", 10.0),)), dict(num_links=4.0)])
+    def test_numbers_checked_at_construction(self, fields):
+        kwargs = dict(area_side_m=100.0, ap_positions=((10.0, 10.0),),
+                      sta_positions=((10.0, 20.0),), ap_sta_distance_m=10.0, num_links=4)
+        with pytest.raises(ConfigError, match="must be an integer|must be a finite number"):
+            Scenario(**kwargs | fields)
 
     @pytest.mark.parametrize("area", [math.inf, 100.0])
     def test_world_parameters_checked_at_construction(self, area):
