@@ -14,10 +14,10 @@ table indices (agents.Tables), each with the mean that `select` read for
 it. Consecutive worlds of one AP count form a group, which shares a key
 and a rate call: the group keys each iteration on the joint action of its
 agents, evaluates each distinct one once, through a rate kernel built once
-per group, into tables from which every run's rows are gathered at the
-end. The loop skips the explore merge on rows where no agent explores. A
-world's link budget and neighbor sets are built once while its Scenario
-lives, however many runs step it.
+per group, into tables; once the loop ends, the group's `finish` yields
+its own runs, each gathered from those tables. The loop skips the explore
+merge on rows where no agent explores. A world's link budget and neighbor
+sets are built once while its Scenario lives, however many runs step it.
 
 Moves are simultaneous: every agent commits its link subset before any
 rate is computed, so no agent observes another's current-iteration choice.
@@ -111,10 +111,10 @@ def _static(scenario: Scenario) -> tuple:
 
 
 def _worlds(scenarios):
-    """The worlds' link-mask matrix, their neighbor sets and the rate function
-    of their joint actions: action indices of shape (S, ..., n), world w's in
-    row w, to rates of the same shape; one world's of shape (..., n). The
-    indices' link rows are gathered with `take`, cheaper per call than fancy
+    """The worlds' neighbor sets and the rate function of their joint
+    actions: action indices of shape (S, ..., n), world w's in row w, to
+    rates of the same shape; one world's of shape (..., n). The indices'
+    link rows are gathered with `take`, cheaper per call than fancy
     indexing. Every world must share n, k and the physical constants:
     `run_learning` checks k and the physical constants, and n is shared
     because each of its groups holds one AP count."""
@@ -130,7 +130,7 @@ def _worlds(scenarios):
     def rates_of(index: np.ndarray) -> np.ndarray:
         return rates(mask_bits.take(index, axis=0))
 
-    return mask_bits, neighbor_sets, rates_of
+    return neighbor_sets, rates_of
 
 
 def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> RunResult:
@@ -143,9 +143,8 @@ def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> R
     T, (seed,) = _check_runs((strategy,), T, (seed,))
     if strategy in LEARNING:
         return next(run_learning((scenario,), (strategy,), T, (seed,)))
-    n = scenario.n
-    mask_bits, (neighbor_sets,), rates_of = _worlds((scenario,))
-    p = len(mask_bits)
+    n, p = scenario.n, 2**scenario.num_links - 1
+    (neighbor_sets,), rates_of = _worlds((scenario,))
     action_index = np.empty((T, n), dtype=np.uint16)
     rates_hist = np.empty((T, n), dtype=np.float64)
     if strategy is Strategy.FIXED:
@@ -194,27 +193,27 @@ def run_learning(scenarios, strategies, T: int, seeds) -> Iterator[RunResult]:
     p = 2**first.num_links - 1
     ns = [sc.n for sc in scenarios for _ in strategies]  # each run's AP count
     tables = Tables(sum(ns), p)
-    groups, parts, w, lo = [], [], 0, 0
+    parts, w, lo = [], 0, 0
     for n, worlds in itertools.groupby(scenarios, key=lambda sc: sc.n):
         worlds = list(worlds)
         hi = lo + len(worlds) * L * n
-        step, finish = _group(worlds, strategies, T, tables.offsets[lo:hi])
-        groups.append((worlds, seeds[w * L:(w + len(worlds)) * L], finish))
-        parts.append((step, lo, hi))
+        group_seeds = seeds[w * L:(w + len(worlds)) * L]
+        step, finish = _group(worlds, strategies, group_seeds, T, tables.offsets[lo:hi])
+        parts.append((step, finish, lo, hi))
         w, lo = w + len(worlds), hi
     if len(parts) > 1:  # else the one group's step takes every agent
         def step(flat):
-            return np.concatenate([part(flat[lo:hi]) for part, lo, hi in parts])
+            return np.concatenate([part(flat[lo:hi]) for part, _, lo, hi in parts])
     for t0, explore, arm, tie in policy_draws(seeds, ns, T, p):
         arm += tables.offsets  # the explore arms as flat table indices
         rows = zip(explore.any(axis=1).tolist(), explore, arm, tie)
         for anyone, explore_row, arm_row, tie_row in rows:
             flat, mean = select_action(tables, explore_row if anyone else None, arm_row, tie_row)
             update(tables, flat, step(flat), mean)
-    return _gather(strategies, [(worlds, seeds, *finish()) for worlds, seeds, finish in groups])
+    return itertools.chain.from_iterable([finish() for _, finish, _, _ in parts])
 
 
-def _group(worlds, strategies, T: int, offsets: np.ndarray):
+def _group(worlds, strategies, seeds, T: int, offsets: np.ndarray):
     """(step, finish) of a group of `run_learning`: consecutive worlds of one
     AP count, whose S * L * n agents have the flat table offsets `offsets`.
 
@@ -222,11 +221,13 @@ def _group(worlds, strategies, T: int, offsets: np.ndarray):
     their rewards. The geometry is static, so a joint action always has the
     same rates and rewards: the iteration's intp bytes key one dict, and a
     new joint action is evaluated once, into the next free row of the
-    group's (T, S * L * n) tables. finish() frees the dict and returns the
-    worlds' neighbor sets, every iteration's row and the tables [masks,
-    rates, rewards], from which every run's rows are gathered."""
+    group's (T, S * L * n) tables [masks, rates, rewards]. finish() frees
+    the dict and returns an iterator over the runs r = w * L + l, seeded
+    by seeds[r], each gathering columns r * n to (r + 1) * n of the tables
+    at every iteration's row; the last run frees each table once gathered
+    from it, so that a caller that keeps every run peaks near its results."""
     n, L, agents = worlds[0].n, len(strategies), len(offsets)
-    _, neighbor_sets, rates_of = _worlds(worlds)
+    neighbor_sets, rates_of = _worlds(worlds)
     joint = (L, n) if len(worlds) == 1 else (len(worlds), L, n)  # what rates_of takes
     # Agent a's reward is the minimum over members[starts[a]:starts[a + 1]]:
     # itself (rl), or itself and its neighbors (frl). No segment is empty.
@@ -251,36 +252,26 @@ def _group(worlds, strategies, T: int, offsets: np.ndarray):
         reward = distinct_rewards[fresh] = np.minimum.reduceat(rates[members], starts)
         return reward
 
-    def finish():
+    def finish() -> Iterator[RunResult]:
         distinct.clear()
         tables[0] += np.uint16(1)  # action index a is link mask a + 1
-        return neighbor_sets, np.array(source, dtype=np.intp), tables
+        return gather(np.array(source, dtype=np.intp))
 
-    return step, finish
-
-
-def _gather(strategies, groups):
-    """Yield each run of `run_learning` in order. Each group (worlds, seeds,
-    neighbor sets, source, tables) yields its runs r in turn, gathering
-    columns r * n to (r + 1) * n of its distinct-row tables [masks, rates,
-    rewards] at the rows `source` names. A group's last run frees each table
-    once gathered from it, so that a caller that keeps every run peaks near
-    its results."""
-    L = len(strategies)
-    for worlds, seeds, neighbor_sets, source, tables in groups:
-        n = worlds[0].n
+    def gather(rows: np.ndarray) -> Iterator[RunResult]:
         for r, seed in enumerate(seeds):
             w, strategy = r // L, strategies[r % L]
             federated = strategy is Strategy.FEDERATED_RL
             columns = []
             for i, table in enumerate(tables):
-                columns.append(table[source, r * n:(r + 1) * n] if federated or i < 2 else None)
+                columns.append(table[rows, r * n:(r + 1) * n] if federated or i < 2 else None)
                 if r + 1 == len(seeds):
                     tables[i] = None
             masks, rates, rewards = columns
             yield RunResult(scenario=worlds[w], strategy=strategy, seed=seed,
                             neighbor_sets=neighbor_sets[w], action_masks=masks, rates_bps=rates,
                             global_rewards=rewards)
+
+    return step, finish
 
 
 def min_rate_timeseries(result: RunResult) -> np.ndarray:

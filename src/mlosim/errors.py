@@ -1,5 +1,6 @@
-"""Exception types shared across the simulator, and the two rules by which
-every entry point reads its numeric arguments: `integer` and `number`."""
+"""Exception types shared across the simulator, and the rules by which
+every entry point reads its arguments: `integer` and `number` for numbers,
+`items` for collections."""
 
 import math
 import numbers
@@ -45,3 +46,11 @@ def number(value, name: str) -> float:
     except OverflowError:  # an int beyond the float range
         pass
     raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def items(value, name: str) -> tuple:
+    """`value` as a tuple if it is iterable; else a `ConfigError` that names it `name`."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be iterable, got {value!r}") from None

@@ -32,7 +32,7 @@ from . import rng as streams
 from .agents import _BLOCK, Strategy
 from .codec import dump, dumps, write_csv
 from .engine import LEARNING, RunResult, min_rate_timeseries, run_learning, run_scenario
-from .errors import ConfigError, EmptyInputError, integer
+from .errors import ConfigError, EmptyInputError, integer, items
 from .scenario import PhysicalConfig, Scenario, check_world, sample_scenario
 
 DEFAULT_NUM_SCENARIOS = 500
@@ -127,9 +127,9 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "strategies", items(self.strategies, "strategies"))
         if not self.strategies:
             raise ConfigError("need at least one strategy")
-        object.__setattr__(self, "strategies", tuple(self.strategies))
         if not all(isinstance(s, Strategy) for s in self.strategies):
             raise ConfigError(f"strategies must be Strategy members, got {self.strategies}")
         if len(set(self.strategies)) != len(self.strategies):
@@ -142,7 +142,7 @@ class ExperimentConfig:
         for name, least in (("num_scenarios", 1), ("iterations", 1), ("master_seed", 0),
                             ("workers", 1)):
             object.__setattr__(self, name, integer(getattr(self, name), name, least))
-        n_values = tuple(integer(n, "n_values", 1) for n in self.n_values)
+        n_values = tuple(integer(n, "n_values", 1) for n in items(self.n_values, "n_values"))
         object.__setattr__(self, "n_values", n_values)
         if not self.n_values:
             raise ConfigError("need at least one AP count")

@@ -119,17 +119,9 @@ def rate_kernel(power: np.ndarray, noise_mw: float, bandwidth: float):
     return rates
 
 
-def rates_bps(
-    power: np.ndarray, active: np.ndarray, noise_mw: float, bandwidth: float
-) -> np.ndarray:
-    """Rates (bits/second) of all n APs under joint actions, shape (..., n):
-    `rate_kernel(power, noise_mw, bandwidth)(active)`."""
-    return rate_kernel(power, noise_mw, bandwidth)(active)
-
-
 def achieved_rate_bps(scenario: Scenario, profile: ActivationProfile, i: int) -> float:
     """Downlink rate of AP i under the joint profile, in bits/second: entry
-    i of `rates_bps` on the world's link budget (no sensitivity cutoff)."""
+    i of the rate kernel on the world's link budget (no sensitivity cutoff)."""
     if len(profile.per_ap) != scenario.n:
         raise ConfigError(f"profile covers {len(profile.per_ap)} APs, scenario has {scenario.n}")
     width = profile.per_ap[0].width
@@ -141,6 +133,6 @@ def achieved_rate_bps(scenario: Scenario, profile: ActivationProfile, i: int) ->
     phys = scenario.physical
     masks = np.array([ls.mask for ls in profile.per_ap])
     active = link_mask_matrix(width)[masks - 1]
-    rates = rates_bps(link_budget_matrix_mw(scenario), active,
-                      dbm_to_mw(phys.noise_floor_dbm), phys.bandwidth_hz_per_link)
-    return float(rates[i])
+    rates = rate_kernel(link_budget_matrix_mw(scenario), dbm_to_mw(phys.noise_floor_dbm),
+                        phys.bandwidth_hz_per_link)
+    return float(rates(active)[i])

@@ -97,6 +97,13 @@ class Scenario:
     physical: PhysicalConfig = field(default_factory=PhysicalConfig)
 
     def __post_init__(self) -> None:
+        for label, name in (("AP", "ap_positions"), ("STA", "sta_positions")):
+            where, value = f"{label} coordinate", getattr(self, name)
+            try:
+                pts = tuple((number(x, where), number(y, where)) for x, y in value)
+            except (TypeError, ValueError):  # not iterable, or a point that is not a pair
+                raise ConfigError(f"{name} must hold (x, y) pairs, got {value!r}") from None
+            object.__setattr__(self, name, pts)
         n = len(self.ap_positions)
         if n < 1 or len(self.sta_positions) != n:
             raise ConfigError(
@@ -106,10 +113,7 @@ class Scenario:
         _, *values = check_world(n, self.num_links, self.area_side_m, self.ap_sta_distance_m)
         for name, value in zip(("num_links", "area_side_m", "ap_sta_distance_m"), values):
             object.__setattr__(self, name, value)
-        for label, name in (("AP", "ap_positions"), ("STA", "sta_positions")):
-            where = f"{label} coordinate"
-            pts = tuple((number(x, where), number(y, where)) for x, y in getattr(self, name))
-            object.__setattr__(self, name, pts)
+        for label, pts in (("AP", self.ap_positions), ("STA", self.sta_positions)):
             for i, (x, y) in enumerate(pts):
                 if not (0.0 <= x <= self.area_side_m and 0.0 <= y <= self.area_side_m):
                     raise ConfigError(f"{label} {i} at ({x}, {y}) is outside the area")

@@ -45,6 +45,16 @@ def credit_one(tables, action, reward):
     credit(tables, flat, np.array([reward]), tables.flat_means[flat])
 
 
+class TestStrategyNames:
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_known_name_gives_its_member(self, strategy):
+        assert Strategy.from_name(strategy.value) is strategy
+
+    def test_unknown_name_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="unknown strategy 'bogus'"):
+            Strategy.from_name("bogus")
+
+
 class TestActionSpace:
     def test_four_links_give_fifteen_actions(self):
         masks = link_mask_matrix(4)

@@ -107,6 +107,28 @@ def configs(draw):
     )
 
 
+def test_integral_floats_read_as_ints():
+    config = from_json(ExperimentConfig, {"iterations": 20.0, "n_values": [8.0]})
+    assert config.iterations == 20 and type(config.iterations) is int
+    assert config.n_values == (8,) and type(config.n_values[0]) is int
+
+
+def test_values_are_checked_by_the_dataclass_that_names_them():
+    for doc, message in [
+        ({"n_values": [8, "x"]}, "n_values must be an integer, got 'x'"),
+        ({"physical": {"tx_power_dbm": "20"}}, "physical tx_power_dbm must be a finite number"),
+        ({"iterations": 2.5}, "iterations must be an integer, got 2.5"),
+        ({"strategies": 5}, "strategies must be iterable"),
+        ({"output_dir": 3}, "output_dir must be a string or None"),
+    ]:
+        try:
+            from_json(ExperimentConfig, doc)
+        except ConfigError as error:
+            assert message in str(error), doc
+        else:
+            raise AssertionError(f"{doc} was accepted")
+
+
 @given(configs())
 @settings(max_examples=200, deadline=None)
 def test_written_config_reads_back_equal(config):

@@ -20,8 +20,7 @@ from mlosim import (
 from mlosim import agents, engine, radio
 from mlosim.codec import dumps
 from mlosim.engine import RunResult, run_learning
-from mlosim.radio import (all_neighbor_sets, dbm_to_mw, link_budget_matrix_mw, rate_kernel,
-                          rates_bps)
+from mlosim.radio import all_neighbor_sets, dbm_to_mw, link_budget_matrix_mw, rate_kernel
 from mlosim.rng import generator
 from oracles import max_min_optima, reference_run, scalar_rate_bps
 
@@ -188,7 +187,7 @@ class TestRatesMatchScalarRadio:
 
 class TestWorldRateFunction:
     """The rate function that the engine builds once per world (or stack of
-    worlds) must give, call after call, the bits of a fresh `rates_bps`
+    worlds) must give, call after call, the bits of a fresh `rate_kernel`
     call on each world's budget, and of the kernel's form written out with
     a transposed view and `.sum`; for action indices of the dtypes and
     shapes the engine passes too: intp or uint16 (the learning loop's
@@ -208,11 +207,11 @@ class TestWorldRateFunction:
         index = generator(n * k).integers(0, len(bits), size=(3, 4, n))
         block = generator(n * k + 1).integers(0, len(bits), size=(128, n), dtype=np.intp)
         noise_mw, bandwidth = dbm_to_mw(-95.0), 80e6
-        stacked = engine._worlds(worlds)[2]
+        stacked = engine._worlds(worlds)[1]
         for w, sc in enumerate(worlds):
-            alone = engine._worlds([sc])[2]
+            alone = engine._worlds([sc])[1]
             power = link_budget_matrix_mw(sc)
-            expected = rates_bps(power, bits[index[w]], noise_mw, bandwidth)
+            expected = rate_kernel(power, noise_mw, bandwidth)(bits[index[w]])
             assert np.array_equal(expected, self.written_out(power, bits[index[w]], noise_mw,
                                                              bandwidth))
             for _ in range(2):  # the kernel's second call too
@@ -220,7 +219,7 @@ class TestWorldRateFunction:
                 assert np.array_equal(alone(index[w].astype(np.uint16)), expected)
             for stack in (index, index.astype(np.uint16)):
                 assert np.array_equal(stacked(stack)[w], expected)
-            expected = rates_bps(power, bits[block], noise_mw, bandwidth)
+            expected = rate_kernel(power, noise_mw, bandwidth)(bits[block])
             assert np.array_equal(alone(block), expected)
             assert np.array_equal(alone(block.astype(np.uint16)), expected)
 
@@ -375,8 +374,8 @@ class TestBlockLayout:
         noise_mw = dbm_to_mw(sc.physical.noise_floor_dbm)
         active = generator(81).random((128, n, 4)) < 0.5
         active[..., 0] = True
-        stacked = rates_bps(power, active, noise_mw, 80e6)
-        single = np.array([rates_bps(power, a, noise_mw, 80e6) for a in active])
+        stacked = rate_kernel(power, noise_mw, 80e6)(active)
+        single = np.array([rate_kernel(power, noise_mw, 80e6)(a) for a in active])
         assert stacked.shape == (128, n)
         assert np.array_equal(stacked, single)
 
@@ -407,7 +406,7 @@ class TestRecurringJointActions:
         bits = (res.action_masks[..., None] >> np.arange(sc.num_links)) & 1
         members = [[i, *nbrs] for i, nbrs in enumerate(res.neighbor_sets)]
         for row in range(res.T):
-            fresh = rates_bps(power, bits[row], noise_mw, 80e6)
+            fresh = rate_kernel(power, noise_mw, 80e6)(bits[row])
             assert np.array_equal(res.rates_bps[row], fresh), row
             if strategy is Strategy.FEDERATED_RL:
                 shared = [fresh[m].min() for m in members]
@@ -687,6 +686,15 @@ class TestMinRateTimeseries:
             global_rewards=None,
         )
         assert min_rate_timeseries(res).tolist() == [1.0, 2.0, 2.0]
+
+    def test_empty_trace_rejected(self):
+        sc = world(n=2, seed=18)
+        res = RunResult(scenario=sc, strategy=Strategy.FIXED, seed=0,
+                        neighbor_sets=all_neighbor_sets(sc),
+                        action_masks=np.empty((0, 2), dtype=np.uint16),
+                        rates_bps=np.empty((0, 2)), global_rewards=None)
+        with pytest.raises(ConfigError, match="empty trace"):
+            min_rate_timeseries(res)
 
     def test_single_ap_series_is_cumulative_mean(self):
         res = run_scenario(world(n=1, seed=19), Strategy.RANDOM, T=50, seed=20)

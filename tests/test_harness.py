@@ -133,6 +133,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             replace(ExperimentConfig(), **kwargs)
 
+    # Collections built directly take any iterable, numpy arrays included; a
+    # value that is not iterable is a ConfigError that names its field.
+    @pytest.mark.parametrize("name, value", [
+        ("n_values", 3), ("n_values", None), ("strategies", 5), ("strategies", True),
+    ])
+    def test_rejects_non_iterable_collections(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be iterable"):
+            replace(SMALL, **{name: value})
+
+    def test_collections_take_any_iterable(self):
+        pair = (Strategy.FIXED, Strategy.FEDERATED_RL)
+        for n_values, strategies in [(np.array([2, 4]), np.array(pair, dtype=object)),
+                                     ([2, 4], list(pair)), (iter((2, 4)), iter(pair))]:
+            cfg = replace(SMALL, n_values=n_values, strategies=strategies)
+            assert cfg.n_values == (2, 4) and cfg.strategies == pair
+
     # Counts built directly (JSON configs go through codec) take integers,
     # numpy's too, but no bool.
     @pytest.mark.parametrize("name, value", [

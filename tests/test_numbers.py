@@ -8,6 +8,7 @@ import json
 import os
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,8 +171,7 @@ def test_numpy_config_writes_the_same_files(configs):
             out = os.path.join(tmp, str(i))
             with warnings_as_errors():
                 run_experiment(ExperimentConfig(**kwargs, output_dir=out))
-            files.append({name: open(os.path.join(out, name), "rb").read()
-                          for name in sorted(os.listdir(out))})
+            files.append({path.name: path.read_bytes() for path in sorted(Path(out).iterdir())})
     assert files[0] == files[1]
 
 

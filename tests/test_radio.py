@@ -17,7 +17,7 @@ from mlosim import (
     Scenario,
     achieved_rate_bps,
 )
-from mlosim.radio import dbm_to_mw, link_budget_matrix_mw, pathloss_db, rates_bps
+from mlosim.radio import dbm_to_mw, link_budget_matrix_mw, pathloss_db, rate_kernel
 
 import oracles
 from oracles import monotonicity_case, scalar_rate_bps
@@ -127,6 +127,10 @@ class TestLinkSet:
         with pytest.raises(ConfigError):
             ActivationProfile((LinkSet(0, 2), LinkSet(1, 2)))
 
+    def test_profile_needs_an_entry(self):
+        with pytest.raises(ConfigError, match="at least one AP entry"):
+            ActivationProfile(())
+
     def test_profile_rejects_mixed_widths(self):
         with pytest.raises(ConfigError):
             ActivationProfile((LinkSet(1, 2), LinkSet(1, 3)))
@@ -139,7 +143,7 @@ class TestInterference:
         world = make_world([(50.0, 50.0)], [(50.0, 60.0)])
         power = link_budget_matrix_mw(world)
         assert power.shape == (1, 1)
-        rates = rates_bps(power, np.ones((1, 4), dtype=bool), dbm_to_mw(-95.0), 80e6)
+        rates = rate_kernel(power, dbm_to_mw(-95.0), 80e6)(np.ones((1, 4), dtype=bool))
         snr = 10 ** ((20.0 - PL_10) / 10.0) / 10 ** (-95.0 / 10.0)
         assert rates[0] == pytest.approx(4 * 80e6 * math.log2(1.0 + snr), rel=1e-12)
 
@@ -178,13 +182,13 @@ class TestInterference:
             world_p = make_world([tuple(pts[j]) for j in perm], [tuple(stas[j]) for j in perm])
             power, power_p = link_budget_matrix_mw(world), link_budget_matrix_mw(world_p)
             assert power_p == pytest.approx(power[np.ix_(perm, perm)], rel=1e-12)
-            rates = rates_bps(power, active, noise, 80e6)
-            rates_p = rates_bps(power_p, active[perm], noise, 80e6)
+            rates = rate_kernel(power, noise, 80e6)(active)
+            rates_p = rate_kernel(power_p, noise, 80e6)(active[perm])
             assert rates_p == pytest.approx(rates[perm], rel=1e-12)
 
 
 class TestStackedWorlds:
-    # The engine steps several worlds through one rates_bps call on their
+    # The engine steps several worlds through one rate kernel on their
     # stacked (S, 1, n, n) budgets. The matmul must see each world's budget
     # through the same transposed view as a lone call: a contiguous copy of
     # it rounds differently from n = 16 on.
@@ -198,12 +202,12 @@ class TestStackedWorlds:
             world = make_world([tuple(p) for p in pts], [tuple(p + [0.0, 10.0]) for p in pts])
             power.append(link_budget_matrix_mw(world))
         active = rng.random((3, 2, n, 4)) < 0.5
-        stacked = rates_bps(np.stack(power)[:, None], active, noise, 80e6)
+        stacked = rate_kernel(np.stack(power)[:, None], noise, 80e6)(active)
         assert stacked.shape == (3, 2, n)
         for w in range(3):
-            assert np.array_equal(stacked[w], rates_bps(power[w], active[w], noise, 80e6))
+            assert np.array_equal(stacked[w], rate_kernel(power[w], noise, 80e6)(active[w]))
             for run in range(2):
-                alone = rates_bps(power[w], active[w, run], noise, 80e6)
+                alone = rate_kernel(power[w], noise, 80e6)(active[w, run])
                 assert np.array_equal(stacked[w, run], alone)
 
 
@@ -272,6 +276,17 @@ class TestAchievedRate:
         every_link = 2**width - 1
         with pytest.raises(ConfigError, match=f"{width} link bits, scenario has 4 links"):
             achieved_rate_bps(world, profile_of(every_link, every_link, k=width), 0)
+
+    def test_profile_must_cover_every_ap(self):
+        world = make_world([(40.0, 50.0), (60.0, 50.0)], [(40.0, 60.0), (60.0, 60.0)])
+        with pytest.raises(ConfigError, match="profile covers 1 APs, scenario has 2"):
+            achieved_rate_bps(world, profile_of(0b1), 0)
+
+    @pytest.mark.parametrize("i", [2, -1])
+    def test_ap_index_must_be_in_range(self, i):
+        world = make_world([(40.0, 50.0), (60.0, 50.0)], [(40.0, 60.0), (60.0, 60.0)])
+        with pytest.raises(IndexError, match=f"AP index {i} out of range for n=2"):
+            achieved_rate_bps(world, profile_of(0b1, 0b1), i)
 
     def test_four_identical_links_quadruple_the_rate(self):
         world = make_world([(50.0, 50.0)], [(50.0, 60.0)])

@@ -165,6 +165,19 @@ class TestInvariants:
         with pytest.raises(ConfigError, match="must be an integer|must be a finite number"):
             Scenario(**kwargs | fields)
 
+    @pytest.mark.parametrize("name", ["ap_positions", "sta_positions"])
+    @pytest.mark.parametrize("points", [((1.0,),), ((1.0, 2.0, 3.0),), (5.0,), None, 5.0])
+    def test_positions_must_be_pairs(self, name, points):
+        kwargs = dict(area_side_m=100.0, ap_positions=((10.0, 10.0),),
+                      sta_positions=((10.0, 20.0),), ap_sta_distance_m=10.0, num_links=4)
+        with pytest.raises(ConfigError, match=f"{name} must hold \\(x, y\\) pairs"):
+            Scenario(**kwargs | {name: points})
+
+    def test_positions_take_any_pairs(self):
+        built = Scenario(area_side_m=100.0, ap_positions=np.array([[10.0, 10.0]]),
+                         sta_positions=[[10.0, 20.0]], ap_sta_distance_m=10.0, num_links=4)
+        assert built.ap_positions == ((10.0, 10.0),) and built.sta_positions == ((10.0, 20.0),)
+
     @pytest.mark.parametrize("area", [math.inf, 100.0])
     def test_world_parameters_checked_at_construction(self, area):
         # Each STA sits on its AP. Were it accepted, its first run would
