@@ -49,7 +49,10 @@ def number(value, name: str) -> float:
 
 
 def items(value, name: str) -> tuple:
-    """`value` as a tuple if it is iterable; else a `ConfigError` that names it `name`."""
+    """`value` as a tuple if it is iterable and not a str or bytes; else a
+    `ConfigError` that names it `name`."""
+    if isinstance(value, str | bytes):
+        raise ConfigError(f"{name} must be a list, not a string, got {value!r}")
     try:
         return tuple(value)
     except TypeError:

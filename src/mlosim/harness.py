@@ -2,16 +2,14 @@
 
 A batch samples `num_scenarios` worlds and runs every configured strategy
 on the same geometry (paired comparison), reducing each run to the
-scenario's min rate: the whole-run average rate of its worst AP. Each AP
-count's worlds are cut into chunks of consecutive worlds, and a task is one
-chunk or a few, of one AP count or several, whose learning runs step
-together in one `run_learning` loop; a task allocates at most the sum of
-its worlds' run_bytes. Tasks are independent, so they can be distributed
-over a worker pool. An experiment uses one pool: a density sweep deals the
-chunks of every AP count into tasks at once, largest AP counts first (a
-world's cost grows with n), and then reduces each count's outcomes in
-scenario-index order, which keeps summaries byte-identical for any worker
-count and any task layout.
+scenario's min rate: the whole-run average rate of its worst AP. `_tasks`
+cuts an experiment's worlds, largest AP count first (a world's cost grows
+with n), into tasks of consecutive worlds, each an equal share of run_bytes
+per worker and within CHUNK_BYTES unless one world alone exceeds it. A
+task's learning runs step together in one `run_learning` loop. Tasks are
+independent, so an experiment maps them over one worker pool, and then
+reduces each AP count's outcomes in scenario-index order, which keeps
+summaries byte-identical for any worker count and any task layout.
 
 Every world, in a batch task or in the convergence view, runs through
 `_world_runs`; `run_single_scenario` is its one-world case. Outputs are CSV
@@ -44,10 +42,10 @@ DEFAULT_ITERATIONS = 2000
 # action (2 + 8 + 8) and the runs' gathered rewards, rates and masks
 # (8 + 8 + 2), so 36 bytes per agent-iteration; plus 48*T for the intp
 # `source` entry of each iteration (8) and the dict of distinct joint
-# actions; a task's chunk of S worlds holds one of each, which S*run_bytes
-# counts S times. The dict's keys, the intp bytes of every agent's action,
-# add 8 per agent-iteration while it lives; it is freed before the gathers,
-# and the tables with the last run gathered.
+# actions; a task's S worlds of one AP count hold one of each, which
+# S*run_bytes counts S times. The dict's keys, the intp bytes of every
+# agent's action, add 8 per agent-iteration while it lives; it is freed
+# before the gathers, and the tables with the last run gathered.
 # Per action of the p = 2**k - 1, the L*n agents' bandit tables take 16
 # bytes per agent (float64 counts and means, agents.Tables) and `select`'s
 # temporaries 17 more (the bool ties, their int64 cast and its cumsum), so
@@ -74,11 +72,11 @@ DEFAULT_ITERATIONS = 2000
 # bound: of run_learning and of a 4-strategy world at n = 2, 8, 64 and T =
 # 32000, 16000, 8000, where per-iteration terms dominate; at k = 8, 12, 16,
 # where the per-action terms do; of a `random` world at k=8, T=200, where
-# its block does; and of chunks of 3 and 10 learning worlds at T = 130 and
-# 500 (k = 1-8, n = 2-32), where the chunk's draws do. They read 0.33-0.70
+# its block does; and of tasks of 3 and 10 learning worlds at T = 130 and
+# 500 (k = 1-8, n = 2-32), where the task's draws do. They read 0.33-0.70
 # of it (a world at n=64, T=500 reads 0.70 too); without the draws terms the
-# chunks read up to 1.91. A 2-world task at n=16, T=2000 reads 0.66 (3.68
-# MiB): a chunk's joint action recurs less often than a world's, so its dict
+# tasks read up to 1.91. A 2-world task at n=16, T=2000 reads 0.66 (3.68
+# MiB): a task's joint action recurs less often than a world's, so its dict
 # holds more keys per world than a lone world's. Tasks of worlds of two or
 # three AP counts (n = 1-64, k = 1-8, T = 130-4000) read 0.40-0.62 of the
 # sum of their worlds' run_bytes.
@@ -91,14 +89,13 @@ DEFAULT_ITERATIONS = 2000
 # 10,000 and 20,000 worlds, so at 2**10 bytes per world the budget holds
 # 2**32 / 2**10 = 4,194,304 worlds.
 RUN_BYTES_BUDGET = 2**32
-# Bytes a batch task may allocate when it holds more than one world: a chunk
-# holds at most CHUNK_BYTES // run_bytes worlds, and one world at least,
-# which RUN_BYTES_BUDGET bounds; a task of several chunks holds at most
-# CHUNK_BYTES of their worlds' run_bytes. Per-world time stops falling near
-# S=16: run_batch at n=8, T=2000, 4 strategies, 1 worker read 45, 32, 23,
-# 18, 16.0, 16.4 and 16.2 ms per world at S = 1, 2, 4, 8, 16, 32 and 64
-# (2-core x86-64, numpy 2.4.6, one BLAS thread), and this cap allows S=22
-# there.
+# Bytes a batch task may allocate when it holds more than one world: `_tasks`
+# closes a task before a world that would take the sum of its worlds'
+# run_bytes past CHUNK_BYTES, and a task of one world is bounded by
+# RUN_BYTES_BUDGET. Per-world time stops falling near S=16 worlds per task:
+# run_batch at n=8, T=2000, 4 strategies, 1 worker read 45, 32, 23, 18,
+# 16.0, 16.4 and 16.2 ms per world at S = 1, 2, 4, 8, 16, 32 and 64 (2-core
+# x86-64, numpy 2.4.6, one BLAS thread), and this cap allows S=22 there.
 CHUNK_BYTES = 2**25
 
 
@@ -273,7 +270,7 @@ def run_single_scenario(
 
 def _chunk_task(args) -> list[tuple[int, int, str, list[float]]]:
     """One batch task: (AP count, scenario index, digest, min rates) of each
-    world of the task's chunks, a list of (AP count, range of consecutive
+    world of the task's parts, a list of (AP count, range of consecutive
     scenario indices), with each strategy's min rate on the world. Every run
     is reduced to its min rate as it is produced, then dropped."""
     config, parts = args
@@ -287,39 +284,26 @@ def _chunk_task(args) -> list[tuple[int, int, str, list[float]]]:
     return [(n, s, digests[n, s], row) for (n, s), row in mins.items()]
 
 
-def _chunk_size(config: ExperimentConfig, n: int, n_values) -> int:
-    """Worlds of AP count n per chunk of a run of the AP counts `n_values`:
-    an equal share of the run's worlds per worker, at most the count's
-    num_scenarios and at most what fits in CHUNK_BYTES (never below one
-    world)."""
-    share = -(-config.num_scenarios * len(n_values) // config.workers)
-    return max(1, min(config.num_scenarios, share, CHUNK_BYTES // run_bytes(config, n)))
-
-
 def _tasks(config: ExperimentConfig, n_values) -> list[list[tuple[int, range]]]:
     """The batch tasks of a run of the AP counts `n_values`, each a list of
-    chunks (AP count, range of consecutive scenario indices).
+    (AP count, range of consecutive scenario indices).
 
-    Each count's worlds are cut into chunks of `_chunk_size`, which are
-    dealt out largest AP count first (a world's cost grows with n): the
-    first `workers` chunks each open a task, and each later one joins the
-    task of fewest run_bytes that it still fits in within CHUNK_BYTES, or
-    else opens a task of its own. A one-count run's chunks are at most
-    `workers`, or fill CHUNK_BYTES, or are one, so each is a task alone."""
-    m = config.num_scenarios
-    chunks = [(n, range(lo, min(lo + size, m))) for n in sorted(n_values, reverse=True)
-              for size in (_chunk_size(config, n, n_values),) for lo in range(0, m, size)]
-    tasks, loads = [], []
-    for n, indices in chunks:
-        need = len(indices) * run_bytes(config, n)
-        fits = [t for t, load in enumerate(loads) if load + need <= CHUNK_BYTES]
-        if len(tasks) < config.workers or not fits:
-            tasks.append([(n, indices)])
-            loads.append(need)
-        else:
-            t = min(fits, key=loads.__getitem__)
-            tasks[t].append((n, indices))
-            loads[t] += need
+    The worlds, largest AP count first (a world's cost grows with n) and in
+    scenario order, are cut into consecutive tasks: a task closes once it
+    holds an equal share per worker of the run's run_bytes, or before a
+    world that would take it past CHUNK_BYTES; it holds one world at least."""
+    m, tasks, load = config.num_scenarios, [[]], 0
+    share = -(-m * sum(run_bytes(config, n) for n in n_values) // config.workers)
+    for n in sorted(n_values, reverse=True):
+        need, lo = run_bytes(config, n), 0
+        while lo < m:
+            if tasks[-1] and (load >= share or load + need > CHUNK_BYTES):
+                tasks.append([])
+                load = 0
+            fits = min(-(-(share - load) // need), (CHUNK_BYTES - load) // need)
+            hi = min(m, lo + max(1, fits))
+            tasks[-1].append((n, range(lo, hi)))
+            load, lo = load + (hi - lo) * need, hi
     return tasks
 
 

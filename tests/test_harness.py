@@ -5,9 +5,12 @@ import csv
 import json
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlosim import (
     ConfigError,
@@ -18,7 +21,7 @@ from mlosim import (
     run_batch,
     run_scenario,
 )
-from mlosim import engine, harness
+from mlosim import agents, engine, harness
 from mlosim.codec import dumps, from_json
 from mlosim.harness import (
     compute_ecdf,
@@ -141,6 +144,16 @@ class TestConfig:
     def test_rejects_non_iterable_collections(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be iterable"):
             replace(SMALL, **{name: value})
+
+    # A str or bytes iterates over its characters or bytes, so it is refused
+    # as a collection: "frl" is not three strategies, nor b"\x08" one AP count.
+    def test_json_string_asks_for_a_list(self):
+        with pytest.raises(ConfigError, match="strategies must be a list, .* got 'frl'"):
+            from_json(ExperimentConfig, {"strategies": "frl"})
+
+    def test_bytes_ask_for_a_list(self):
+        with pytest.raises(ConfigError, match="n_values must be a list, not a string"):
+            replace(SMALL, n_values=b"\x08")
 
     def test_collections_take_any_iterable(self):
         pair = (Strategy.FIXED, Strategy.FEDERATED_RL)
@@ -288,20 +301,6 @@ class TestConfig:
             tracemalloc.stop()
         assert peak <= sum(S * harness.run_bytes(cfg, n) for n, S in parts)
 
-    @pytest.mark.parametrize("n_values, scenarios, workers, size", [
-        ((2, 4, 8, 12, 16), 2, 2, 2),  # the benchmark's CLI sweep: 5 chunks
-        ((8,), 1, 1, 1),  # one world
-        ((8,), 500, 1, 500),  # one worker: every world of a count in one task...
-        ((8,), 500, 4, 125),  # ...else an equal share per worker
-        ((2, 3), 7, 3, 5),
-    ])
-    def test_chunk_size_shares_the_worlds_among_workers(self, n_values, scenarios, workers,
-                                                         size):
-        # Runs short enough that CHUNK_BYTES holds all 500 worlds of n=8.
-        cfg = replace(SMALL, n_values=n_values, num_scenarios=scenarios, workers=workers,
-                      iterations=10)
-        assert {harness._chunk_size(cfg, n, n_values) for n in n_values} == {size}
-
     def test_one_count_batch_splits_its_worlds_among_the_workers(self, monkeypatch):
         # With all five counts' worlds shared out, n=8's 100 would make one
         # task, so run_batch would start no pool.
@@ -328,45 +327,31 @@ class TestConfig:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(harness, "_chunk_task", no_run)
-        assert harness._chunk_size(cfg, 8, (8,)) == 25
+        assert harness._tasks(cfg, (8,)) == [[(8, range(lo, lo + 25))] for lo in range(0, 100, 25)]
         assert run_batch(cfg, 8).scenario_digests == tuple(f"8:{s}" for s in range(100))
         assert pools == [4]
 
     def test_chunk_size_is_capped_by_chunk_bytes(self):
         cfg = replace(SMALL, num_scenarios=500, n_values=(8,), k=4, iterations=2000)
-        assert harness._chunk_size(cfg, 8, (8,)) == 22
         assert harness.CHUNK_BYTES // harness.run_bytes(cfg, 8) == 22
+        assert [len(parts[0][1]) for parts in harness._tasks(cfg, (8,))] == [22] * 22 + [16]
         # A world that alone exceeds CHUNK_BYTES, by its iterations or by its
         # link subsets, still runs, one per task.
         for huge in (replace(cfg, iterations=30 * 2000), replace(cfg, k=16)):
             assert harness.run_bytes(huge, 8) > harness.CHUNK_BYTES
-            assert harness._chunk_size(huge, 8, (8,)) == 1
-
-    # The chunk sizes of the benchmark's workloads (sweep-cli at 2 workers)
-    # and of the 500-world batch at n=8, which chunking must keep.
-    @pytest.mark.parametrize("strategies, n_values, scenarios, T, workers, size", [
-        (tuple(Strategy), (8,), 1, 2000, 1, 1),  # paper-batch
-        ((Strategy.FIXED, Strategy.FEDERATED_RL), (64,), 1, 500, 1, 1),  # dense-n64
-        (tuple(Strategy), (2, 4, 8, 12, 16), 2, 2000, 2, 2),  # sweep-cli
-        (tuple(Strategy), (8,), 500, 2000, 1, 22),
-    ])
-    def test_chunk_sizes_of_the_benchmark_loads(self, strategies, n_values, scenarios, T,
-                                                workers, size):
-        cfg = ExperimentConfig(strategies=strategies, num_scenarios=scenarios, iterations=T,
-                               n_values=n_values, workers=workers)
-        assert {harness._chunk_size(cfg, n, n_values) for n in n_values} == {size}
+            assert harness._tasks(huge, (8,)) == [[(8, range(s, s + 1))] for s in range(500)]
 
     # The task layouts of the benchmark's workloads (sweep-cli at 2 workers)
-    # and of the 500-world batch at n=8: a sweep's chunks of small AP counts
-    # join the tasks of larger ones, and a one-count run keeps a task per
-    # chunk.
+    # and of the 500-world batch at n=8: a sweep's 10 worlds are cut into two
+    # tasks of about half their run_bytes each, and the batch into tasks of
+    # the 22 worlds that fit in CHUNK_BYTES.
     @pytest.mark.parametrize("strategies, n_values, scenarios, T, workers, layout", [
         (tuple(Strategy), (8,), 1, 2000, 1, [[(8, range(1))]]),  # paper-batch
         ((Strategy.FIXED, Strategy.FEDERATED_RL), (64,), 1, 500, 1,
          [[(64, range(1))]]),  # dense-n64
         (tuple(Strategy), (2, 4, 8, 12, 16), 2, 2000, 2,
-         [[(16, range(2)), (4, range(2)), (2, range(2))],
-          [(12, range(2)), (8, range(2))]]),  # sweep-cli
+         [[(16, range(2)), (12, range(1))],
+          [(12, range(1, 2)), (8, range(2)), (4, range(2)), (2, range(2))]]),  # sweep-cli
         (tuple(Strategy), (8,), 500, 2000, 1,
          [[(8, range(lo, min(lo + 22, 500)))] for lo in range(0, 500, 22)]),
     ], ids=["paper-batch", "dense-n64", "sweep-cli", "batch-500"])
@@ -376,34 +361,52 @@ class TestConfig:
                                n_values=n_values, workers=workers)
         assert harness._tasks(cfg, n_values) == layout
 
-    # A one-count run keeps a task per chunk: its chunks are a share per
-    # worker, or fill CHUNK_BYTES, or are one.
+    # A one-count run's tasks are equal cuts of consecutive worlds: a share
+    # of ceil(m / workers) worlds, or what fits in CHUNK_BYTES, or one.
     @pytest.mark.parametrize("scenarios, workers", [(1, 4), (7, 3), (100, 4), (500, 2), (45, 1)])
     def test_one_count_tasks_are_its_chunks(self, scenarios, workers):
         cfg = ExperimentConfig(num_scenarios=scenarios, n_values=(8,), workers=workers)
-        size = harness._chunk_size(cfg, 8, (8,))
-        assert harness._tasks(cfg, (8,)) == [[(8, range(lo, min(lo + size, scenarios)))]
-                                             for lo in range(0, scenarios, size)]
+        size = min(-(-scenarios // workers), harness.CHUNK_BYTES // harness.run_bytes(cfg, 8))
+        assert tasks_by_the_rule(cfg, (8,)) == [[(8, range(lo, min(lo + size, scenarios)))]
+                                                for lo in range(0, scenarios, size)]
 
-    # Every mixed task fits in CHUNK_BYTES; only chunks past the first
-    # `workers` join a task.
     @pytest.mark.parametrize("scenarios, workers", [(2, 2), (3, 2), (30, 2), (100, 2), (100, 8)])
     def test_mixed_tasks_fit_in_chunk_bytes(self, scenarios, workers):
         n_values = (2, 4, 8, 12, 16)
-        cfg = ExperimentConfig(num_scenarios=scenarios, n_values=n_values, workers=workers)
-        tasks = harness._tasks(cfg, n_values)
-        chunks = [(n, indices) for n in sorted(n_values, reverse=True)
-                  for size in (harness._chunk_size(cfg, n, n_values),)
-                  for indices in (range(lo, min(lo + size, scenarios))
-                                  for lo in range(0, scenarios, size))]
-        dealt = [chunk for parts in tasks for chunk in parts]
-        assert sorted(dealt, key=lambda c: (-c[0], c[1].start)) == chunks
-        assert [parts[0] for parts in tasks[:workers]] == chunks[:workers]
-        for parts in tasks:
-            assert parts == sorted(parts, key=lambda chunk: -chunk[0])
-            if len(parts) > 1:
-                assert sum(len(indices) * harness.run_bytes(cfg, n)
-                           for n, indices in parts) <= harness.CHUNK_BYTES
+        tasks_by_the_rule(ExperimentConfig(num_scenarios=scenarios, n_values=n_values,
+                                           workers=workers), n_values)
+
+    # `_tasks` keeps a few numbers and its tasks, not a list of the worlds:
+    # one would take about 19 MB here.
+    def test_tasks_hold_no_list_of_worlds(self):
+        cfg = ExperimentConfig(num_scenarios=200_000, iterations=1, n_values=(1,))
+        tracemalloc.start()
+        try:
+            tasks = harness._tasks(cfg, (1,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(indices) for parts in tasks for _, indices in parts) == 200_000
+        assert peak < 2**20
+
+
+def tasks_by_the_rule(cfg, n_values):
+    """`_tasks(cfg, n_values)`, checked against its rule: the tasks hold every
+    world once, largest AP count first and in scenario order; a task of
+    several worlds fits in CHUNK_BYTES; and a task closes once it holds the
+    share of run_bytes per worker, or before a world that would overflow it."""
+    tasks = harness._tasks(cfg, n_values)
+    worlds = [[(n, s) for n, indices in parts for s in indices] for parts in tasks]
+    assert [w for task in worlds for w in task] == [
+        (n, s) for n in sorted(n_values, reverse=True) for s in range(cfg.num_scenarios)]
+    loads = [[harness.run_bytes(cfg, n) for n, _ in task] for task in worlds]
+    share = -(-sum(map(sum, loads)) // cfg.workers)
+    for t, load in enumerate(loads):
+        assert load and (len(load) == 1 or sum(load) <= harness.CHUNK_BYTES)
+        assert sum(load[:-1]) < share  # it had not closed before its last world
+        if t + 1 < len(loads):
+            assert sum(load) >= share or sum(load) + loads[t + 1][0] > harness.CHUNK_BYTES
+    return tasks
 
 
 class TestWorldBuild:
@@ -424,8 +427,8 @@ class TestWorldBuild:
 
         for name in calls:
             monkeypatch.setattr(engine, name, counted(name))
-        monkeypatch.setattr(harness, "_chunk_size", lambda config, n, n_values: chunk)
-        run_batch(replace(SMALL, num_scenarios=3))
+        for lo in range(0, 3, chunk):
+            harness._chunk_task((SMALL, [(3, range(lo, min(lo + chunk, 3)))]))
         assert calls == {"all_neighbor_sets": 3, "link_budget_matrix_mw": 3}
 
     def test_a_freed_world_leaves_no_build(self):
@@ -558,21 +561,53 @@ class TestRunBatch:
 
 
 class TestChunks:
-    """A batch task steps a chunk of worlds of one AP count together; the
-    results must not depend on how the worlds are chunked."""
+    """A batch task steps a chunk of worlds together; the results must not
+    depend on how the worlds are chunked into tasks."""
 
     @pytest.mark.parametrize("n_values", [(3,), (1,), (1, 4, 2)])
-    def test_results_do_not_depend_on_chunk_size_or_workers(self, monkeypatch, n_values):
+    def test_results_do_not_depend_on_chunk_size_or_workers(self, n_values):
         cfg = replace(SMALL, n_values=n_values, num_scenarios=8, iterations=30)
         expected = {n: dumps(run_batch(cfg, n)) for n in n_values}
         for size in (1, 3, 7):
-            monkeypatch.setattr(harness, "_chunk_size",
-                                lambda config, n, n_values, size=size: size)
-            for workers in (1, 2):
-                sweep = density_sweep(replace(cfg, workers=workers))
-                assert {n: dumps(s) for n, s in sweep.items()} == expected, (size, workers)
-                batch = run_batch(replace(cfg, workers=workers), n_values[0])
-                assert dumps(batch) == expected[n_values[0]], (size, workers)
+            outcomes = {n: [None] * cfg.num_scenarios for n in n_values}
+            for n in n_values:
+                for lo in range(0, cfg.num_scenarios, size):
+                    task = [(n, range(lo, min(lo + size, cfg.num_scenarios)))]
+                    for _, s, digest, mins in harness._chunk_task((cfg, task)):
+                        outcomes[n][s] = digest, mins
+            assert {n: dumps(run_batch(cfg, n, outcomes=outcomes[n]))
+                    for n in n_values} == expected, size
+        sweep = density_sweep(replace(cfg, workers=2))
+        assert {n: dumps(s) for n, s in sweep.items()} == expected
+        assert dumps(run_batch(replace(cfg, workers=2), n_values[0])) == expected[n_values[0]]
+
+
+class TestAnyLayout:
+    """Any partition of a run's worlds into tasks, each task's worlds in any
+    order, at any size of draw block: every world's outcome is bit for bit
+    the one it has alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_world_equals_the_world_alone(self, data):
+        m = data.draw(st.integers(1, 6), label="num_scenarios")
+        T = data.draw(st.integers(1, 8), label="iterations")
+        cfg = ExperimentConfig(
+            strategies=data.draw(st.lists(st.sampled_from(Strategy), min_size=1, unique=True)),
+            num_scenarios=m, iterations=T, k=data.draw(st.integers(1, 3), label="k"),
+            n_values=data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True)),
+            master_seed=data.draw(st.integers(0, 2**16), label="master_seed"))
+        worlds = data.draw(st.permutations([(n, s) for n in cfg.n_values for s in range(m)]))
+        gaps = len(worlds) - 1
+        cuts = data.draw(st.lists(st.booleans(), min_size=gaps, max_size=gaps), label="cuts")
+        block = data.draw(st.integers(1, T + 1), label="block")
+        alone = {(n, s): harness._chunk_task((cfg, [(n, range(s, s + 1))])) for n, s in worlds}
+        bounds = [0, *(i for i, cut in enumerate(cuts, 1) if cut), len(worlds)]
+        with mock.patch.object(agents, "_BLOCK", block):
+            for lo, hi in zip(bounds, bounds[1:]):
+                task = [(n, range(s, s + 1)) for n, s in worlds[lo:hi]]
+                for outcome in harness._chunk_task((cfg, task)):
+                    assert [outcome] == alone[outcome[:2]]
 
 
 class TestDensitySweep:
@@ -616,10 +651,10 @@ class TestDensitySweep:
         expected = {n: dumps(s) for n, s in density_sweep(cfg).items()}
         assert pools == []
         largest_first = [(n, s) for n in (8, 4, 2) for s in range(cfg.num_scenarios)]
-        # A task is a list of chunks of consecutive worlds of one AP count.
-        # On 2 workers, 9 worlds make 3 chunks of 3: n=8's and n=4's open the
-        # two tasks, and n=2's joins n=4's, the task of fewer bytes. On 64,
-        # each of 9 chunks of 1 is a task.
+        # A task is a list of parts, each of consecutive worlds of one AP
+        # count. On 2 workers, n=8's 3 worlds reach half the run_bytes and
+        # close the first task; n=4's and n=2's make the second. On 64, each
+        # of the 9 worlds is a task.
         for workers, layout in ((2, [[(8, 3)], [(4, 3), (2, 3)]]),
                                 (64, [[(n, 1)] for n, _ in largest_first])):
             summaries = density_sweep(replace(cfg, workers=workers))

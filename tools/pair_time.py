@@ -9,7 +9,7 @@ runs the public `harness.density_sweep` at one worker over `--worlds`
 worlds of each AP count of `--n` (master seed i + 1) once per side, the
 side that goes first alternating from pair to pair, and records each side's
 CPU time per world. With one AP count and at most 22 worlds (n=8, T=2000),
-the sweep is one batch task, the chunk that `run_batch` runs. The ratio of
+the sweep is one batch task, the task that `run_batch` runs. The ratio of
 a pair is change over parent. Printed: every pair, then the median ratio,
 its quartiles and the pairs the change won (ratio below 1). The tool exits
 1 if the two sides' outcomes (every strategy's per-world min rates of
