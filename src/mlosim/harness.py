@@ -11,16 +11,17 @@ independent, so an experiment maps them over one worker pool, and then
 reduces each AP count's outcomes in scenario-index order, which keeps
 summaries byte-identical for any worker count and any task layout.
 
-Every world, in a batch task or in the convergence view, runs through
-`_world_runs`; `run_single_scenario` is its one-world case. Outputs are CSV
-files (one per figure analog, each written through `codec.write_csv` from a
-row generator) plus a summary JSON; rates in the CSVs are Mbps with 3
-decimals.
+Every world runs once, in its batch task, which also keeps the convergence
+and per-AP views of the worlds it is asked to show (batch world 0 of a
+one-count experiment). Outputs are CSV files (one per figure analog, each
+written through `codec.write_csv` from a row generator) plus a summary JSON;
+rates in the CSVs are Mbps with 3 decimals.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 from dataclasses import dataclass, field, replace
 
@@ -29,7 +30,7 @@ import numpy as np
 from . import rng as streams
 from .agents import _BLOCK, Strategy
 from .codec import dump, dumps, write_csv
-from .engine import LEARNING, RunResult, min_rate_timeseries, run_learning, run_scenario
+from .engine import LEARNING, min_rate_timeseries, run_learning, run_scenario
 from .errors import ConfigError, EmptyInputError, integer, items
 from .scenario import PhysicalConfig, Scenario, check_world, sample_scenario
 
@@ -68,14 +69,15 @@ DEFAULT_ITERATIONS = 2000
 # reduces its runs one at a time, so it allocates at most the sum of its
 # worlds' run_bytes: each group of worlds of one AP count holds its own
 # distinct-row tables and dict, and every group's dict is freed before the
-# gathers. tests/test_harness.py checks tracemalloc peaks against that
-# bound: of run_learning and of a 4-strategy world at n = 2, 8, 64 and T =
-# 32000, 16000, 8000, where per-iteration terms dominate; at k = 8, 12, 16,
-# where the per-action terms do; of a `random` world at k=8, T=200, where
-# its block does; and of tasks of 3 and 10 learning worlds at T = 130 and
-# 500 (k = 1-8, n = 2-32), where the task's draws do. They read 0.33-0.70
-# of it (a world at n=64, T=500 reads 0.70 too); without the draws terms the
-# tasks read up to 1.91. A 2-world task at n=16, T=2000 reads 0.66 (3.68
+# gathers. tests/test_harness.py checks tracemalloc peaks of `_chunk_task`
+# against that bound: on one world that keeps its views (fig3/fig4), of
+# `frl` alone and of all 4 strategies at n = 2, 8, 64 and T = 32000, 16000,
+# 8000, where per-iteration terms dominate, at k = 8, 12, 16, where the
+# per-action terms do, and of `random` alone at k=8, T=200, where its block
+# does; and on tasks of 3 and 10 learning worlds at T = 130 and 500 (k =
+# 1-8, n = 2-32), where the task's draws do. They read 0.33-0.70 of it (a
+# world at n=64, T=500 reads 0.59); without the draws terms the tasks read
+# up to 1.91. A 2-world task at n=16, T=2000 reads 0.66 (3.67
 # MiB): a task's joint action recurs less often than a world's, so its dict
 # holds more keys per world than a lone world's. Tasks of worlds of two or
 # three AP counts (n = 1-64, k = 1-8, T = 130-4000) read 0.40-0.62 of the
@@ -221,67 +223,40 @@ def run_seed(config: ExperimentConfig, n: int, s: int, strategy: Strategy) -> in
     )
 
 
-def _one_n(config: ExperimentConfig, n: int | None) -> int:
-    """`n`, one of the config's AP counts, or else the config's only one."""
-    if n is None:
-        if len(config.n_values) != 1:
-            raise ConfigError(
-                "config sweeps several AP counts; pass n explicitly or use density_sweep")
-        return config.n_values[0]
-    count = integer(n, "AP count")
-    if count not in config.n_values:
-        raise ConfigError(f"AP count {n} is not one of the config's n_values {config.n_values}")
-    return count
-
-
-def _world_runs(config: ExperimentConfig, parts):
-    """Yield (AP count, scenario index, strategy, result) of every run on the
-    batch worlds of `parts`, a list of (AP count, scenario indices): first
-    the learning runs of all of them, stepped together in one `run_learning`
-    lockstep loop and produced one at a time, then each world's
-    `fixed`/`random` runs."""
-    worlds = [(n, s) for n, indices in parts for s in indices]
-    scenarios = [scenario_for_index(config, n, s) for n, s in worlds]
-    T = config.iterations
-    learners = [s for s in config.strategies if s in LEARNING]
-    if learners:
-        seeds = [run_seed(config, n, s, strategy) for n, s in worlds for strategy in learners]
-        for r, result in enumerate(run_learning(scenarios, learners, T, seeds)):
-            yield *worlds[r // len(learners)], result.strategy, result
-    for (n, s), scenario in zip(worlds, scenarios):
-        for strategy in config.strategies:
-            if strategy not in LEARNING:
-                seed = run_seed(config, n, s, strategy)
-                yield n, s, strategy, run_scenario(scenario, strategy, T, seed)
-
-
-def run_single_scenario(
-    config: ExperimentConfig, n: int | None = None, scenario_index: int = 0
-) -> dict[Strategy, RunResult]:
-    """Full traces of every strategy on batch world `scenario_index`, in
-    config.strategies order: the one-world case of a batch task."""
-    index = integer(scenario_index, "scenario_index", 0)
-    if index >= config.num_scenarios:
-        raise ConfigError(f"scenario_index must be in range({config.num_scenarios}), got {index}")
-    results = {strategy: result for _, _, strategy, result
-               in _world_runs(config, [(_one_n(config, n), [index])])}
-    return {strategy: results[strategy] for strategy in config.strategies}
-
-
-def _chunk_task(args) -> list[tuple[int, int, str, list[float]]]:
+def _chunk_task(args) -> tuple[list[tuple[int, int, str, list[float]]], dict]:
     """One batch task: (AP count, scenario index, digest, min rates) of each
     world of the task's parts, a list of (AP count, range of consecutive
-    scenario indices), with each strategy's min rate on the world. Every run
-    is reduced to its min rate as it is produced, then dropped."""
-    config, parts = args
-    column = {strategy: col for col, strategy in enumerate(config.strategies)}
-    mins = {(n, s): [0.0] * len(column) for n, indices in parts for s in indices}
-    digests = {}
-    for n, s, strategy, result in _world_runs(config, parts):
-        mins[n, s][column[strategy]] = float(result.mean_rates_bps().min())
-        if (n, s) not in digests:
-            digests[n, s] = hashlib.sha256(dumps(result.scenario).encode()).hexdigest()[:16]
-    return [(n, s, digests[n, s], row) for (n, s), row in mins.items()]
+    scenario indices), with each strategy's min rate on the world; and, by
+    (AP count, scenario index), the views of the task's worlds in `shown`:
+    each strategy's `min_rate_timeseries` and per-AP mean rates, in
+    config.strategies order.
+
+    The learning runs of all the worlds step together in one `run_learning`
+    loop; each world's `fixed`/`random` runs follow. Every run is reduced
+    as it is produced, then dropped."""
+    config, parts, shown = args
+    worlds = [(n, s) for n, indices in parts for s in indices]
+    scenarios = [scenario_for_index(config, n, s) for n, s in worlds]
+    T, learners = config.iterations, [s for s in config.strategies if s in LEARNING]
+    runs = [(w, strategy) for w in range(len(worlds)) for strategy in learners]
+    seeds = [run_seed(config, *worlds[w], strategy) for w, strategy in runs]
+    lockstep = run_learning(scenarios, learners, T, seeds) if learners else ()
+    others = [(w, strategy) for w in range(len(worlds))
+              for strategy in config.strategies if strategy not in LEARNING]
+    # The chain runs the lockstep iterator to its end, which frees the
+    # learning runs' tables, before the first `fixed`/`random` run starts.
+    results = itertools.chain(lockstep, (
+        run_scenario(scenarios[w], strategy, T, run_seed(config, *worlds[w], strategy))
+        for w, strategy in others))
+    mins, views = [[0.0] * len(config.strategies) for _ in worlds], {}
+    for (w, strategy), result in zip(runs + others, results):
+        col, means = config.strategies.index(strategy), result.mean_rates_bps()
+        mins[w][col] = float(means.min())
+        if worlds[w] in shown:
+            view = views.setdefault(worlds[w], [None] * len(config.strategies))
+            view[col] = min_rate_timeseries(result), means
+    digests = [hashlib.sha256(dumps(scenario).encode()).hexdigest()[:16] for scenario in scenarios]
+    return [(n, s, digest, row) for (n, s), digest, row in zip(worlds, digests, mins)], views
 
 
 def _tasks(config: ExperimentConfig, n_values) -> list[list[tuple[int, range]]]:
@@ -307,14 +282,15 @@ def _tasks(config: ExperimentConfig, n_values) -> list[list[tuple[int, range]]]:
     return tasks
 
 
-def _run_worlds(config: ExperimentConfig, n_values) -> dict[int, list]:
+def _run_worlds(config: ExperimentConfig, n_values, shown=frozenset()) -> tuple[dict, dict]:
     """Task outcomes (digest, min rates) of every world of each AP count, in
-    scenario-index order.
+    scenario-index order, and the views of the worlds in `shown`, by (AP
+    count, scenario index).
 
     The tasks of `_tasks` are all built up front, and run inline at one
     worker or mapped once over one pool; a task's worlds step together.
     """
-    tasks = [(config, parts) for parts in _tasks(config, n_values)]
+    tasks = [(config, parts, shown) for parts in _tasks(config, n_values)]
     # A forked pool starts all its workers at the first submit, so it gets
     # no more of them than there are tasks.
     workers = min(config.workers, len(tasks))
@@ -327,11 +303,12 @@ def _run_worlds(config: ExperimentConfig, n_values) -> dict[int, list]:
             chunks = list(pool.map(_chunk_task, tasks))
     else:
         chunks = [_chunk_task(t) for t in tasks]
-    outcomes = {n: [None] * config.num_scenarios for n in n_values}
-    for chunk in chunks:
-        for n, s, digest, mins in chunk:
+    outcomes, views = {n: [None] * config.num_scenarios for n in n_values}, {}
+    for rows, task_views in chunks:
+        views.update(task_views)
+        for n, s, digest, mins in rows:
             outcomes[n][s] = digest, mins
-    return outcomes
+    return outcomes, views
 
 
 def run_batch(
@@ -342,9 +319,13 @@ def run_batch(
     Given `outcomes` (each world's digest and min rates, in scenario-index
     order), it only reduces them.
     """
-    n = _one_n(config, n)
+    if n is None and len(config.n_values) != 1:
+        raise ConfigError("config sweeps several AP counts; pass n explicitly or use density_sweep")
+    n = config.n_values[0] if n is None else integer(n, "AP count")
+    if n not in config.n_values:
+        raise ConfigError(f"AP count {n} is not one of the config's n_values {config.n_values}")
     if outcomes is None:
-        outcomes = _run_worlds(config, (n,))[n]
+        outcomes = _run_worlds(config, (n,))[0][n]
 
     digests = tuple(digest for digest, _ in outcomes)
     per_strategy: dict[Strategy, StrategyStats] = {}
@@ -373,7 +354,7 @@ def density_sweep(config: ExperimentConfig) -> dict[int, BatchSummary]:
     The worlds of every AP count share one pool, so no count waits for the
     slowest world of another before its own worlds start.
     """
-    outcomes = _run_worlds(config, config.n_values)
+    outcomes, _ = _run_worlds(config, config.n_values)
     return {n: run_batch(config, n, outcomes=outcomes[n]) for n in config.n_values}
 
 
@@ -399,25 +380,26 @@ def run_experiment(config: ExperimentConfig) -> dict[int, BatchSummary]:
     """The full driver: batches (or a sweep) plus figure CSVs on disk.
 
     With a single AP count this also emits the single-scenario convergence
-    and per-AP views for batch world 0; with several counts it emits the
-    density comparison instead.
+    and per-AP views of batch world 0, kept by the task that runs it; with
+    several counts it emits the density comparison instead.
     """
     out_dir = config.output_dir or "."
     os.makedirs(out_dir, exist_ok=True)
-    summaries = density_sweep(config)
-    if len(config.n_values) == 1:
-        n = config.n_values[0]
-        single = run_single_scenario(config, n, 0)
-        stats = summaries[n].per_strategy
+    first, *others = config.n_values
+    shown = frozenset() if others else {(first, 0)}
+    outcomes, views = _run_worlds(config, config.n_values, shown)
+    summaries = {n: run_batch(config, n, outcomes=outcomes[n]) for n in config.n_values}
+    if not others:
+        view = list(zip(config.strategies, views[first, 0]))
+        stats = summaries[first].per_strategy
         # fig3: running-average rate of the worst AP of world 0, per strategy
         write_csv(os.path.join(out_dir, "fig3_convergence.csv"),
                   ["strategy", "t", "min_ap_running_avg_mbps"],
-                  ([s.value, t, _mbps(v)] for s, result in single.items()
-                   for t, v in enumerate(min_rate_timeseries(result), start=1)))
+                  ([s.value, t, _mbps(v)] for s, (series, _) in view
+                   for t, v in enumerate(series, start=1)))
         # fig4: whole-run average rate of each AP of world 0, per strategy
         write_csv(os.path.join(out_dir, "fig4_per_ap.csv"), ["strategy", "ap", "mean_rate_mbps"],
-                  ([s.value, i, _mbps(v)] for s, result in single.items()
-                   for i, v in enumerate(result.mean_rates_bps())))
+                  ([s.value, i, _mbps(v)] for s, (_, means) in view for i, v in enumerate(means)))
         # fig5: batch mean and 90th percentile of the min rate, per strategy
         write_csv(os.path.join(out_dir, "fig5_means.csv"),
                   ["strategy", "mean_min_rate_mbps", "p90_mbps"],

@@ -29,7 +29,6 @@ from mlosim.harness import (
     percentile,
     run_experiment,
     run_seed,
-    run_single_scenario,
     scenario_for_index,
 )
 
@@ -207,8 +206,9 @@ class TestConfig:
 
     # Points where the per-iteration terms dominate: one learning run, a
     # world of all four strategies, and a batch task's chunk of 3 such
-    # worlds. A lone frl run at n=2 peaks lower than the world's two
-    # learning runs there, so it is left out for time.
+    # worlds, each task keeping world 0's views. A lone frl run at n=2 peaks
+    # lower than the world's two learning runs there, so it is left out for
+    # time.
     @pytest.mark.parametrize("run, n, T", [
         ("world", 2, 32000), ("frl", 8, 16000), ("world", 8, 16000), ("frl", 64, 8000),
         ("world", 64, 8000), ("chunk", 8, 8000),
@@ -220,39 +220,36 @@ class TestConfig:
                                n_values=(n,))
         tracemalloc.start()
         try:
-            if run == "chunk":
-                harness._chunk_task((cfg, [(n, range(worlds))]))
-            else:
-                run_single_scenario(cfg)
+            harness._chunk_task((cfg, [(n, range(worlds))], {(n, 0)}))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= worlds * harness.run_bytes(cfg, n)
 
     # Points where the per-action terms dominate: a world of all four
-    # strategies over the 2**k - 1 link subsets of k links.
+    # strategies over the 2**k - 1 link subsets of k links, its views kept.
     @pytest.mark.parametrize("k", [8, 12, 16])
     @pytest.mark.parametrize("n", [2, 8])
     def test_world_peak_stays_within_run_bytes_at_large_k(self, k, n):
         cfg = ExperimentConfig(num_scenarios=1, iterations=10, n_values=(n,), k=k)
         tracemalloc.start()
         try:
-            run_single_scenario(cfg)
+            harness._chunk_task((cfg, [(n, range(1))], {(n, 0)}))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= harness.run_bytes(cfg, n)
 
-    # Where a `random` run's block weighs most: a world of short runs at k=8
-    # (without the block its peak reads 1.06 and 1.63 of run_bytes at n = 2
-    # and 8).
+    # Where a `random` run's block weighs most: a world of short runs at k=8,
+    # its views kept (without the block its peak reads 1.06 and 1.63 of
+    # run_bytes at n = 2 and 8).
     @pytest.mark.parametrize("n", [2, 8])
     def test_random_world_peak_stays_within_run_bytes(self, n):
         cfg = ExperimentConfig(strategies=(Strategy.RANDOM,), num_scenarios=1, iterations=200,
                                n_values=(n,), k=8)
         tracemalloc.start()
         try:
-            run_single_scenario(cfg)
+            harness._chunk_task((cfg, [(n, range(1))], {(n, 0)}))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -270,7 +267,7 @@ class TestConfig:
                                num_scenarios=S, iterations=T, n_values=(n,), k=k)
         tracemalloc.start()
         try:
-            harness._chunk_task((cfg, [(n, range(S))]))
+            harness._chunk_task((cfg, [(n, range(S))], frozenset()))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -295,7 +292,7 @@ class TestConfig:
         task = [(n, range(S)) for n, S in parts]
         tracemalloc.start()
         try:
-            harness._chunk_task((cfg, task))
+            harness._chunk_task((cfg, task, frozenset()))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -321,9 +318,9 @@ class TestConfig:
                 return map(fn, tasks)
 
         def no_run(task):
-            _, parts = task
+            _, parts, _ = task
             return [(n, s, f"{n}:{s}", [0.0] * len(cfg.strategies))
-                    for n, indices in parts for s in indices]
+                    for n, indices in parts for s in indices], {}
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(harness, "_chunk_task", no_run)
@@ -428,7 +425,7 @@ class TestWorldBuild:
         for name in calls:
             monkeypatch.setattr(engine, name, counted(name))
         for lo in range(0, 3, chunk):
-            harness._chunk_task((SMALL, [(3, range(lo, min(lo + chunk, 3)))]))
+            harness._chunk_task((SMALL, [(3, range(lo, min(lo + chunk, 3)))], frozenset()))
         assert calls == {"all_neighbor_sets": 3, "link_budget_matrix_mw": 3}
 
     def test_a_freed_world_leaves_no_build(self):
@@ -518,23 +515,18 @@ class TestRunBatch:
         cfg = replace(SMALL, n_values=(2, 3))
         with pytest.raises(ConfigError):
             run_batch(cfg)
-        with pytest.raises(ConfigError):
-            run_single_scenario(cfg)
         assert run_batch(cfg, n=2).n == 2
         # Only the config's AP counts, which it checked, run.
         with pytest.raises(ConfigError, match="AP count 4"):
             run_batch(cfg, n=4)
-        with pytest.raises(ConfigError, match="AP count 4"):
-            run_single_scenario(cfg, n=4)
 
     # An AP count is an integer of n_values, numpy's too: a float or bool
     # equal to one is not.
     def test_ap_count_must_be_an_integer(self):
         cfg = replace(SMALL, n_values=(1, 3))
         for n in (3.0, np.float64(3.0), True):
-            for run in (run_batch, run_single_scenario):
-                with pytest.raises(ConfigError, match="AP count must be an integer"):
-                    run(cfg, n)
+            with pytest.raises(ConfigError, match="AP count must be an integer"):
+                run_batch(cfg, n)
         summary = run_batch(cfg, np.int64(3))
         assert type(summary.n) is int and dumps(summary) == dumps(run_batch(cfg, 3))
 
@@ -573,7 +565,8 @@ class TestChunks:
             for n in n_values:
                 for lo in range(0, cfg.num_scenarios, size):
                     task = [(n, range(lo, min(lo + size, cfg.num_scenarios)))]
-                    for _, s, digest, mins in harness._chunk_task((cfg, task)):
+                    rows, _ = harness._chunk_task((cfg, task, frozenset()))
+                    for _, s, digest, mins in rows:
                         outcomes[n][s] = digest, mins
             assert {n: dumps(run_batch(cfg, n, outcomes=outcomes[n]))
                     for n in n_values} == expected, size
@@ -582,10 +575,16 @@ class TestChunks:
         assert dumps(run_batch(replace(cfg, workers=2), n_values[0])) == expected[n_values[0]]
 
 
+def view_bits(view):
+    """A world's views as bytes: each strategy's series and per-AP means."""
+    return [(series.tobytes(), means.tobytes()) for series, means in view]
+
+
 class TestAnyLayout:
     """Any partition of a run's worlds into tasks, each task's worlds in any
-    order, at any size of draw block: every world's outcome is bit for bit
-    the one it has alone."""
+    order, at any size of draw block, showing any of its worlds: every
+    world's outcome, and the views of each shown one, are bit for bit the
+    ones it has alone."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -601,13 +600,19 @@ class TestAnyLayout:
         gaps = len(worlds) - 1
         cuts = data.draw(st.lists(st.booleans(), min_size=gaps, max_size=gaps), label="cuts")
         block = data.draw(st.integers(1, T + 1), label="block")
-        alone = {(n, s): harness._chunk_task((cfg, [(n, range(s, s + 1))])) for n, s in worlds}
+        shown = frozenset(data.draw(st.sets(st.sampled_from(worlds)), label="shown"))
+        alone = {(n, s): harness._chunk_task((cfg, [(n, range(s, s + 1))], {(n, s)}))
+                 for n, s in worlds}
         bounds = [0, *(i for i, cut in enumerate(cuts, 1) if cut), len(worlds)]
         with mock.patch.object(agents, "_BLOCK", block):
             for lo, hi in zip(bounds, bounds[1:]):
                 task = [(n, range(s, s + 1)) for n, s in worlds[lo:hi]]
-                for outcome in harness._chunk_task((cfg, task)):
-                    assert [outcome] == alone[outcome[:2]]
+                rows, views = harness._chunk_task((cfg, task, shown))
+                for row in rows:
+                    assert [row] == alone[row[:2]][0]
+                assert views.keys() == shown & set(worlds[lo:hi])
+                for world, view in views.items():
+                    assert view_bits(view) == view_bits(alone[world][1][world])
 
 
 class TestDensitySweep:
@@ -662,44 +667,51 @@ class TestDensitySweep:
             (pool,) = pools
             assert pool.max_workers == len(layout)
             assert [[(n, len(indices)) for n, indices in parts]
-                    for _, parts in pool.tasks] == layout
-            assert [(n, s) for _, parts in pool.tasks
+                    for _, parts, _ in pool.tasks] == layout
+            assert [(n, s) for _, parts, _ in pool.tasks
                     for n, indices in parts for s in indices] == largest_first
             pools.clear()
 
 
 class TestSingleScenario:
-    def test_all_strategies_share_the_world(self):
-        results = run_single_scenario(SMALL, scenario_index=1)
-        worlds = {dumps(res.scenario) for res in results.values()}
-        assert len(worlds) == 1
-        assert all(res.T == SMALL.iterations for res in results.values())
-        assert results[Strategy.FIXED].scenario == scenario_for_index(SMALL, 3, 1)
+    """fig3 and fig4 show batch world 0, kept by the task that runs it."""
 
+    # Each world is sampled once: world 0's views come from its batch task,
+    # so every strategy's view and the batch share the one sample.
+    def test_all_strategies_share_the_world(self, tmp_path, monkeypatch):
+        sampled = []
+
+        def counted(config, n, s):
+            sampled.append((n, s))
+            return scenario_for_index(config, n, s)
+
+        monkeypatch.setattr(harness, "scenario_for_index", counted)
+        run_experiment(replace(SMALL, output_dir=str(tmp_path)))
+        assert sorted(sampled) == [(3, s) for s in range(SMALL.num_scenarios)]
+
+    # World 0 shares its task with other worlds at 1 and 2 workers (6
+    # worlds, in tasks of 6 and of 3).
     @pytest.mark.parametrize("strategies", [
         (Strategy.FEDERATED_RL, Strategy.FIXED, Strategy.LOCAL_RL),
         (Strategy.RANDOM, Strategy.LOCAL_RL),
         (Strategy.FIXED,),
     ])
-    def test_runs_in_config_order_equal_each_run_alone(self, strategies):
-        cfg = replace(SMALL, strategies=strategies)
-        results = run_single_scenario(cfg, scenario_index=2)
-        assert tuple(results) == strategies
-        world = scenario_for_index(cfg, 3, 2)
-        for strategy, res in results.items():
-            alone = run_scenario(world, strategy, cfg.iterations, run_seed(cfg, 3, 2, strategy))
-            assert dumps(res) == dumps(alone)
-
-    # A batch world's index: an integer of range(num_scenarios), numpy's too.
-    @pytest.mark.parametrize("index", [-1, SMALL.num_scenarios, 10**30, 2.5, 2.0, "1", None])
-    def test_rejects_an_index_outside_the_batch(self, index):
-        with pytest.raises(ConfigError, match="scenario_index"):
-            run_single_scenario(SMALL, scenario_index=index)
-
-    def test_numpy_index_passes(self):
-        results = run_single_scenario(SMALL, scenario_index=np.int64(1))
-        expected = run_single_scenario(SMALL, scenario_index=1)
-        assert [dumps(r) for r in results.values()] == [dumps(r) for r in expected.values()]
+    def test_runs_in_config_order_equal_each_run_alone(self, tmp_path, strategies):
+        world = scenario_for_index(SMALL, 3, 0)
+        alone = [(strategy, run_scenario(world, strategy, SMALL.iterations,
+                                         run_seed(SMALL, 3, 0, strategy)))
+                 for strategy in strategies]
+        fig3 = [[s.value, str(t), harness._mbps(v)] for s, res in alone
+                for t, v in enumerate(engine.min_rate_timeseries(res), start=1)]
+        fig4 = [[s.value, str(i), harness._mbps(v)] for s, res in alone
+                for i, v in enumerate(res.mean_rates_bps())]
+        for workers in (1, 2):
+            out = tmp_path / str(workers)
+            run_experiment(replace(SMALL, strategies=strategies, workers=workers,
+                                   output_dir=str(out)))
+            for name, expected in (("fig3_convergence.csv", fig3), ("fig4_per_ap.csv", fig4)):
+                with open(out / name) as fh:
+                    assert list(csv.reader(fh))[1:] == expected, (workers, name)
 
 
 class TestOutputs:
