@@ -11,13 +11,13 @@ one-world, one-run case. Every learning agent is rewarded with the minimum
 rate over one segment of a flat member list: the AP alone under `rl`, the
 AP then its neighbors under `frl`. Actions travel through the loop as flat
 table indices (agents.Tables), each with the mean that `select` read for
-it. Consecutive worlds of one AP count form a group, which shares a key
-and a rate call: the group keys each iteration on the joint action of its
-agents, evaluates each distinct one once, through a rate kernel built once
-per group, into tables; once the loop ends, the group's `finish` yields
-its own runs, each gathered from those tables. The loop skips the explore
-merge on rows where no agent explores. A world's link budget and neighbor
-sets are built once while its Scenario lives, however many runs step it.
+it. The whole population's joint action is the one key of the loop: each
+distinct one is rated once, by one pass of the rate kernel built once for
+all the worlds (a matmul per run of worlds of one AP count, one elementwise
+pass), and rewarded by one call, into tables from which each run is
+gathered once the loop ends. The loop skips the explore merge on rows
+where no agent explores. A world's link budget and neighbor sets are built
+once while its Scenario lives, however many runs step it.
 
 Moves are simultaneous: every agent commits its link subset before any
 rate is computed, so no agent observes another's current-iteration choice.
@@ -110,22 +110,20 @@ def _static(scenario: Scenario) -> tuple:
     return _STATIC[key]
 
 
-def _worlds(scenarios):
-    """The worlds' neighbor sets and the rate function of their joint
-    actions: action indices of shape (S, ..., n), world w's in row w, to
-    rates of the same shape; one world's of shape (..., n). The indices'
-    link rows are gathered with `take`, cheaper per call than fancy
-    indexing. Every world must share n, k and the physical constants:
-    `run_learning` checks k and the physical constants, and n is shared
-    because each of its groups holds one AP count."""
+def _worlds(scenarios, runs: int = 1):
+    """The worlds' neighbor sets and the rate function of their `runs` runs'
+    action indices, (..., A) in rate_kernel's agent order, to rates of that
+    shape. The link rows are gathered with `take`, cheaper per call than
+    fancy indexing. The worlds share k and the physical constants."""
     first = scenarios[0]
     mask_bits = link_mask_matrix(first.num_links)  # (p, k), as the rate kernel takes it
-    # Static link budgets: power[w, 0, j, i] is AP j's power at STA i of world
-    # w in mW; one world's is (n, n), which costs less per call than a stack.
     budgets, neighbor_sets = zip(*map(_static, scenarios))
-    power = budgets[0] if len(budgets) == 1 else np.stack(budgets)[:, None]
-    rates = rate_kernel(power, dbm_to_mw(first.physical.noise_floor_dbm),
-                        first.physical.bandwidth_hz_per_link)
+    # One entry per run of consecutive worlds of one AP count: a stack of
+    # their (n, n) link budgets, or a lone world's, which costs less per call.
+    groups = [list(group) for _, group in itertools.groupby(budgets, key=len)]
+    rates = rate_kernel([group[0] if len(group) == 1 else np.stack(group) for group in groups],
+                        dbm_to_mw(first.physical.noise_floor_dbm),
+                        first.physical.bandwidth_hz_per_link, runs)
 
     def rates_of(index: np.ndarray) -> np.ndarray:
         return rates(mask_bits.take(index, axis=0))
@@ -171,16 +169,17 @@ def run_learning(scenarios, strategies, T: int, seeds) -> Iterator[RunResult]:
     strategies[l] seeded by seeds[w * L + l]. Returns an iterator over the
     S * L results in that order; each equals the run alone.
 
-    The runs step in lockstep as one population: run r = w * L + l's n APs
-    are the next n agents after the runs before it, so each iteration makes
-    one policy step for all of them. Consecutive worlds of one AP count
-    share a key and a rate call: such a group makes one rate call and one
-    reward call when its joint action is new. A learning agent's reward is
-    the minimum instant rate over its segment: itself under `rl` (its own
+    The runs step in lockstep as one population of A agents: run r = w * L
+    + l's n APs are the next n agents after the runs before it. Each
+    iteration makes one policy step; a learning agent's reward is the
+    minimum instant rate over its segment: itself under `rl` (its own
     rate), itself and its neighbors under `frl` (the global reward). The
-    loop runs before this returns; each result's arrays are gathered only
-    when the iterator reaches it, so a caller that reduces and drops each
-    result holds one at a time.
+    geometry is static, so the intp bytes of `select`'s row of flat indices
+    key one dict, and a new joint action makes one rate pass and one reward
+    call, into the next free row of the (T, A) tables [actions, rates,
+    rewards]. The loop runs before this returns; run r's columns of the
+    tables at every iteration's row are gathered only when the iterator
+    reaches it, and the last run frees each table once gathered from it.
     """
     T, seeds = _check_runs(strategies, T, seeds)
     S, L = len(scenarios), len(strategies)
@@ -192,86 +191,51 @@ def run_learning(scenarios, strategies, T: int, seeds) -> Iterator[RunResult]:
         raise ConfigError("worlds stepped together need the same k and physical constants")
     p = 2**first.num_links - 1
     ns = [sc.n for sc in scenarios for _ in strategies]  # each run's AP count
-    tables = Tables(sum(ns), p)
-    parts, w, lo = [], 0, 0
-    for n, worlds in itertools.groupby(scenarios, key=lambda sc: sc.n):
-        worlds = list(worlds)
-        hi = lo + len(worlds) * L * n
-        group_seeds = seeds[w * L:(w + len(worlds)) * L]
-        step, finish = _group(worlds, strategies, group_seeds, T, tables.offsets[lo:hi])
-        parts.append((step, finish, lo, hi))
-        w, lo = w + len(worlds), hi
-    if len(parts) > 1:  # else the one group's step takes every agent
-        def step(flat):
-            return np.concatenate([part(flat[lo:hi]) for part, _, lo, hi in parts])
+    bounds = list(itertools.accumulate(ns, initial=0))  # run r's agents: bounds[r]:bounds[r + 1]
+    tables = Tables(bounds[-1], p)
+    neighbor_sets, rates_of = _worlds(scenarios, L)
+    # Agent a's reward is the minimum over members[starts[a]:starts[a + 1]]:
+    # itself (rl), or itself and its neighbors (frl). No segment is empty.
+    runs = zip(bounds, itertools.product(neighbor_sets, strategies))  # run r = w * L + l
+    segments = [[lo + j for j in ([i, *nbrs] if strategy is Strategy.FEDERATED_RL else [i])]
+                for lo, (nbr_sets, strategy) in runs for i, nbrs in enumerate(nbr_sets)]
+    members = np.array([m for segment in segments for m in segment])
+    starts = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
+    distinct: dict[bytes, int] = {}  # a joint action's flat indices' bytes: its row
+    distinct_tables = [np.empty((T, bounds[-1]), dtype) for dtype in (np.uint16, float, float)]
+    distinct_actions, distinct_rates, distinct_rewards = distinct_tables
+    source: list[int] = []  # every iteration's row
     for t0, explore, arm, tie in policy_draws(seeds, ns, T, p):
         arm += tables.offsets  # the explore arms as flat table indices
         rows = zip(explore.any(axis=1).tolist(), explore, arm, tie)
         for anyone, explore_row, arm_row, tie_row in rows:
             flat, mean = select_action(tables, explore_row if anyone else None, arm_row, tie_row)
-            update(tables, flat, step(flat), mean)
-    return itertools.chain.from_iterable([finish() for _, finish, _, _ in parts])
+            fresh = len(distinct)  # the next free row
+            hit = distinct.setdefault(flat.tobytes(), fresh)
+            source.append(hit)
+            if hit == fresh:
+                chosen = distinct_actions[fresh] = flat - tables.offsets
+                rates = distinct_rates[fresh] = rates_of(chosen)
+                distinct_rewards[fresh] = np.minimum.reduceat(rates[members], starts)
+            update(tables, flat, distinct_rewards[hit], mean)
+    distinct_actions += np.uint16(1)  # action index a is link mask a + 1
 
-
-def _group(worlds, strategies, seeds, T: int, offsets: np.ndarray):
-    """(step, finish) of a group of `run_learning`: consecutive worlds of one
-    AP count, whose S * L * n agents have the flat table offsets `offsets`.
-
-    step(flat) takes the agents' flat indices of one iteration and returns
-    their rewards. The geometry is static, so a joint action always has the
-    same rates and rewards: the iteration's intp bytes key one dict, and a
-    new joint action is evaluated once, into the next free row of the
-    group's (T, S * L * n) tables [masks, rates, rewards]. finish() frees
-    the dict and returns an iterator over the runs r = w * L + l, seeded
-    by seeds[r], each gathering columns r * n to (r + 1) * n of the tables
-    at every iteration's row; the last run frees each table once gathered
-    from it, so that a caller that keeps every run peaks near its results."""
-    n, L, agents = worlds[0].n, len(strategies), len(offsets)
-    neighbor_sets, rates_of = _worlds(worlds)
-    joint = (L, n) if len(worlds) == 1 else (len(worlds), L, n)  # what rates_of takes
-    # Agent a's reward is the minimum over members[starts[a]:starts[a + 1]]:
-    # itself (rl), or itself and its neighbors (frl). No segment is empty.
-    runs = enumerate(itertools.product(neighbor_sets, strategies))  # run r = w * L + l
-    segments = [[r * n + j for j in ([i, *nbrs] if strategy is Strategy.FEDERATED_RL else [i])]
-                for r, (nbr_sets, strategy) in runs for i, nbrs in enumerate(nbr_sets)]
-    members = np.array([m for segment in segments for m in segment])
-    starts = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
-    distinct: dict[bytes, int] = {}  # a joint action's flat indices' bytes: its row
-    tables = [np.empty((T, agents), dtype=np.uint16), np.empty((T, agents)), np.empty((T, agents))]
-    distinct_actions, distinct_rates, distinct_rewards = tables
-    source: list[int] = []  # every iteration's row
-
-    def step(flat: np.ndarray) -> np.ndarray:
-        fresh = len(distinct)  # the next free row
-        hit = distinct.setdefault(flat.tobytes(), fresh)
-        source.append(hit)
-        if hit != fresh:
-            return distinct_rewards[hit]
-        chosen = distinct_actions[fresh] = flat - offsets
-        rates = distinct_rates[fresh] = rates_of(chosen.reshape(joint)).reshape(agents)
-        reward = distinct_rewards[fresh] = np.minimum.reduceat(rates[members], starts)
-        return reward
-
-    def finish() -> Iterator[RunResult]:
-        distinct.clear()
-        tables[0] += np.uint16(1)  # action index a is link mask a + 1
-        return gather(np.array(source, dtype=np.intp))
-
-    def gather(rows: np.ndarray) -> Iterator[RunResult]:
+    def gather(source: np.ndarray) -> Iterator[RunResult]:
         for r, seed in enumerate(seeds):
             w, strategy = r // L, strategies[r % L]
             federated = strategy is Strategy.FEDERATED_RL
             columns = []
-            for i, table in enumerate(tables):
-                columns.append(table[rows, r * n:(r + 1) * n] if federated or i < 2 else None)
+            for i, table in enumerate(distinct_tables):
+                columns.append(table[source, bounds[r]:bounds[r + 1]] if federated or i < 2
+                               else None)
                 if r + 1 == len(seeds):
-                    tables[i] = None
+                    distinct_tables[i] = None
             masks, rates, rewards = columns
-            yield RunResult(scenario=worlds[w], strategy=strategy, seed=seed,
+            yield RunResult(scenario=scenarios[w], strategy=strategy, seed=seed,
                             neighbor_sets=neighbor_sets[w], action_masks=masks, rates_bps=rates,
                             global_rewards=rewards)
 
-    return step, finish
+    return gather(np.array(source, dtype=np.intp))
 
 
 def min_rate_timeseries(result: RunResult) -> np.ndarray:

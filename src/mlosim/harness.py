@@ -43,10 +43,12 @@ DEFAULT_ITERATIONS = 2000
 # action (2 + 8 + 8) and the runs' gathered rewards, rates and masks
 # (8 + 8 + 2), so 36 bytes per agent-iteration; plus 48*T for the intp
 # `source` entry of each iteration (8) and the dict of distinct joint
-# actions; a task's S worlds of one AP count hold one of each, which
-# S*run_bytes counts S times. The dict's keys, the intp bytes of every
+# actions; a task's S worlds hold one of each, which S*run_bytes counts S
+# times. The dict's keys, the intp bytes of every
 # agent's action, add 8 per agent-iteration while it lives; it is freed
-# before the gathers, and the tables with the last run gathered.
+# before the gathers, and the tables with the last run gathered. The rate
+# kernel keeps two (L*n, k) float64 buffers (the actions and the totals)
+# for the whole loop.
 # Per action of the p = 2**k - 1, the L*n agents' bandit tables take 16
 # bytes per agent (float64 counts and means, agents.Tables) and `select`'s
 # temporaries 17 more (the bool ties, their int64 cast and its cumsum), so
@@ -60,37 +62,46 @@ DEFAULT_ITERATIONS = 2000
 # float64 uniforms, 24; the C-order bool explore coin, 1; `pick`'s float64
 # product, 8, and the C-order intp arm it casts to, 8), so the learning
 # runs hold 41*L*n*B. A `random` run's n agents hold a block of their own,
-# and its rate step up to four (B, n, k) float64 arrays (the link rows that
-# `take` gathers, the totals and two temporaries), so n*B*(41 + 32*k). So a world
-# may allocate
+# and its rate step three (B, n, k) float64 arrays (the link rows that
+# `take` gathers and the kernel's two buffers), counted as four, so
+# n*B*(41 + 32*k). So a world may allocate
 #   (36*L*n + 48)*T + (48*L*n + 24*k + 4)*p + (41*L*n + (41 + 32*k)*n)*B
 # bytes, L counting at least 1, which also covers a fixed or random run.
 # A batch task steps its worlds together, of one AP count or several, and
 # reduces its runs one at a time, so it allocates at most the sum of its
-# worlds' run_bytes: each group of worlds of one AP count holds its own
-# distinct-row tables and dict, and every group's dict is freed before the
-# gathers. tests/test_harness.py checks tracemalloc peaks of `_chunk_task`
-# against that bound: on one world that keeps its views (fig3/fig4), of
-# `frl` alone and of all 4 strategies at n = 2, 8, 64 and T = 32000, 16000,
-# 8000, where per-iteration terms dominate, at k = 8, 12, 16, where the
-# per-action terms do, and of `random` alone at k=8, T=200, where its block
-# does; and on tasks of 3 and 10 learning worlds at T = 130 and 500 (k =
-# 1-8, n = 2-32), where the task's draws do. They read 0.33-0.70 of it (a
-# world at n=64, T=500 reads 0.59); without the draws terms the tasks read
-# up to 1.91. A 2-world task at n=16, T=2000 reads 0.66 (3.67
-# MiB): a task's joint action recurs less often than a world's, so its dict
-# holds more keys per world than a lone world's. Tasks of worlds of two or
-# three AP counts (n = 1-64, k = 1-8, T = 130-4000) read 0.40-0.62 of the
-# sum of their worlds' run_bytes.
-# A config is rejected when a world's run_bytes at its largest AP count
-# exceeds the budget, and every world a batch runs has an AP count of the
-# config. The same budget bounds the batch state of an experiment's worlds
-# (each world's task, outcome and share of the StrategyStats, all held until
-# the last world is reduced): tracemalloc peaks of run_batch with 4
-# strategies at n=1, T=1 read 867, 799 and 731 bytes per world at 5,000,
-# 10,000 and 20,000 worlds, so at 2**10 bytes per world the budget holds
-# 2**32 / 2**10 = 4,194,304 worlds.
+# worlds' run_bytes: it holds one set of distinct-row tables, one `source`
+# list and one dict, keyed on the joint action of all its agents, which is
+# freed before the gathers. tests/test_harness.py checks tracemalloc peaks
+# of `_chunk_task` against that bound: on one world that keeps its views
+# (fig3/fig4), of `frl` alone and of all 4 strategies at n = 2, 8, 64 and T
+# = 32000, 16000, 8000, where per-iteration terms dominate, at k = 8, 12,
+# 16, where the per-action terms do, and of `random` alone at k=8, T=200,
+# where its block does; and on tasks of 3 and 10 learning worlds at T = 130
+# and 500 (k = 1-8, n = 2-32), where the task's draws do. They read
+# 0.33-0.70 of it (a world at n=64, T=500 reads 0.59); without the draws
+# terms the tasks read up to 1.91. A 2-world task at n=16, T=2000 reads
+# 0.66 (3.67 MiB): a task's joint action recurs less often than a world's,
+# so its dict holds more keys per world than a lone world's. Tasks of
+# worlds of two or three AP counts (n = 1-64, k = 1-8, T = 130-4000) read
+# 0.40-0.65 of the sum of their worlds' run_bytes. The two tasks of a sweep
+# of n = 2-16 at 2 worlds per count and 2 workers (n = 16, 16, 12 and n =
+# 12, 8, 8, 4, 4, 2, 2; T=2000, 4 strategies) peak at 5.05 and 4.59 MiB,
+# 0.12 and 0.33 MiB above one dict per run of worlds of one AP count: the
+# task's one dict keys all of its agents whenever any of them makes a new
+# joint action. A config is rejected when a world's run_bytes at its
+# largest AP count exceeds the budget, and every world a batch runs has an
+# AP count of the config.
 RUN_BYTES_BUDGET = 2**32
+# Bytes of batch state per world: its share of its task (its Scenario,
+# digest, outcome row and, while it steps, its agents' share of the task's
+# arrays) and of the StrategyStats, held until the last world is reduced.
+# tracemalloc peaks of run_batch with 4 strategies at n=1, T=1, where this
+# state outweighs the runs, read 5,234, 4,889, 4,992, 5,015 and 5,031
+# bytes per world at 500, 1,000, 2,000, 5,000 and 10,000 worlds (2-core
+# x86-64, numpy 2.4.6). RUN_BYTES_BUDGET bounds the batch state of an
+# experiment's worlds too, so a config runs at most
+# RUN_BYTES_BUDGET // WORLD_BYTES = 524,288 worlds.
+WORLD_BYTES = 2**13
 # Bytes a batch task may allocate when it holds more than one world: `_tasks`
 # closes a task before a world that would take the sum of its worlds'
 # run_bytes past CHUNK_BYTES, and a task of one world is bounded by
@@ -158,10 +169,10 @@ class ExperimentConfig:
                 f"about {world_bytes / 2**30:.3g} GiB per world, over "
                 f"{RUN_BYTES_BUDGET / 2**30:g} GiB")
         worlds = self.num_scenarios * len(self.n_values)
-        if worlds * 2**10 > RUN_BYTES_BUDGET:
+        if worlds * WORLD_BYTES > RUN_BYTES_BUDGET:
             raise ConfigError(
                 f"num_scenarios={self.num_scenarios} at {len(self.n_values)} AP counts is "
-                f"{worlds} worlds, over the {RUN_BYTES_BUDGET // 2**10} that fit in memory")
+                f"{worlds} worlds, over the {RUN_BYTES_BUDGET // WORLD_BYTES} that fit in memory")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ the power received from every other AP transmitting on the same link;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,26 +96,57 @@ def all_neighbor_sets(scenario: Scenario) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(np.flatnonzero(row).tolist()) for row in hears)
 
 
-def rate_kernel(power: np.ndarray, noise_mw: float, bandwidth: float):
-    """The rate function of one link budget or a stack of them: active ->
-    rates (bits/second) of all n APs under joint actions, shape (..., n).
+def rate_kernel(budgets, noise_mw: float, bandwidth: float, runs: int = 1):
+    """The rate function of a task's worlds: active -> rates (bits/second)
+    of its A agents under joint actions, shape (..., A).
 
-    `power` is the (n, n) link budget of link_budget_matrix_mw, or a stack
-    of them, shape (..., n, n), and `active[..., i, l]` says whether AP i
-    transmits on link l, shape (..., n, k); leading axes index independent
-    joint actions and broadcast against the stack of worlds. The terms
-    that depend on `power` alone are taken once, when the kernel is built.
+    `budgets` holds one entry per run of consecutive worlds of one AP count
+    n, in order: a lone world's (n, n) link budget (link_budget_matrix_mw)
+    or a stack of S of them, (S, n, n). Each world has `runs` runs of its n
+    APs, its agent r * n + i being AP i of run r, after the agents of the
+    worlds before it; `active[..., a, l]` says whether agent a transmits on
+    link l, shape (..., A, k), and leading axes index independent joint
+    actions. A call makes one matmul per entry, into its slice of the
+    totals, then one elementwise pass over all agents. The terms of the
+    budgets alone are taken once; the buffers of a shape of `active`, with
+    their views, when it is first rated, and kept until another comes.
     """
-    gain = power.swapaxes(-1, -2)  # a view: a contiguous copy rounds differently
-    signal = power.diagonal(0, -2, -1)[..., None]
+    parts, signals, lo = [], [], 0
+    for power in budgets:
+        # A lone world multiplies its (runs, n, k) actions, a stack of S
+        # worlds, as (S, 1, n, n), its (S, runs, n, k) ones.
+        stack = power if power.ndim == 2 else power[:, None]
+        joint = (*stack.shape[:-3], runs, stack.shape[-1])
+        # gain is a view: a contiguous copy rounds differently
+        parts.append((stack.swapaxes(-1, -2), slice(lo, lo + math.prod(joint)), joint))
+        signals.append(np.broadcast_to(stack.diagonal(0, -2, -1), joint).ravel())
+        lo += math.prod(joint)
+    signal = np.concatenate(signals)[:, None]  # each agent's own signal
+    buffers: dict = {}
+
+    def views(shape):
+        *lead, _, k = shape
+        active_f, total = np.empty(shape), np.empty(shape)
+        return active_f, total, [(gain, *(buf[..., agents, :].reshape(*lead, *joint, k)
+                                          for buf in (active_f, total)))
+                                 for gain, agents, joint in parts]
 
     def rates(active: np.ndarray) -> np.ndarray:
-        active_f = np.asarray(active, dtype=np.float64)
-        # total[..., i, l]: power on link l at STA i from every active AP, plus noise
-        total = gain @ active_f + noise_mw
-        # On an active link 1 + S/(I + N) = total / (total - S); inactive gives 1.
-        ratio = total / (total - active_f * signal)
-        return np.add.reduce(np.log2(ratio), axis=-1) * bandwidth
+        if active.shape not in buffers:
+            buffers.clear()  # the previous shape's buffers go first
+            buffers[active.shape] = views(active.shape)
+        active_f, total, products = buffers[active.shape]
+        np.copyto(active_f, active)
+        # total[..., a, l]: power on link l at agent a's STA from every active AP, plus noise
+        for gain, part, part_total in products:
+            np.matmul(gain, part, out=part_total)
+        total += noise_mw
+        # On an active link 1 + S/(I + N) = total / (total - S); inactive
+        # gives 1. Each step writes over the actions, no longer needed.
+        np.multiply(active_f, signal, out=active_f)
+        np.subtract(total, active_f, out=active_f)
+        np.divide(total, active_f, out=active_f)
+        return np.add.reduce(np.log2(active_f, out=active_f), axis=-1) * bandwidth
 
     return rates
 
@@ -133,6 +165,6 @@ def achieved_rate_bps(scenario: Scenario, profile: ActivationProfile, i: int) ->
     phys = scenario.physical
     masks = np.array([ls.mask for ls in profile.per_ap])
     active = link_mask_matrix(width)[masks - 1]
-    rates = rate_kernel(link_budget_matrix_mw(scenario), dbm_to_mw(phys.noise_floor_dbm),
+    rates = rate_kernel([link_budget_matrix_mw(scenario)], dbm_to_mw(phys.noise_floor_dbm),
                         phys.bandwidth_hz_per_link)
     return float(rates(active)[i])

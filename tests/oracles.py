@@ -99,7 +99,7 @@ def reference_run(scenario, strategy, T, seed):
     agents = [ReferenceAgent(p, generator(seed, PURPOSE_AGENT, i)) for i in range(n)]
     members = [{i, *nbrs} for i, nbrs in enumerate(all_neighbor_sets(scenario))]
     noise_mw = 10 ** (scenario.physical.noise_floor_dbm / 10)
-    rates_of = rate_kernel(link_budget_matrix_mw(scenario), noise_mw,
+    rates_of = rate_kernel([link_budget_matrix_mw(scenario)], noise_mw,
                            scenario.physical.bandwidth_hz_per_link)
     bits = [[(a + 1) >> link & 1 for link in range(k)] for a in range(p)]
     federated = strategy is Strategy.FEDERATED_RL

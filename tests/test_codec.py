@@ -15,7 +15,7 @@ from mlosim import ConfigError, ExperimentConfig, PhysicalConfig, Strategy
 from mlosim.agents import _BLOCK
 from mlosim.cli import main
 from mlosim.codec import dumps, from_json
-from mlosim.harness import RUN_BYTES_BUDGET, run_bytes
+from mlosim.harness import RUN_BYTES_BUDGET, WORLD_BYTES, run_bytes
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
@@ -94,7 +94,8 @@ def configs(draw):
     fits = _BLOCK + (RUN_BYTES_BUDGET - first) // per_iteration
     return ExperimentConfig(
         strategies=strategies,
-        num_scenarios=draw(st.integers(1, min(10**6, RUN_BYTES_BUDGET // 2**10 // len(n_values)))),
+        num_scenarios=draw(st.integers(
+            1, min(10**6, RUN_BYTES_BUDGET // WORLD_BYTES // len(n_values)))),
         iterations=draw(st.integers(1, min(10**6, fits))),
         n_values=n_values,
         k=k,

@@ -207,19 +207,19 @@ class TestWorldRateFunction:
         index = generator(n * k).integers(0, len(bits), size=(3, 4, n))
         block = generator(n * k + 1).integers(0, len(bits), size=(128, n), dtype=np.intp)
         noise_mw, bandwidth = dbm_to_mw(-95.0), 80e6
-        stacked = engine._worlds(worlds)[1]
+        stacked = engine._worlds(worlds, runs=4)[1]
         for w, sc in enumerate(worlds):
             alone = engine._worlds([sc])[1]
             power = link_budget_matrix_mw(sc)
-            expected = rate_kernel(power, noise_mw, bandwidth)(bits[index[w]])
+            expected = rate_kernel([power], noise_mw, bandwidth)(bits[index[w]])
             assert np.array_equal(expected, self.written_out(power, bits[index[w]], noise_mw,
                                                              bandwidth))
             for _ in range(2):  # the kernel's second call too
                 assert np.array_equal(alone(index[w]), expected)
                 assert np.array_equal(alone(index[w].astype(np.uint16)), expected)
-            for stack in (index, index.astype(np.uint16)):
-                assert np.array_equal(stacked(stack)[w], expected)
-            expected = rate_kernel(power, noise_mw, bandwidth)(bits[block])
+            for stack in (index, index.astype(np.uint16)):  # 4 runs of each world
+                assert np.array_equal(stacked(stack.reshape(-1)).reshape(3, 4, n)[w], expected)
+            expected = rate_kernel([power], noise_mw, bandwidth)(bits[block])
             assert np.array_equal(alone(block), expected)
             assert np.array_equal(alone(block.astype(np.uint16)), expected)
 
@@ -374,8 +374,8 @@ class TestBlockLayout:
         noise_mw = dbm_to_mw(sc.physical.noise_floor_dbm)
         active = generator(81).random((128, n, 4)) < 0.5
         active[..., 0] = True
-        stacked = rate_kernel(power, noise_mw, 80e6)(active)
-        single = np.array([rate_kernel(power, noise_mw, 80e6)(a) for a in active])
+        stacked = rate_kernel([power], noise_mw, 80e6)(active)
+        single = np.array([rate_kernel([power], noise_mw, 80e6)(a) for a in active])
         assert stacked.shape == (128, n)
         assert np.array_equal(stacked, single)
 
@@ -406,7 +406,7 @@ class TestRecurringJointActions:
         bits = (res.action_masks[..., None] >> np.arange(sc.num_links)) & 1
         members = [[i, *nbrs] for i, nbrs in enumerate(res.neighbor_sets)]
         for row in range(res.T):
-            fresh = rate_kernel(power, noise_mw, 80e6)(bits[row])
+            fresh = rate_kernel([power], noise_mw, 80e6)(bits[row])
             assert np.array_equal(res.rates_bps[row], fresh), row
             if strategy is Strategy.FEDERATED_RL:
                 shared = [fresh[m].min() for m in members]
@@ -569,9 +569,9 @@ def counted_kernels(monkeypatch):
 
 class TestMixedCounts:
     """Worlds of several AP counts (one k) step together: one policy step
-    for all their runs' agents, and per group of consecutive worlds of one
-    AP count, one key, rate call and reward call per new joint action.
-    Every run must equal the run alone, bit for bit."""
+    for all their runs' agents and, per new joint action of the whole task,
+    one key, one rate pass and one reward call. Every run must equal the
+    run alone, bit for bit."""
 
     @pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
     @pytest.mark.parametrize("counts", [
@@ -593,25 +593,45 @@ class TestMixedCounts:
             assert np.array_equal(res.mean_rates_bps(), alone.mean_rates_bps())
             assert res.action_masks.flags.c_contiguous and res.rates_bps.flags.c_contiguous
 
-    # Long enough that joint actions recur in every group: each group's
-    # kernel runs once per distinct row of its runs' stacked actions.
+    # Long enough that joint actions recur: the task's whole joint action
+    # keys one dict, so its one kernel runs once per distinct row of every
+    # run's stacked actions, fewer times than T.
     @pytest.mark.parametrize("counts", [(8, 8, 2), (2, 8, 8), (3, 8, 3)])
-    def test_each_group_calls_its_kernel_once_per_distinct_row(self, monkeypatch, counts):
+    def test_each_distinct_task_row_calls_the_kernel_once(self, monkeypatch, counts):
         calls = counted_kernels(monkeypatch)
         worlds = [world(n=n, seed=260 + w) for w, n in enumerate(counts)]
         T, L = 2000, len(LEARNERS)
         seeds = list(range(40, 40 + len(worlds) * L))
         runs = list(run_learning(worlds, LEARNERS, T, seeds))
-        groups = [len(list(g)) for _, g in itertools.groupby(counts)]
-        distinct, r = [], 0
-        for size in groups:
-            stacked = np.hstack([res.action_masks for res in runs[r:r + size * L]])
-            distinct.append(len(np.unique(stacked, axis=0)))
-            r += size * L
-        assert calls == distinct and max(distinct) < T
+        stacked = np.hstack([res.action_masks for res in runs])  # (T, A)
+        assert calls == [len(np.unique(stacked, axis=0))] and calls[0] < T
         monkeypatch.undo()
         for res in runs:
             assert dumps(res) == dumps(run_scenario(res.scenario, res.strategy, T, res.seed))
+
+    # From k = 8 on, numpy adds a link axis in eight partial sums, not in
+    # link order. The task's one rate pass over worlds of several AP counts
+    # (a stack of two worlds of n = 3 among them) must keep each world's
+    # order: each world's rates equal its own kernel's, bit for bit.
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 16])
+    def test_one_pass_keeps_each_worlds_link_sum_at_any_k(self, k):
+        counts, L = (1, 3, 3, 8, 16, 64), 2
+        worlds = [world(n=n, seed=500 + w, k=k) for w, n in enumerate(counts)]
+        _, rates_of = engine._worlds(worlds, runs=L)
+        bits = agents.link_mask_matrix(k)
+        index = generator(k).integers(0, len(bits), size=(3, L * sum(counts)))
+        index[0] = len(bits) - 1  # every agent on every link
+        for row in index:  # as the loop rates a distinct row
+            rates, lo = rates_of(row), 0
+            for sc in worlds:
+                alone = rate_kernel([link_budget_matrix_mw(sc)], dbm_to_mw(-95.0), 80e6)
+                for _ in range(L):
+                    chosen = row[lo:lo + sc.n]
+                    assert np.array_equal(rates[lo:lo + sc.n], alone(bits[chosen]))
+                    assert rates[lo:lo + sc.n] == pytest.approx(
+                        [scalar_rate_bps(sc, chosen + 1, i) for i in range(sc.n)], rel=1e-12)
+                    lo += sc.n
+            assert lo == len(row)
 
 
 def expected_random_rates(sc):

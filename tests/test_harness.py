@@ -204,6 +204,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match="k=16 at 1000 APs"):
             replace(cfg, k=16, n_values=(1000,))
 
+    def test_world_count_limit_is_the_budget_over_world_bytes(self):
+        fits = harness.RUN_BYTES_BUDGET // harness.WORLD_BYTES
+        assert fits == 524_288
+        replace(SMALL, num_scenarios=fits)
+        with pytest.raises(ConfigError, match="524289 worlds, over the 524288 that fit"):
+            replace(SMALL, num_scenarios=fits + 1)
+        with pytest.raises(ConfigError, match="at 2 AP counts is 524290 worlds"):
+            replace(SMALL, num_scenarios=fits // 2 + 1, n_values=(2, 4))
+
+    # The batch state that the world-count limit assumes, where it outweighs
+    # the runs: a batch of many one-AP worlds of one iteration.
+    def test_batch_state_stays_within_world_bytes(self):
+        cfg = ExperimentConfig(num_scenarios=500, iterations=1, n_values=(1,))
+        tracemalloc.start()
+        try:
+            run_batch(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cfg.num_scenarios * harness.WORLD_BYTES
+
     # Points where the per-iteration terms dominate: one learning run, a
     # world of all four strategies, and a batch task's chunk of 3 such
     # worlds, each task keeping world 0's views. A lone frl run at n=2 peaks

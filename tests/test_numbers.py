@@ -26,7 +26,7 @@ from mlosim import (
 )
 from mlosim.codec import dumps, from_json
 from mlosim.errors import integer, number
-from mlosim.harness import run_experiment
+from mlosim.harness import RUN_BYTES_BUDGET, WORLD_BYTES, run_experiment
 
 INTEGER_TYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
 FLOAT_TYPES = (np.float32, np.float64)
@@ -112,14 +112,15 @@ def physical_fields(draw):
 def typed_configs(draw, max_scenarios=10**6, max_iterations=10**4, max_n=64, max_workers=64):
     """(Python-typed, numpy-typed) keyword arguments of one ExperimentConfig."""
     area = draw(floats(10.0, 1e4))
+    n_values = draw(st.lists(st.integers(1, max_n), min_size=1, max_size=3, unique=True))
+    fits = RUN_BYTES_BUDGET // WORLD_BYTES // len(n_values)  # the worlds a config admits
     counts = dict(
-        num_scenarios=draw(st.integers(1, max_scenarios)),
+        num_scenarios=draw(st.integers(1, min(max_scenarios, fits))),
         iterations=draw(st.integers(1, max_iterations)),
         k=draw(st.integers(1, 4)),
         master_seed=draw(st.integers(0, 2**64 - 1)),
         workers=draw(st.integers(1, max_workers)),
     )
-    n_values = draw(st.lists(st.integers(1, max_n), min_size=1, max_size=3, unique=True))
     sizes = dict(area_side_m=area, d_m=draw(floats(1.0, area / 2)))
     physical = draw(physical_fields())
     python = counts | sizes | dict(n_values=tuple(n_values), physical=PhysicalConfig(**physical))

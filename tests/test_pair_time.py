@@ -2,6 +2,9 @@
 
 import importlib.util
 import os
+import subprocess
+import sys
+import time
 from dataclasses import replace
 
 import pytest
@@ -33,6 +36,23 @@ def test_smoke_one_pair_over_two_ap_counts(pair_time, capsys):
     argv = ["--parent", ROOT, "--change", ROOT, "--n", "3,2", "--iterations", "5", "--pairs", "1"]
     assert pair_time.main(argv) == 0
     assert capsys.readouterr().out.splitlines()[1].startswith("n=3,2 S=1 T=5")
+
+
+def test_workers_run_the_sweep_in_a_pool(pair_time, capsys):
+    argv = ["--parent", ROOT, "--change", ROOT, "--n", "3,2", "--iterations", "5", "--pairs", "1",
+            "--workers", "2"]
+    assert pair_time.main(argv) == 0
+    assert "workers=2:" in capsys.readouterr().out.splitlines()[1]
+    harness = pair_time.load(ROOT, "mlosim_side")
+    assert (pair_time.sweep(harness, [3, 2], 2, 5, ["fixed", "frl"], 1, workers=2)
+            == pair_time.sweep(harness, [3, 2], 2, 5, ["fixed", "frl"], 1))
+
+
+def test_cpu_seconds_count_reaped_children(pair_time):
+    busy = "import time\nwhile time.process_time() < 0.2: pass"
+    t0, own = pair_time.cpu_seconds(), time.process_time()
+    subprocess.run([sys.executable, "-c", busy], check=True)
+    assert pair_time.cpu_seconds() - t0 >= 0.2 + (time.process_time() - own)
 
 
 def test_outcomes_are_every_counts_min_rates(pair_time):

@@ -143,7 +143,7 @@ class TestInterference:
         world = make_world([(50.0, 50.0)], [(50.0, 60.0)])
         power = link_budget_matrix_mw(world)
         assert power.shape == (1, 1)
-        rates = rate_kernel(power, dbm_to_mw(-95.0), 80e6)(np.ones((1, 4), dtype=bool))
+        rates = rate_kernel([power], dbm_to_mw(-95.0), 80e6)(np.ones((1, 4), dtype=bool))
         snr = 10 ** ((20.0 - PL_10) / 10.0) / 10 ** (-95.0 / 10.0)
         assert rates[0] == pytest.approx(4 * 80e6 * math.log2(1.0 + snr), rel=1e-12)
 
@@ -182,33 +182,58 @@ class TestInterference:
             world_p = make_world([tuple(pts[j]) for j in perm], [tuple(stas[j]) for j in perm])
             power, power_p = link_budget_matrix_mw(world), link_budget_matrix_mw(world_p)
             assert power_p == pytest.approx(power[np.ix_(perm, perm)], rel=1e-12)
-            rates = rate_kernel(power, noise, 80e6)(active)
-            rates_p = rate_kernel(power_p, noise, 80e6)(active[perm])
+            rates = rate_kernel([power], noise, 80e6)(active)
+            rates_p = rate_kernel([power_p], noise, 80e6)(active[perm])
             assert rates_p == pytest.approx(rates[perm], rel=1e-12)
 
 
 class TestStackedWorlds:
     # The engine steps several worlds through one rate kernel on their
-    # stacked (S, 1, n, n) budgets. The matmul must see each world's budget
-    # through the same transposed view as a lone call: a contiguous copy of
-    # it rounds differently from n = 16 on.
+    # stacked (S, n, n) budgets, multiplied as (S, 1, n, n). The matmul must
+    # see each world's budget through the same transposed view as a lone
+    # call: a contiguous copy of it rounds differently from n = 16 on.
+    @staticmethod
+    def budgets(rng, n, count):
+        power = []
+        for _ in range(count):
+            pts = rng.uniform(0, 90, size=(n, 2))
+            world = make_world([tuple(p) for p in pts], [tuple(p + [0.0, 10.0]) for p in pts])
+            power.append(link_budget_matrix_mw(world))
+        return power
+
     @pytest.mark.parametrize("n", [16, 64])
     def test_stacked_call_equals_per_world_calls(self, n):
         rng = np.random.default_rng(n)
         noise = dbm_to_mw(-95.0)
-        power = []
-        for _ in range(3):
-            pts = rng.uniform(0, 90, size=(n, 2))
-            world = make_world([tuple(p) for p in pts], [tuple(p + [0.0, 10.0]) for p in pts])
-            power.append(link_budget_matrix_mw(world))
+        power = self.budgets(rng, n, 3)
         active = rng.random((3, 2, n, 4)) < 0.5
-        stacked = rate_kernel(np.stack(power)[:, None], noise, 80e6)(active)
-        assert stacked.shape == (3, 2, n)
+        stacked = rate_kernel([np.stack(power)], noise, 80e6, runs=2)(active.reshape(-1, 4))
+        assert stacked.shape == (3 * 2 * n,)
+        stacked = stacked.reshape(3, 2, n)
         for w in range(3):
-            assert np.array_equal(stacked[w], rate_kernel(power[w], noise, 80e6)(active[w]))
+            runs = rate_kernel([power[w]], noise, 80e6, runs=2)(active[w].reshape(-1, 4))
+            assert np.array_equal(stacked[w], runs.reshape(2, n))
             for run in range(2):
-                alone = rate_kernel(power[w], noise, 80e6)(active[w, run])
+                alone = rate_kernel([power[w]], noise, 80e6)(active[w, run])
                 assert np.array_equal(stacked[w, run], alone)
+
+    # Consecutive stacks of several AP counts share one pass: each world's
+    # slice must equal the world alone, with leading axes too.
+    def test_stacks_of_several_counts_equal_per_world_calls(self):
+        rng = np.random.default_rng(5)
+        noise = dbm_to_mw(-95.0)
+        counts = (16, 3, 3, 1, 8, 8)
+        power = [p for n in counts for p in self.budgets(rng, n, 1)]
+        budgets = [power[0], np.stack(power[1:3]), power[3], np.stack(power[4:])]
+        active = rng.random((5, 2 * sum(counts), 4)) < 0.5
+        rates = rate_kernel(budgets, noise, 80e6, runs=2)(active)
+        assert rates.shape == (5, 2 * sum(counts))
+        lo = 0
+        for n, budget in zip(counts, power):
+            for run in range(2):
+                alone = rate_kernel([budget], noise, 80e6)(active[:, lo:lo + n])
+                assert np.array_equal(rates[:, lo:lo + n], alone)
+                lo += n
 
 
 class TestLinkMonotonicity:
