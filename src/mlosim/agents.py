@@ -1,12 +1,12 @@
 """Link-activation policies: fixed, random, local bandit, federated bandit.
 
-An action is a row of `link_mask_matrix(k)`: one of the 2**k - 1
-nonempty link subsets. The learning strategies are epsilon-greedy
-multi-armed bandits over them, with epsilon = 1/sqrt(t). Each scores an
-arm by the average minimum instant rate over a set of APs: the AP alone
-for the local model (its own rate), the AP and its neighbors for the
-federated one, which pushes the joint behavior toward max-min fair
-activations.
+An action is an index a over the 2**k - 1 nonempty link subsets, standing
+for link mask a + 1; only the rate kernel (radio.rate_kernel) turns it
+into links. The learning strategies are epsilon-greedy multi-armed
+bandits over the indices, with epsilon = 1/sqrt(t). Each scores an arm by
+the average minimum instant rate over a set of APs: the AP alone for the
+local model (its own rate), the AP and its neighbors for the federated
+one, which pushes the joint behavior toward max-min fair activations.
 
 The n agents of a world advance together: their `Tables` are (n, p)
 arrays of visit counts and running means. Every agent-iteration of `random`,
@@ -44,14 +44,6 @@ class Strategy(str, Enum):
                 return s
         raise ConfigError(f"unknown strategy {name!r}; expected one of "
                           f"{[s.value for s in cls]}")
-
-
-def link_mask_matrix(k: int) -> np.ndarray:
-    """The (2**k - 1, k) float64 action matrix: row a is the bit pattern of
-    link mask a + 1 (bit j <=> link j active), so every row is nonempty and
-    the last activates all k links."""
-    masks = np.arange(1, 2**k, dtype=np.uint32)
-    return ((masks[:, None] >> np.arange(k)) & 1).astype(np.float64)
 
 
 def policy_draws(seeds, ns, T: int, p: int):

@@ -1,9 +1,10 @@
 """The iteration loop: joint selection, rates, reward exchange, updates.
 
-The n agents of a world advance together as arrays; action a is row a of
-the link-mask matrix, link mask a + 1. `fixed` evaluates its one joint
-action once and `random` a block of iterations per rate call. The learning
-runs (`rl`, `frl`) of S worlds of one k step through t together in
+The n agents of a world advance together as arrays of action indices,
+action a being link mask a + 1, which the rate kernel takes as they are.
+`fixed` evaluates its one joint action once and `random` a block of
+iterations per rate call. The learning runs (`rl`, `frl`) of S worlds of
+one k step through t together in
 `run_learning`, as one population whose per-AP streams are the runs' own,
 with one policy step per iteration; a batch task passes its worlds, of one
 AP count or several, and `run_scenario` runs a learning strategy as the
@@ -17,7 +18,8 @@ all the worlds (a matmul per run of worlds of one AP count, one elementwise
 pass), and rewarded by one call, into tables from which each run is
 gathered once the loop ends. The loop skips the explore merge on rows
 where no agent explores. A world's link budget and neighbor sets are built
-once while its Scenario lives, however many runs step it.
+once while its Scenario lives, however many runs step it. Before any is
+built, the runs' rates are checked to stay finite (radio.check_rates).
 
 Moves are simultaneous: every agent commits its link subset before any
 rate is computed, so no agent observes another's current-iteration choice.
@@ -35,13 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import Strategy, Tables, link_mask_matrix, policy_draws
+from .agents import Strategy, Tables, policy_draws
 # The loop calls the policy through these names, which perfbench's
 # agents-layer probes wrap.
 from .agents import credit as update, select as select_action
 from .codec import write_csv
 from .errors import ConfigError, integer
-from .radio import all_neighbor_sets, dbm_to_mw, link_budget_matrix_mw, rate_kernel
+from .radio import all_neighbor_sets, check_rates, link_budget_matrix_mw, rate_kernel
 from .scenario import Scenario
 
 
@@ -88,11 +90,14 @@ class RunResult:
 LEARNING = (Strategy.LOCAL_RL, Strategy.FEDERATED_RL)
 
 
-def _check_runs(strategies, T: int, seeds) -> tuple[int, list[int]]:
-    """T and the seeds as Python ints, once the runs are checked."""
+def _check_runs(scenarios, strategies, T: int, seeds) -> tuple[int, list[int]]:
+    """T and the seeds as Python ints, once the runs are checked: their
+    rates and sums of T of them stay finite (radio.check_rates)."""
     T, seeds = integer(T, "T", 1), [integer(seed, "seed", 0) for seed in seeds]
     if not all(isinstance(s, Strategy) for s in strategies):
         raise ConfigError(f"strategies must be Strategy members, got {list(strategies)}")
+    for k, d, physical in {(sc.num_links, sc.ap_sta_distance_m, sc.physical) for sc in scenarios}:
+        check_rates(k, d, physical, T)
     return T, seeds
 
 
@@ -111,24 +116,15 @@ def _static(scenario: Scenario) -> tuple:
 
 
 def _worlds(scenarios, runs: int = 1):
-    """The worlds' neighbor sets and the rate function of their `runs` runs'
-    action indices, (..., A) in rate_kernel's agent order, to rates of that
-    shape. The link rows are gathered with `take`, cheaper per call than
-    fancy indexing. The worlds share k and the physical constants."""
+    """The worlds' neighbor sets and the rate kernel of their `runs` runs'
+    action indices. The worlds share k and the physical constants."""
     first = scenarios[0]
-    mask_bits = link_mask_matrix(first.num_links)  # (p, k), as the rate kernel takes it
     budgets, neighbor_sets = zip(*map(_static, scenarios))
     # One entry per run of consecutive worlds of one AP count: a stack of
     # their (n, n) link budgets, or a lone world's, which costs less per call.
     groups = [list(group) for _, group in itertools.groupby(budgets, key=len)]
-    rates = rate_kernel([group[0] if len(group) == 1 else np.stack(group) for group in groups],
-                        dbm_to_mw(first.physical.noise_floor_dbm),
-                        first.physical.bandwidth_hz_per_link, runs)
-
-    def rates_of(index: np.ndarray) -> np.ndarray:
-        return rates(mask_bits.take(index, axis=0))
-
-    return neighbor_sets, rates_of
+    return neighbor_sets, rate_kernel([group[0] if len(group) == 1 else np.stack(group)
+                                       for group in groups], first.num_links, first.physical, runs)
 
 
 def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> RunResult:
@@ -138,20 +134,20 @@ def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> R
     from its own child stream of `seed`. A learning run is the one-run case
     of `run_learning`.
     """
-    T, (seed,) = _check_runs((strategy,), T, (seed,))
+    T, (seed,) = _check_runs((scenario,), (strategy,), T, (seed,))
     if strategy in LEARNING:
         return next(run_learning((scenario,), (strategy,), T, (seed,)))
     n, p = scenario.n, 2**scenario.num_links - 1
-    (neighbor_sets,), rates_of = _worlds((scenario,))
+    (neighbor_sets,), rates = _worlds((scenario,))
     action_index = np.empty((T, n), dtype=np.uint16)
     rates_hist = np.empty((T, n), dtype=np.float64)
     if strategy is Strategy.FIXED:
         action_index[:] = p - 1  # the all-links action
-        rates_hist[:] = rates_of(action_index[0])
+        rates_hist[:] = rates(action_index[0])
     else:
         for t0, _, arm, _ in policy_draws((seed,), (n,), T, p):
             action_index[t0 : t0 + len(arm)] = arm
-            rates_hist[t0 : t0 + len(arm)] = rates_of(arm)
+            rates_hist[t0 : t0 + len(arm)] = rates(arm)
     return RunResult(
         scenario=scenario,
         strategy=strategy,
@@ -181,7 +177,7 @@ def run_learning(scenarios, strategies, T: int, seeds) -> Iterator[RunResult]:
     tables at every iteration's row are gathered only when the iterator
     reaches it, and the last run frees each table once gathered from it.
     """
-    T, seeds = _check_runs(strategies, T, seeds)
+    T, seeds = _check_runs(scenarios, strategies, T, seeds)
     S, L = len(scenarios), len(strategies)
     if not S or not L or len(seeds) != S * L or not set(strategies) <= set(LEARNING):
         raise ConfigError(f"need worlds and learning strategies, one seed each per world, "

@@ -4,9 +4,10 @@ A batch samples `num_scenarios` worlds and runs every configured strategy
 on the same geometry (paired comparison), reducing each run to the
 scenario's min rate: the whole-run average rate of its worst AP. `_tasks`
 cuts an experiment's worlds, largest AP count first (a world's cost grows
-with n), into tasks of consecutive worlds, each an equal share of run_bytes
-per worker and within CHUNK_BYTES unless one world alone exceeds it. A
-task's learning runs step together in one `run_learning` loop. Tasks are
+with n), into tasks of consecutive worlds, each an equal share per worker
+of the worlds' loads (run_bytes plus WORLD_BYTES each) and within
+CHUNK_BYTES unless one world alone exceeds it. A task's learning runs
+step together in one `run_learning` loop. Tasks are
 independent, so an experiment maps them over one worker pool, and then
 reduces each AP count's outcomes in scenario-index order, which keeps
 summaries byte-identical for any worker count and any task layout.
@@ -32,6 +33,7 @@ from .agents import _BLOCK, Strategy
 from .codec import dump, dumps, write_csv
 from .engine import LEARNING, min_rate_timeseries, run_learning, run_scenario
 from .errors import ConfigError, EmptyInputError, integer, items
+from .radio import check_rates
 from .scenario import PhysicalConfig, Scenario, check_world, sample_scenario
 
 DEFAULT_NUM_SCENARIOS = 500
@@ -47,7 +49,7 @@ DEFAULT_ITERATIONS = 2000
 # times. The dict's keys, the intp bytes of every
 # agent's action, add 8 per agent-iteration while it lives; it is freed
 # before the gathers, and the tables with the last run gathered. The rate
-# kernel keeps two (L*n, k) float64 buffers (the actions and the totals)
+# kernel keeps two (L*n, k) float64 buffers (the link rows and the totals)
 # for the whole loop.
 # Per action of the p = 2**k - 1, the L*n agents' bandit tables take 16
 # bytes per agent (float64 counts and means, agents.Tables) and `select`'s
@@ -62,8 +64,8 @@ DEFAULT_ITERATIONS = 2000
 # float64 uniforms, 24; the C-order bool explore coin, 1; `pick`'s float64
 # product, 8, and the C-order intp arm it casts to, 8), so the learning
 # runs hold 41*L*n*B. A `random` run's n agents hold a block of their own,
-# and its rate step three (B, n, k) float64 arrays (the link rows that
-# `take` gathers and the kernel's two buffers), counted as four, so
+# and its rate step three (B, n, k) float64 arrays (the kernel's two
+# buffers and the copy through which `take` fills one), counted as four, so
 # n*B*(41 + 32*k). So a world may allocate
 #   (36*L*n + 48)*T + (48*L*n + 24*k + 4)*p + (41*L*n + (41 + 32*k)*n)*B
 # bytes, L counting at least 1, which also covers a fixed or random run.
@@ -100,15 +102,18 @@ RUN_BYTES_BUDGET = 2**32
 # bytes per world at 500, 1,000, 2,000, 5,000 and 10,000 worlds (2-core
 # x86-64, numpy 2.4.6). RUN_BYTES_BUDGET bounds the batch state of an
 # experiment's worlds too, so a config runs at most
-# RUN_BYTES_BUDGET // WORLD_BYTES = 524,288 worlds.
+# RUN_BYTES_BUDGET // WORLD_BYTES = 524,288 worlds. `_tasks` loads each
+# world at run_bytes + WORLD_BYTES: the first task of 13,000 such worlds
+# holds 2,917 of them and peaks at 0.44 of their loads (5,063 bytes per
+# world, 1.53 times a run_bytes of 3,311).
 WORLD_BYTES = 2**13
 # Bytes a batch task may allocate when it holds more than one world: `_tasks`
-# closes a task before a world that would take the sum of its worlds'
-# run_bytes past CHUNK_BYTES, and a task of one world is bounded by
-# RUN_BYTES_BUDGET. Per-world time stops falling near S=16 worlds per task:
-# run_batch at n=8, T=2000, 4 strategies, 1 worker read 45, 32, 23, 18,
-# 16.0, 16.4 and 16.2 ms per world at S = 1, 2, 4, 8, 16, 32 and 64 (2-core
-# x86-64, numpy 2.4.6, one BLAS thread), and this cap allows S=22 there.
+# closes a task before a world that would take the sum of its worlds' loads
+# past CHUNK_BYTES, and a task of one world is bounded by RUN_BYTES_BUDGET.
+# Per-world time stops falling near S=16 worlds per task: run_batch at n=8,
+# T=2000, 4 strategies, 1 worker read 45, 32, 23, 18, 16.0, 16.4 and 16.2
+# ms per world at S = 1, 2, 4, 8, 16, 32 and 64 (2-core x86-64, numpy
+# 2.4.6, one BLAS thread), and this cap allows S=21 there.
 CHUNK_BYTES = 2**25
 
 
@@ -162,6 +167,8 @@ class ExperimentConfig:
         _, *values = check_world(n, self.k, self.area_side_m, self.d_m)
         for name, value in zip(("k", "area_side_m", "d_m"), values):
             object.__setattr__(self, name, value)
+        # A run's mean sums T rates, a batch's mean num_scenarios of them.
+        check_rates(self.k, self.d_m, self.physical, max(self.iterations, self.num_scenarios))
         world_bytes = run_bytes(self, n)
         if world_bytes > RUN_BYTES_BUDGET:
             raise ConfigError(
@@ -275,13 +282,15 @@ def _tasks(config: ExperimentConfig, n_values) -> list[list[tuple[int, range]]]:
     (AP count, range of consecutive scenario indices).
 
     The worlds, largest AP count first (a world's cost grows with n) and in
-    scenario order, are cut into consecutive tasks: a task closes once it
-    holds an equal share per worker of the run's run_bytes, or before a
-    world that would take it past CHUNK_BYTES; it holds one world at least."""
+    scenario order, are cut into consecutive tasks, each world's load being
+    its run_bytes plus WORLD_BYTES: a task closes once it holds an equal
+    share per worker of the run's load, or before a world that would take
+    it past CHUNK_BYTES; it holds one world at least."""
     m, tasks, load = config.num_scenarios, [[]], 0
-    share = -(-m * sum(run_bytes(config, n) for n in n_values) // config.workers)
+    loads = {n: run_bytes(config, n) + WORLD_BYTES for n in n_values}
+    share = -(-m * sum(loads.values()) // config.workers)
     for n in sorted(n_values, reverse=True):
-        need, lo = run_bytes(config, n), 0
+        need, lo = loads[n], 0
         while lo < m:
             if tasks[-1] and (load >= share or load + need > CHUNK_BYTES):
                 tasks.append([])

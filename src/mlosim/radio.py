@@ -4,17 +4,18 @@ All SINR math happens in linear milliwatts; dBm appears only at the
 boundaries. Rates follow the per-link Shannon form
 B * log2(1 + P / (I + N)) summed over the active links, where I aggregates
 the power received from every other AP transmitting on the same link;
-`rate_kernel` is the one place that form is written.
+`rate_kernel` is the one place that form is written, and the only place
+where an action index a becomes the link row of link mask a + 1.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import link_mask_matrix
 from .errors import ConfigError, DomainError
 from .scenario import MAX_LINKS, PhysicalConfig, Scenario, dbm_to_mw
 
@@ -96,24 +97,35 @@ def all_neighbor_sets(scenario: Scenario) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(np.flatnonzero(row).tolist()) for row in hears)
 
 
-def rate_kernel(budgets, noise_mw: float, bandwidth: float, runs: int = 1):
-    """The rate function of a task's worlds: active -> rates (bits/second)
+def link_mask_matrix(k: int) -> np.ndarray:
+    """The (2**k - 1, k) float64 link rows: row a is the bit pattern of
+    link mask a + 1 (bit j <=> link j active), so every row is nonempty and
+    the last activates all k links."""
+    masks = np.arange(1, 2**k, dtype=np.uint32)
+    return ((masks[:, None] >> np.arange(k)) & 1).astype(np.float64)
+
+
+def rate_kernel(budgets, k: int, physical: PhysicalConfig, runs: int = 1):
+    """The rate function of a task's worlds: index -> rates (bits/second)
     of its A agents under joint actions, shape (..., A).
 
     `budgets` holds one entry per run of consecutive worlds of one AP count
     n, in order: a lone world's (n, n) link budget (link_budget_matrix_mw)
     or a stack of S of them, (S, n, n). Each world has `runs` runs of its n
     APs, its agent r * n + i being AP i of run r, after the agents of the
-    worlds before it; `active[..., a, l]` says whether agent a transmits on
-    link l, shape (..., A, k), and leading axes index independent joint
-    actions. A call makes one matmul per entry, into its slice of the
-    totals, then one elementwise pass over all agents. The terms of the
-    budgets alone are taken once; the buffers of a shape of `active`, with
-    their views, when it is first rated, and kept until another comes.
+    worlds before it; `index[..., a]` is agent a's action index, shape
+    (..., A), and leading axes index independent joint actions. A call
+    gathers the link rows into a buffer, makes one matmul per entry, into
+    its slice of the totals, then one elementwise pass over all agents. The
+    terms of the budgets alone are taken once; the buffers of a shape of
+    `index`, with their views, when it is first rated, and kept until
+    another comes.
     """
+    bits = link_mask_matrix(k)
+    noise_mw, bandwidth = dbm_to_mw(physical.noise_floor_dbm), physical.bandwidth_hz_per_link
     parts, signals, lo = [], [], 0
     for power in budgets:
-        # A lone world multiplies its (runs, n, k) actions, a stack of S
+        # A lone world multiplies its (runs, n, k) link rows, a stack of S
         # worlds, as (S, 1, n, n), its (S, runs, n, k) ones.
         stack = power if power.ndim == 2 else power[:, None]
         joint = (*stack.shape[:-3], runs, stack.shape[-1])
@@ -125,30 +137,56 @@ def rate_kernel(budgets, noise_mw: float, bandwidth: float, runs: int = 1):
     buffers: dict = {}
 
     def views(shape):
-        *lead, _, k = shape
-        active_f, total = np.empty(shape), np.empty(shape)
-        return active_f, total, [(gain, *(buf[..., agents, :].reshape(*lead, *joint, k)
-                                          for buf in (active_f, total)))
-                                 for gain, agents, joint in parts]
+        *lead, _ = shape
+        active, total = np.empty((*shape, k)), np.empty((*shape, k))
+        return active, total, [(gain, *(buf[..., agents, :].reshape(*lead, *joint, k)
+                                        for buf in (active, total)))
+                               for gain, agents, joint in parts]
 
-    def rates(active: np.ndarray) -> np.ndarray:
-        if active.shape not in buffers:
+    def rates(index: np.ndarray) -> np.ndarray:
+        if index.shape not in buffers:
             buffers.clear()  # the previous shape's buffers go first
-            buffers[active.shape] = views(active.shape)
-        active_f, total, products = buffers[active.shape]
-        np.copyto(active_f, active)
+            buffers[index.shape] = views(index.shape)
+        active, total, products = buffers[index.shape]
+        bits.take(index, axis=0, out=active)
         # total[..., a, l]: power on link l at agent a's STA from every active AP, plus noise
         for gain, part, part_total in products:
             np.matmul(gain, part, out=part_total)
         total += noise_mw
         # On an active link 1 + S/(I + N) = total / (total - S); inactive
-        # gives 1. Each step writes over the actions, no longer needed.
-        np.multiply(active_f, signal, out=active_f)
-        np.subtract(total, active_f, out=active_f)
-        np.divide(total, active_f, out=active_f)
-        return np.add.reduce(np.log2(active_f, out=active_f), axis=-1) * bandwidth
+        # gives 1. Each step writes over the link rows, no longer needed.
+        np.multiply(active, signal, out=active)
+        np.subtract(total, active, out=active)
+        np.divide(total, active, out=active)
+        return np.add.reduce(np.log2(active, out=active), axis=-1) * bandwidth
 
     return rates
+
+
+@functools.lru_cache(maxsize=64)  # a batch's runs check one set of arguments
+def check_rates(k: int, d: float, physical: PhysicalConfig, sums: int) -> None:
+    """Raise a ConfigError unless the rates of worlds of k links and AP-STA
+    distance d stay finite, and so do sums of `sums` of them.
+
+    No AP's rate exceeds its isolated link's: its own STA at distance d, all
+    k links on and no other AP transmitting. That rate is taken on the rate
+    kernel's own float path, where the signal S and noise N must give
+    fl(S + N) > S: otherwise 1 + S/N rounds to S/0.
+    """
+    where = (f"d_m={d}, k={k} and physical tx_power_dbm={physical.tx_power_dbm}, "
+             f"noise_floor_dbm={physical.noise_floor_dbm}, "
+             f"bandwidth_hz_per_link={physical.bandwidth_hz_per_link}")
+    with np.errstate(over="ignore"):
+        signal = dbm_to_mw(physical.tx_power_dbm - pathloss_db(d, physical))
+        noise = dbm_to_mw(physical.noise_floor_dbm)
+        if not signal + noise > signal:
+            raise ConfigError(f"{where}: the noise of {noise:.3g} mW is below the float "
+                              f"resolution of the isolated link's signal of {signal:.3g} mW, "
+                              "so its rate would be infinite")
+        rate = rate_kernel([np.array([[signal]])], k, physical)(np.array([2**k - 2]))[0]
+        if not np.isfinite(rate * sums):
+            raise ConfigError(f"{where}: the isolated link's rate of {rate:.3g} bit/s "
+                              f"summed over {sums} iterations or worlds is not finite")
 
 
 def achieved_rate_bps(scenario: Scenario, profile: ActivationProfile, i: int) -> float:
@@ -162,9 +200,6 @@ def achieved_rate_bps(scenario: Scenario, profile: ActivationProfile, i: int) ->
             f"profile has {width} link bits, scenario has {scenario.num_links} links")
     if not 0 <= i < scenario.n:
         raise IndexError(f"AP index {i} out of range for n={scenario.n}")
-    phys = scenario.physical
     masks = np.array([ls.mask for ls in profile.per_ap])
-    active = link_mask_matrix(width)[masks - 1]
-    rates = rate_kernel([link_budget_matrix_mw(scenario)], dbm_to_mw(phys.noise_floor_dbm),
-                        phys.bandwidth_hz_per_link)
-    return float(rates(active)[i])
+    rates = rate_kernel([link_budget_matrix_mw(scenario)], width, scenario.physical)
+    return float(rates(masks - 1)[i])

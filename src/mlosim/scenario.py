@@ -131,7 +131,10 @@ class Scenario:
 
 def check_world(n: int, k: int, area_side_m: float, d: float) -> tuple[int, int, float, float]:
     """(n, k, area side, d) as Python numbers if n >= 1 APs, k in [1, MAX_LINKS]
-    links, a side in (0, MAX_AREA_SIDE_M) and 0 < d < side make a world."""
+    links, a side in (0, MAX_AREA_SIDE_M) and 0 < d < side make a world,
+    whose pair distances the area's coordinates resolve: a coordinate up to
+    the side rounds by up to half its ulp, so a pair's distance by up to
+    sqrt(2)/2 of it, which d * _DISTANCE_RTOL must cover: d >= ulp / rtol."""
     n, k = integer(n, "AP count", 1), integer(k, "k", 1)
     area_side_m, d = number(area_side_m, "area side"), number(d, "AP-STA distance")
     if k > MAX_LINKS:
@@ -141,6 +144,10 @@ def check_world(n: int, k: int, area_side_m: float, d: float) -> tuple[int, int,
             f"area side must be positive and below {MAX_AREA_SIDE_M:.3g} m, got {area_side_m}")
     if not 0 < d < area_side_m:
         raise ConfigError(f"AP-STA distance must satisfy 0 < d < area side, got d={d}")
+    least = math.ulp(area_side_m) / _DISTANCE_RTOL
+    if d < least:
+        raise ConfigError(f"AP-STA distance d_m={d} is below {least:.3g} m, the least that "
+                          f"coordinates of an area side area_side_m={area_side_m} resolve")
     return n, k, area_side_m, d
 
 

@@ -13,7 +13,8 @@ which the model's link-monotonicity properties are checked.
 one iteration at a time with Python floats. It reads the same three
 uniforms per agent-iteration from the same per-AP streams as the engine,
 so the engine's array form must match it bit for bit. That comparison
-needs the engine's own floats, so it takes its rates from `rate_kernel`.
+needs the engine's own floats, so it takes its rates from `rate_kernel`,
+given the chosen action indices.
 """
 
 import itertools
@@ -98,15 +99,12 @@ def reference_run(scenario, strategy, T, seed):
     p = 2**k - 1
     agents = [ReferenceAgent(p, generator(seed, PURPOSE_AGENT, i)) for i in range(n)]
     members = [{i, *nbrs} for i, nbrs in enumerate(all_neighbor_sets(scenario))]
-    noise_mw = 10 ** (scenario.physical.noise_floor_dbm / 10)
-    rates_of = rate_kernel([link_budget_matrix_mw(scenario)], noise_mw,
-                           scenario.physical.bandwidth_hz_per_link)
-    bits = [[(a + 1) >> link & 1 for link in range(k)] for a in range(p)]
+    rates_of = rate_kernel([link_budget_matrix_mw(scenario)], k, scenario.physical)
     federated = strategy is Strategy.FEDERATED_RL
     masks, rates, globals_ = [], [], []
     for t in range(1, T + 1):
         chosen = [agent.select(t) for agent in agents]
-        rate = rates_of(np.array([bits[a] for a in chosen])).tolist()
+        rate = rates_of(np.array(chosen)).tolist()
         shared = [min(rate[j] for j in members[i]) for i in range(n)]
         for agent, a, reward in zip(agents, chosen, shared if federated else rate):
             agent.credit(a, reward)

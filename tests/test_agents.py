@@ -19,10 +19,10 @@ from mlosim import rng as streams
 from mlosim.agents import (
     Tables,
     credit,
-    link_mask_matrix,
     policy_draws,
     select,
 )
+from mlosim.radio import link_mask_matrix
 from mlosim.rng import generator
 from oracles import reference_run
 

@@ -139,6 +139,32 @@ class TestMain:
         assert err.startswith("simulate: error: area side") and err.count("\n") == 1
         assert not out.exists()
 
+    # Rates, or the sums of T rates and of num_scenarios min rates that the
+    # outputs average, that would not be finite (inf or NaN in summary.json,
+    # numpy warnings), and a d_m too small for the area's coordinates to
+    # resolve (a GeometryError mid-run): each is rejected while the config
+    # is built, naming its field.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("config, names", [
+        ({"physical": {"bandwidth_hz_per_link": 1e306}}, "bandwidth_hz_per_link=1e+306"),
+        ({"d_m": 1e-5}, "d_m=1e-05"),
+        ({"area_side_m": 1.0, "d_m": 1e-5}, "d_m=1e-05"),
+        ({"physical": {"noise_floor_dbm": -300, "sensitivity_dbm": -290}},
+         "noise_floor_dbm=-300.0"),
+        ({"d_m": 1e-6}, "d_m=1e-06"),
+    ], ids=["bandwidth", "d_m", "d_m-in-small-area", "noise", "d_m-unresolved"])
+    def test_config_of_unbounded_rates_exits_with_error_alone(self, tmp_path, capsys, config,
+                                                              names):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code = run_cli("--config", str(cfg), "--aps", "4", "--scenarios", "2",
+                       "--iterations", "20", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("simulate: error:") and names in err and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("aps", ["8,x", "", "8,,4"])
     def test_malformed_aps_rejected_by_parser(self, tmp_path, capsys, aps):
         out = tmp_path / "out"

@@ -8,7 +8,7 @@ import os
 import tempfile
 from dataclasses import replace
 
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from mlosim import ConfigError, ExperimentConfig, PhysicalConfig, Strategy
@@ -16,6 +16,7 @@ from mlosim.agents import _BLOCK
 from mlosim.cli import main
 from mlosim.codec import dumps, from_json
 from mlosim.harness import RUN_BYTES_BUDGET, WORLD_BYTES, run_bytes
+from mlosim.radio import check_rates
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
@@ -92,15 +93,24 @@ def configs(draw):
     first = run_bytes(one, n)
     per_iteration = run_bytes(replace(one, iterations=_BLOCK + 1), n) - first
     fits = _BLOCK + (RUN_BYTES_BUDGET - first) // per_iteration
+    num_scenarios = draw(st.integers(
+        1, min(10**6, RUN_BYTES_BUDGET // WORLD_BYTES // len(n_values))))
+    iterations = draw(st.integers(1, min(10**6, fits)))
+    d_m = area * draw(st.floats(0.01, 0.99))
+    # A draw whose isolated link's signal leaves the noise below its float
+    # resolution, so that every rate would be infinite, is no config.
+    try:
+        check_rates(k, d_m, physical, max(iterations, num_scenarios))
+    except ConfigError:
+        reject()
     return ExperimentConfig(
         strategies=strategies,
-        num_scenarios=draw(st.integers(
-            1, min(10**6, RUN_BYTES_BUDGET // WORLD_BYTES // len(n_values)))),
-        iterations=draw(st.integers(1, min(10**6, fits))),
+        num_scenarios=num_scenarios,
+        iterations=iterations,
         n_values=n_values,
         k=k,
         area_side_m=area,
-        d_m=area * draw(st.floats(0.01, 0.99)),
+        d_m=d_m,
         physical=physical,
         master_seed=draw(st.integers(0, 2**64)),
         output_dir=draw(st.none() | st.text()),

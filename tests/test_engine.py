@@ -137,6 +137,30 @@ class TestTrace:
         with pytest.raises(ConfigError, match="(T|seed) must be an integer"):
             run_scenario(world(n=2), strategy, T=T, seed=seed)
 
+    # A world whose rates, or their sum over the run's T iterations, would
+    # not be finite is rejected before any world is built, by every
+    # strategy and by the lockstep loop.
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("physical, T, names", [
+        (PhysicalConfig(noise_floor_dbm=-300.0, sensitivity_dbm=-290.0), 1,
+         "noise_floor_dbm=-300.0"),
+        (PhysicalConfig(bandwidth_hz_per_link=1e306), 20, "bandwidth_hz_per_link=1e\\+306"),
+    ], ids=["noise", "bandwidth"])
+    def test_rejects_worlds_of_unbounded_rates(self, monkeypatch, strategy, physical, T, names):
+        sc = sample_scenario(generator(3), n=3, k=4, area_side_m=100.0, d=10.0,
+                             physical=physical)
+        monkeypatch.setattr(engine, "_static", None)  # no world is built
+        with pytest.raises(ConfigError, match=names):
+            run_scenario(sc, strategy, T=T, seed=1)
+        with pytest.raises(ConfigError, match=names):
+            next(run_learning((sc, sc), LEARNERS, T, range(4)))
+
+    def test_bandwidth_whose_run_sums_stay_finite_passes(self):
+        sc = sample_scenario(generator(3), n=3, k=4, area_side_m=100.0, d=10.0,
+                             physical=PhysicalConfig(bandwidth_hz_per_link=1e306))
+        res = run_scenario(sc, Strategy.FIXED, T=2, seed=1)
+        assert np.isfinite(res.mean_rates_bps()).all()
+
     def test_numpy_integers_pass(self):
         for strategy in Strategy:
             res = run_scenario(world(n=2), strategy, T=np.int64(10), seed=np.uint32(7))
@@ -177,7 +201,7 @@ class TestRatesMatchScalarRadio:
         else:
             kernel = radio.rate_kernel
             monkeypatch.setattr(engine, "rate_kernel",
-                                lambda *args: lambda active: kernel(*args)(active) / 2)
+                                lambda *args: lambda index: kernel(*args)(index) / 2)
         sc = world(n=5, seed=45)
         res = run_scenario(sc, Strategy.FIXED, T=1, seed=3)
         assert res.rates_bps[0] != pytest.approx(
@@ -203,7 +227,7 @@ class TestWorldRateFunction:
     @pytest.mark.parametrize("n", [1, 8, 64])
     def test_equals_rates_bps_bit_for_bit(self, n, k):
         worlds = [world(seed=60 + w, n=n, k=k) for w in range(3)]
-        bits = agents.link_mask_matrix(k)
+        bits = radio.link_mask_matrix(k)
         index = generator(n * k).integers(0, len(bits), size=(3, 4, n))
         block = generator(n * k + 1).integers(0, len(bits), size=(128, n), dtype=np.intp)
         noise_mw, bandwidth = dbm_to_mw(-95.0), 80e6
@@ -211,7 +235,7 @@ class TestWorldRateFunction:
         for w, sc in enumerate(worlds):
             alone = engine._worlds([sc])[1]
             power = link_budget_matrix_mw(sc)
-            expected = rate_kernel([power], noise_mw, bandwidth)(bits[index[w]])
+            expected = rate_kernel([power], k, sc.physical)(index[w])
             assert np.array_equal(expected, self.written_out(power, bits[index[w]], noise_mw,
                                                              bandwidth))
             for _ in range(2):  # the kernel's second call too
@@ -219,7 +243,7 @@ class TestWorldRateFunction:
                 assert np.array_equal(alone(index[w].astype(np.uint16)), expected)
             for stack in (index, index.astype(np.uint16)):  # 4 runs of each world
                 assert np.array_equal(stacked(stack.reshape(-1)).reshape(3, 4, n)[w], expected)
-            expected = rate_kernel([power], noise_mw, bandwidth)(bits[block])
+            expected = rate_kernel([power], k, sc.physical)(block)
             assert np.array_equal(alone(block), expected)
             assert np.array_equal(alone(block.astype(np.uint16)), expected)
 
@@ -371,11 +395,9 @@ class TestBlockLayout:
     def test_stacked_rates_equal_per_iteration_calls(self, n):
         sc = world(n=n, seed=80 + n)
         power = link_budget_matrix_mw(sc)
-        noise_mw = dbm_to_mw(sc.physical.noise_floor_dbm)
-        active = generator(81).random((128, n, 4)) < 0.5
-        active[..., 0] = True
-        stacked = rate_kernel([power], noise_mw, 80e6)(active)
-        single = np.array([rate_kernel([power], noise_mw, 80e6)(a) for a in active])
+        index = generator(81).integers(0, 15, size=(128, n))
+        stacked = rate_kernel([power], 4, sc.physical)(index)
+        single = np.array([rate_kernel([power], 4, sc.physical)(a) for a in index])
         assert stacked.shape == (128, n)
         assert np.array_equal(stacked, single)
 
@@ -402,11 +424,9 @@ class TestRecurringJointActions:
         res = run_scenario(sc, strategy, T=2000, seed=67)
         assert self.recurring_share(res) > 0.5
         power = link_budget_matrix_mw(sc)
-        noise_mw = dbm_to_mw(sc.physical.noise_floor_dbm)
-        bits = (res.action_masks[..., None] >> np.arange(sc.num_links)) & 1
         members = [[i, *nbrs] for i, nbrs in enumerate(res.neighbor_sets)]
         for row in range(res.T):
-            fresh = rate_kernel([power], noise_mw, 80e6)(bits[row])
+            fresh = rate_kernel([power], sc.num_links, sc.physical)(res.action_masks[row] - 1)
             assert np.array_equal(res.rates_bps[row], fresh), row
             if strategy is Strategy.FEDERATED_RL:
                 shared = [fresh[m].min() for m in members]
@@ -557,9 +577,9 @@ def counted_kernels(monkeypatch):
         counts.append(0)
         kernel = len(counts) - 1
 
-        def counted_rates(active):
+        def counted_rates(index):
             counts[kernel] += 1
-            return rates(active)
+            return rates(index)
 
         return counted_rates
 
@@ -617,18 +637,18 @@ class TestMixedCounts:
     def test_one_pass_keeps_each_worlds_link_sum_at_any_k(self, k):
         counts, L = (1, 3, 3, 8, 16, 64), 2
         worlds = [world(n=n, seed=500 + w, k=k) for w, n in enumerate(counts)]
-        _, rates_of = engine._worlds(worlds, runs=L)
-        bits = agents.link_mask_matrix(k)
-        index = generator(k).integers(0, len(bits), size=(3, L * sum(counts)))
-        index[0] = len(bits) - 1  # every agent on every link
+        _, rates = engine._worlds(worlds, runs=L)
+        p = 2**k - 1
+        index = generator(k).integers(0, p, size=(3, L * sum(counts)))
+        index[0] = p - 1  # every agent on every link
         for row in index:  # as the loop rates a distinct row
-            rates, lo = rates_of(row), 0
+            row_rates, lo = rates(row), 0
             for sc in worlds:
-                alone = rate_kernel([link_budget_matrix_mw(sc)], dbm_to_mw(-95.0), 80e6)
+                alone = rate_kernel([link_budget_matrix_mw(sc)], k, sc.physical)
                 for _ in range(L):
                     chosen = row[lo:lo + sc.n]
-                    assert np.array_equal(rates[lo:lo + sc.n], alone(bits[chosen]))
-                    assert rates[lo:lo + sc.n] == pytest.approx(
+                    assert np.array_equal(row_rates[lo:lo + sc.n], alone(chosen))
+                    assert row_rates[lo:lo + sc.n] == pytest.approx(
                         [scalar_rate_bps(sc, chosen + 1, i) for i in range(sc.n)], rel=1e-12)
                     lo += sc.n
             assert lo == len(row)

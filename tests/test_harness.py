@@ -225,6 +225,24 @@ class TestConfig:
             tracemalloc.stop()
         assert peak <= cfg.num_scenarios * harness.WORLD_BYTES
 
+    # Where a task's batch state outweighs its runs: the first task of
+    # 13,000 one-AP worlds of one iteration. `_tasks` loads each world at
+    # run_bytes + WORLD_BYTES, so the task holds 2,917 worlds and stays
+    # within their loads (0.44 of them); cut by run_bytes alone, it would
+    # hold 10,134 worlds and peak at 1.52 times the sum of their run_bytes.
+    def test_task_of_many_small_worlds_stays_within_its_worlds_loads(self):
+        cfg = ExperimentConfig(num_scenarios=13_000, iterations=1, n_values=(1,))
+        task = harness._tasks(cfg, (1,))[0]
+        worlds = sum(len(indices) for _, indices in task)
+        assert worlds == 2917
+        tracemalloc.start()
+        try:
+            harness._chunk_task((cfg, task, frozenset()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= worlds * (harness.run_bytes(cfg, 1) + harness.WORLD_BYTES)
+
     # Points where the per-iteration terms dominate: one learning run, a
     # world of all four strategies, and a batch task's chunk of 3 such
     # worlds, each task keeping world 0's views. A lone frl run at n=2 peaks
@@ -351,8 +369,8 @@ class TestConfig:
 
     def test_chunk_size_is_capped_by_chunk_bytes(self):
         cfg = replace(SMALL, num_scenarios=500, n_values=(8,), k=4, iterations=2000)
-        assert harness.CHUNK_BYTES // harness.run_bytes(cfg, 8) == 22
-        assert [len(parts[0][1]) for parts in harness._tasks(cfg, (8,))] == [22] * 22 + [16]
+        assert harness.CHUNK_BYTES // (harness.run_bytes(cfg, 8) + harness.WORLD_BYTES) == 21
+        assert [len(parts[0][1]) for parts in harness._tasks(cfg, (8,))] == [21] * 23 + [17]
         # A world that alone exceeds CHUNK_BYTES, by its iterations or by its
         # link subsets, still runs, one per task.
         for huge in (replace(cfg, iterations=30 * 2000), replace(cfg, k=16)):
@@ -361,8 +379,8 @@ class TestConfig:
 
     # The task layouts of the benchmark's workloads (sweep-cli at 2 workers)
     # and of the 500-world batch at n=8: a sweep's 10 worlds are cut into two
-    # tasks of about half their run_bytes each, and the batch into tasks of
-    # the 22 worlds that fit in CHUNK_BYTES.
+    # tasks of about half their load each, and the batch into tasks of the
+    # 21 worlds that fit in CHUNK_BYTES.
     @pytest.mark.parametrize("strategies, n_values, scenarios, T, workers, layout", [
         (tuple(Strategy), (8,), 1, 2000, 1, [[(8, range(1))]]),  # paper-batch
         ((Strategy.FIXED, Strategy.FEDERATED_RL), (64,), 1, 500, 1,
@@ -371,7 +389,7 @@ class TestConfig:
          [[(16, range(2)), (12, range(1))],
           [(12, range(1, 2)), (8, range(2)), (4, range(2)), (2, range(2))]]),  # sweep-cli
         (tuple(Strategy), (8,), 500, 2000, 1,
-         [[(8, range(lo, min(lo + 22, 500)))] for lo in range(0, 500, 22)]),
+         [[(8, range(lo, min(lo + 21, 500)))] for lo in range(0, 500, 21)]),
     ], ids=["paper-batch", "dense-n64", "sweep-cli", "batch-500"])
     def test_task_layouts_of_the_benchmark_loads(self, strategies, n_values, scenarios, T,
                                                  workers, layout):
@@ -384,7 +402,8 @@ class TestConfig:
     @pytest.mark.parametrize("scenarios, workers", [(1, 4), (7, 3), (100, 4), (500, 2), (45, 1)])
     def test_one_count_tasks_are_its_chunks(self, scenarios, workers):
         cfg = ExperimentConfig(num_scenarios=scenarios, n_values=(8,), workers=workers)
-        size = min(-(-scenarios // workers), harness.CHUNK_BYTES // harness.run_bytes(cfg, 8))
+        load = harness.run_bytes(cfg, 8) + harness.WORLD_BYTES
+        size = min(-(-scenarios // workers), harness.CHUNK_BYTES // load)
         assert tasks_by_the_rule(cfg, (8,)) == [[(8, range(lo, min(lo + size, scenarios)))]
                                                 for lo in range(0, scenarios, size)]
 
@@ -412,12 +431,14 @@ def tasks_by_the_rule(cfg, n_values):
     """`_tasks(cfg, n_values)`, checked against its rule: the tasks hold every
     world once, largest AP count first and in scenario order; a task of
     several worlds fits in CHUNK_BYTES; and a task closes once it holds the
-    share of run_bytes per worker, or before a world that would overflow it."""
+    share per worker of the worlds' loads (run_bytes plus WORLD_BYTES each),
+    or before a world that would overflow it."""
     tasks = harness._tasks(cfg, n_values)
     worlds = [[(n, s) for n, indices in parts for s in indices] for parts in tasks]
     assert [w for task in worlds for w in task] == [
         (n, s) for n in sorted(n_values, reverse=True) for s in range(cfg.num_scenarios)]
-    loads = [[harness.run_bytes(cfg, n) for n, _ in task] for task in worlds]
+    loads = [[harness.run_bytes(cfg, n) + harness.WORLD_BYTES for n, _ in task]
+             for task in worlds]
     share = -(-sum(map(sum, loads)) // cfg.workers)
     for t, load in enumerate(loads):
         assert load and (len(load) == 1 or sum(load) <= harness.CHUNK_BYTES)

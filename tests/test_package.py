@@ -1,5 +1,6 @@
 """The package surface: what `import mlosim` offers and what README shows."""
 
+import ast
 import json
 import os
 import re
@@ -50,6 +51,15 @@ def test_readme_library_use_runs(tmp_path, monkeypatch):
     exec(compile(code, "README.md", "exec"), {})
     with open(tmp_path / "trace.csv") as fh:
         assert fh.readline() == "t,ap,action_mask,rate_bps,global_reward\n"
+
+
+# The rate layer stands below the policy layer: only radio turns action
+# indices into link rows, and it takes nothing from agents or engine.
+def test_radio_imports_nothing_from_the_policy_layer():
+    with open(os.path.join(ROOT, "src", "mlosim", "radio.py")) as fh:
+        tree = ast.parse(fh.read())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported == {"__future__", "dataclasses", "errors", "scenario"}
 
 
 # Run in a fresh interpreter: which modules a 1-worker run leaves out of

@@ -48,6 +48,30 @@ def test_workers_run_the_sweep_in_a_pool(pair_time, capsys):
             == pair_time.sweep(harness, [3, 2], 2, 5, ["fixed", "frl"], 1))
 
 
+def test_each_side_keeps_its_least_of_three_alternating_runs(pair_time, monkeypatch):
+    clock, runs = [0.0], []
+    # CPU seconds of each timed run, in the order the runs take turns.
+    durations = iter([3.0, 2.0, 1.0, 5.0, 2.0, 4.0,  # pair 0: parent first
+                      1.0, 6.0, 3.0, 2.0, 4.0, 5.0])  # pair 1: change first
+
+    def sweep(side, ns, worlds, iterations, strategies, seed, workers=1):
+        if worlds == 2:  # a timed run, not the warm-up
+            runs.append((side, seed))
+            clock[0] += next(durations)
+        return "outcome"
+
+    monkeypatch.setattr(pair_time, "sweep", sweep)
+    monkeypatch.setattr(pair_time, "cpu_seconds", lambda: clock[0])
+    assert pair_time.RUNS == 3
+    records = pair_time.pair_times({"parent": "parent", "change": "change"}, [4], 2, 5,
+                                   ["frl"], 2)
+    assert runs == [("parent", 1), ("change", 1)] * 3 + [("change", 2), ("parent", 2)] * 3
+    assert [r["first"] for r in records] == ["parent", "change"]
+    assert [r["ms_per_world"] for r in records] == [{"parent": 500.0, "change": 1000.0},
+                                                    {"parent": 1000.0, "change": 500.0}]
+    assert [r["ratio"] for r in records] == [2.0, 0.5] and all(r["equal"] for r in records)
+
+
 def test_cpu_seconds_count_reaped_children(pair_time):
     busy = "import time\nwhile time.process_time() < 0.2: pass"
     t0, own = pair_time.cpu_seconds(), time.process_time()

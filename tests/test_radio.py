@@ -1,6 +1,7 @@
 """RF arithmetic tests against hand-evaluated oracle values."""
 
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +18,13 @@ from mlosim import (
     Scenario,
     achieved_rate_bps,
 )
-from mlosim.radio import dbm_to_mw, link_budget_matrix_mw, pathloss_db, rate_kernel
+from mlosim.radio import (
+    check_rates,
+    dbm_to_mw,
+    link_budget_matrix_mw,
+    pathloss_db,
+    rate_kernel,
+)
 
 import oracles
 from oracles import monotonicity_case, scalar_rate_bps
@@ -143,7 +150,7 @@ class TestInterference:
         world = make_world([(50.0, 50.0)], [(50.0, 60.0)])
         power = link_budget_matrix_mw(world)
         assert power.shape == (1, 1)
-        rates = rate_kernel([power], dbm_to_mw(-95.0), 80e6)(np.ones((1, 4), dtype=bool))
+        rates = rate_kernel([power], 4, PHYS)(np.array([14]))  # all four links
         snr = 10 ** ((20.0 - PL_10) / 10.0) / 10 ** (-95.0 / 10.0)
         assert rates[0] == pytest.approx(4 * 80e6 * math.log2(1.0 + snr), rel=1e-12)
 
@@ -172,18 +179,17 @@ class TestInterference:
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(123)
-        noise = dbm_to_mw(-95.0)
         for _ in range(50):
             pts = rng.uniform(0, 90, size=(3, 2))
             stas = pts + [[0, 10.0]] * 3
             world = make_world([tuple(p) for p in pts], [tuple(s) for s in stas])
-            active = rng.integers(0, 2, size=(3, 4)).astype(bool)
+            index = rng.integers(0, 15, size=3)
             perm = rng.permutation(3)
             world_p = make_world([tuple(pts[j]) for j in perm], [tuple(stas[j]) for j in perm])
             power, power_p = link_budget_matrix_mw(world), link_budget_matrix_mw(world_p)
             assert power_p == pytest.approx(power[np.ix_(perm, perm)], rel=1e-12)
-            rates = rate_kernel([power], noise, 80e6)(active)
-            rates_p = rate_kernel([power_p], noise, 80e6)(active[perm])
+            rates = rate_kernel([power], 4, PHYS)(index)
+            rates_p = rate_kernel([power_p], 4, PHYS)(index[perm])
             assert rates_p == pytest.approx(rates[perm], rel=1e-12)
 
 
@@ -204,36 +210,72 @@ class TestStackedWorlds:
     @pytest.mark.parametrize("n", [16, 64])
     def test_stacked_call_equals_per_world_calls(self, n):
         rng = np.random.default_rng(n)
-        noise = dbm_to_mw(-95.0)
         power = self.budgets(rng, n, 3)
-        active = rng.random((3, 2, n, 4)) < 0.5
-        stacked = rate_kernel([np.stack(power)], noise, 80e6, runs=2)(active.reshape(-1, 4))
+        index = rng.integers(0, 15, size=(3, 2, n))
+        stacked = rate_kernel([np.stack(power)], 4, PHYS, runs=2)(index.reshape(-1))
         assert stacked.shape == (3 * 2 * n,)
         stacked = stacked.reshape(3, 2, n)
         for w in range(3):
-            runs = rate_kernel([power[w]], noise, 80e6, runs=2)(active[w].reshape(-1, 4))
+            runs = rate_kernel([power[w]], 4, PHYS, runs=2)(index[w].reshape(-1))
             assert np.array_equal(stacked[w], runs.reshape(2, n))
             for run in range(2):
-                alone = rate_kernel([power[w]], noise, 80e6)(active[w, run])
+                alone = rate_kernel([power[w]], 4, PHYS)(index[w, run])
                 assert np.array_equal(stacked[w, run], alone)
 
     # Consecutive stacks of several AP counts share one pass: each world's
     # slice must equal the world alone, with leading axes too.
     def test_stacks_of_several_counts_equal_per_world_calls(self):
         rng = np.random.default_rng(5)
-        noise = dbm_to_mw(-95.0)
         counts = (16, 3, 3, 1, 8, 8)
         power = [p for n in counts for p in self.budgets(rng, n, 1)]
         budgets = [power[0], np.stack(power[1:3]), power[3], np.stack(power[4:])]
-        active = rng.random((5, 2 * sum(counts), 4)) < 0.5
-        rates = rate_kernel(budgets, noise, 80e6, runs=2)(active)
+        index = rng.integers(0, 15, size=(5, 2 * sum(counts)))
+        rates = rate_kernel(budgets, 4, PHYS, runs=2)(index)
         assert rates.shape == (5, 2 * sum(counts))
         lo = 0
         for n, budget in zip(counts, power):
             for run in range(2):
-                alone = rate_kernel([budget], noise, 80e6)(active[:, lo:lo + n])
+                alone = rate_kernel([budget], 4, PHYS)(index[:, lo:lo + n])
                 assert np.array_equal(rates[:, lo:lo + n], alone)
                 lo += n
+
+
+class TestIsolatedRate:
+    """`check_rates` bounds every rate by the isolated link's: an AP's own
+    STA at distance d, all k links on, no other AP transmitting."""
+
+    @staticmethod
+    def isolated(k, d, physical):
+        signal = dbm_to_mw(physical.tx_power_dbm - pathloss_db(d, physical))
+        return rate_kernel([np.array([[signal]])], k, physical)(np.array([2**k - 2]))[0]
+
+    def test_sums_are_bounded_by_the_isolated_rate(self):
+        physical = PhysicalConfig(bandwidth_hz_per_link=1e305)
+        rate = self.isolated(4, 10.0, physical)
+        snr = 10 ** ((20.0 - PL_10) / 10.0) / 10 ** (-95.0 / 10.0)
+        assert rate == pytest.approx(4 * 1e305 * math.log2(1.0 + snr), rel=1e-12)
+        fits = int(sys.float_info.max // rate)
+        check_rates(4, 10.0, physical, fits)
+        with pytest.raises(ConfigError, match="bandwidth_hz_per_link=1e\\+305"):
+            check_rates(4, 10.0, physical, 2 * fits)
+
+    @pytest.mark.parametrize("physical, d", [
+        (PhysicalConfig(noise_floor_dbm=-300.0, sensitivity_dbm=-290.0), 10.0),
+        (PHYS, 1e-5),  # a signal of 7.8e6 mW
+        (PhysicalConfig(attenuation_factor=1e3), 1e-3),  # a signal beyond the float range
+    ], ids=["noise", "near", "overflow"])
+    def test_noise_below_the_signals_resolution_rejected(self, physical, d):
+        with pytest.raises(ConfigError, match="below the float resolution"):
+            check_rates(4, d, physical, 1)
+
+    # The premise of the bound, on sampled worlds: interference and fewer
+    # links only lower a rate.
+    def test_no_rate_exceeds_the_isolated_rate(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            world, masks, _, _ = monotonicity_case(rng, k=4)
+            rates = rate_kernel([link_budget_matrix_mw(world)], 4, PHYS)(masks - 1)
+            assert rates.max() <= self.isolated(4, 10.0, PHYS) * (1 + 1e-12)
 
 
 class TestLinkMonotonicity:

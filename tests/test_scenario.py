@@ -215,6 +215,22 @@ class TestAreaRange:
         for stats in run_batch(cfg).per_strategy.values():
             assert all(math.isfinite(rate) for rate in stats.min_rates_bps)
 
+    # A coordinate up to the area side rounds by up to half its ulp, so a
+    # sampled pair misses d by up to about 0.71 ulp(side), which the pair
+    # check's relative tolerance of 1e-9 must cover. A smaller d is rejected
+    # before any draw, naming d_m; unchecked, d = 1e-6 in the 100 m square
+    # fails mid-sampling with "pair 2 is 9.999999934964537e-07 m apart".
+    @pytest.mark.parametrize("area", [1.0, 100.0, 1e4, 9e153])
+    def test_distance_below_the_areas_resolution_rejected(self, area):
+        least = math.ulp(area) / 1e-9
+        for seed in range(5):
+            world = sample_scenario(generator(seed), n=64, k=1, area_side_m=area, d=least)
+            assert world.ap_sta_distance_m == least
+        with pytest.raises(ConfigError, match="d_m="):
+            sample_scenario(generator(0), n=1, k=1, area_side_m=area, d=least * 0.99)
+        with pytest.raises(ConfigError, match="d_m=1e-06"):
+            ExperimentConfig(area_side_m=100.0, d_m=1e-6)
+
 
 def oracle_neighbor_sets(sc):
     """Scalar oracle: one AP pair at a time, math.dist and the pathloss

@@ -7,17 +7,19 @@
 Each checkout's `src/mlosim` is imported under its own package name
 (`mlosim_parent`, `mlosim_change`), so both live in one interpreter. Pair i
 runs the public `harness.density_sweep` at `--workers` workers (default 1)
-over `--worlds` worlds of each AP count of `--n` (master seed i + 1) once
-per side, the side that goes first alternating from pair to pair, and
-records each side's CPU time per world: its own, plus that of the pool
-workers it reaped (RUSAGE_CHILDREN). At one worker the sweep runs in this
-process; with one AP count and at most 22 worlds (n=8, T=2000), it is one
-batch task, the task that `run_batch` runs. At 2 workers, the five-count
+over `--worlds` worlds of each AP count of `--n` (master seed i + 1)
+RUNS = 3 times per side, the sides taking turns and the side that goes
+first alternating from pair to pair, and keeps each side's least CPU time
+per world, so that one disturbed run does not decide a pair. A run's CPU
+time is its own plus that of the pool workers it reaped
+(RUSAGE_CHILDREN). At one worker the sweep runs in this process; with one
+AP count and at most 21 worlds (n=8, T=2000), it is one batch task, the
+task that `run_batch` runs. At 2 workers, the five-count
 sweep of 2 worlds per count is cut into the 2 tasks that the `sweep-cli`
 benchmark runs. The ratio of a pair is change over parent. Printed: every
 pair, then the median ratio, its quartiles and the pairs the change won
 (ratio below 1). The tool exits 1 if the two sides' outcomes (every
-strategy's per-world min rates of every AP count) differ in any pair.
+strategy's per-world min rates of every AP count) differ in any run.
 
 Set `OPENBLAS_NUM_THREADS=1` (and its OMP/MKL kin) for one BLAS thread;
 the tool sets them itself when they are unset, which takes effect when it
@@ -36,6 +38,7 @@ import sys
 import time
 
 SIDES = ("parent", "change")
+RUNS = 3  # runs of each side per pair, of which the least CPU time counts
 
 
 def load(root: str, name: str):
@@ -68,24 +71,26 @@ def cpu_seconds() -> float:
 
 def pair_times(harnesses: dict, ns, worlds: int, iterations: int, strategies,
                pairs: int, workers: int = 1) -> list[dict]:
-    """One record per pair: each side's CPU ms per world, the ratio change /
-    parent, and whether the sides' outcomes agree."""
+    """One record per pair: each side's least CPU ms per world over its
+    RUNS runs, the ratio change / parent of those, and whether every run's
+    outcomes agree."""
     for harness in harnesses.values():  # warm each side's caches and lazy imports
         sweep(harness, ns, 1, 1, strategies, 1)
     records = []
     for i in range(pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        seconds, outcomes = {}, {}
-        for side in order:
+        seconds, outcomes = {side: [] for side in SIDES}, []
+        for side in order * RUNS:
             t0 = cpu_seconds()
-            outcomes[side] = sweep(harnesses[side], ns, worlds, iterations, strategies, i + 1,
-                                   workers)
-            seconds[side] = cpu_seconds() - t0
+            outcomes.append(sweep(harnesses[side], ns, worlds, iterations, strategies, i + 1,
+                                  workers))
+            seconds[side].append(cpu_seconds() - t0)
+        least = {side: min(seconds[side]) for side in SIDES}
         records.append({
             "first": order[0],
-            "ms_per_world": {side: 1e3 * seconds[side] / (worlds * len(ns)) for side in SIDES},
-            "ratio": seconds["change"] / seconds["parent"],
-            "equal": outcomes["parent"] == outcomes["change"],
+            "ms_per_world": {side: 1e3 * least[side] / (worlds * len(ns)) for side in SIDES},
+            "ratio": least["change"] / least["parent"],
+            "equal": all(outcome == outcomes[0] for outcome in outcomes),
         })
     return records
 
