@@ -48,17 +48,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    data: dict = {}
-    if args.config:
-        with open(args.config) as fh:
-            data = json.load(fh)
-        from_json(ExperimentConfig, data)  # so that no flag hides a bad file value
     strategies = [s.value for s in Strategy if args.strategy in ("all", s.value)] or None
     flags = {"strategies": strategies, "num_scenarios": args.scenarios,
              "iterations": args.iterations, "n_values": args.aps, "master_seed": args.seed,
              "workers": args.workers, "output_dir": args.out}
-    data.update((name, value) for name, value in flags.items() if value is not None)
-    return from_json(ExperimentConfig, data)
+    flags = {name: value for name, value in flags.items() if value is not None}
+    data: dict = {}
+    if args.config:
+        with open(args.config) as fh:
+            data = json.load(fh)
+        # The file's values, with the flags filling only the fields it
+        # leaves out, so that no flag hides a bad file value.
+        from_json(ExperimentConfig, {**flags, **data} if isinstance(data, dict) else data)
+    return from_json(ExperimentConfig, {**data, **flags})
 
 
 def main(argv=None) -> int:

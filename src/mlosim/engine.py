@@ -13,9 +13,9 @@ rate over one segment of a flat member list: the AP alone under `rl`, the
 AP then its neighbors under `frl`. Actions travel through the loop as flat
 table indices (agents.Tables), each with the mean that `select` read for
 it. The whole population's joint action is the one key of the loop: each
-distinct one is rated once, by one pass of the rate kernel built once for
-all the worlds (a matmul per run of worlds of one AP count, one elementwise
-pass), and rewarded by one call, into tables from which each run is
+distinct one is rated once, by one pass of the rate kernel built once on
+one link budget per run (radio.rate_kernel decides how the runs are
+stacked), and rewarded by one call, into tables from which each run is
 gathered once the loop ends. The loop skips the explore merge on rows
 where no agent explores. A world's link budget and neighbor sets are built
 once while its Scenario lives, however many runs step it. Before any is
@@ -115,18 +115,6 @@ def _static(scenario: Scenario) -> tuple:
     return _STATIC[key]
 
 
-def _worlds(scenarios, runs: int = 1):
-    """The worlds' neighbor sets and the rate kernel of their `runs` runs'
-    action indices. The worlds share k and the physical constants."""
-    first = scenarios[0]
-    budgets, neighbor_sets = zip(*map(_static, scenarios))
-    # One entry per run of consecutive worlds of one AP count: a stack of
-    # their (n, n) link budgets, or a lone world's, which costs less per call.
-    groups = [list(group) for _, group in itertools.groupby(budgets, key=len)]
-    return neighbor_sets, rate_kernel([group[0] if len(group) == 1 else np.stack(group)
-                                       for group in groups], first.num_links, first.physical, runs)
-
-
 def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> RunResult:
     """Simulate `T` iterations of one world under one strategy.
 
@@ -138,7 +126,8 @@ def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> R
     if strategy in LEARNING:
         return next(run_learning((scenario,), (strategy,), T, (seed,)))
     n, p = scenario.n, 2**scenario.num_links - 1
-    (neighbor_sets,), rates = _worlds((scenario,))
+    budget, neighbor_sets = _static(scenario)
+    rates = rate_kernel([budget], scenario.num_links, scenario.physical)
     action_index = np.empty((T, n), dtype=np.uint16)
     rates_hist = np.empty((T, n), dtype=np.float64)
     if strategy is Strategy.FIXED:
@@ -189,7 +178,9 @@ def run_learning(scenarios, strategies, T: int, seeds) -> Iterator[RunResult]:
     ns = [sc.n for sc in scenarios for _ in strategies]  # each run's AP count
     bounds = list(itertools.accumulate(ns, initial=0))  # run r's agents: bounds[r]:bounds[r + 1]
     tables = Tables(bounds[-1], p)
-    neighbor_sets, rates_of = _worlds(scenarios, L)
+    budgets, neighbor_sets = zip(*map(_static, scenarios))
+    rates_of = rate_kernel([b for b in budgets for _ in strategies], first.num_links,
+                           first.physical)
     # Agent a's reward is the minimum over members[starts[a]:starts[a + 1]]:
     # itself (rl), or itself and its neighbors (frl). No segment is empty.
     runs = zip(bounds, itertools.product(neighbor_sets, strategies))  # run r = w * L + l

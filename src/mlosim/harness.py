@@ -58,7 +58,7 @@ DEFAULT_ITERATIONS = 2000
 # set-up (its generator, about 0.9 KB, and its reward segment) once k >= 8.
 # The (p, k) float64 link-mask matrix takes up to 24*k + 4 per action while
 # it is built (uint32 masks, two (p, k) arrays of 8-byte ints or floats and
-# numpy's cast buffer), 8*k after.
+# numpy's cast buffer), 8*k after, once per k (radio.link_mask_matrix).
 # Draws come in blocks of B = min(128, T) iterations (agents.policy_draws):
 # an agent holds 41 bytes per iteration (its agent-major row of three
 # float64 uniforms, 24; the C-order bool explore coin, 1; `pick`'s float64
@@ -66,8 +66,19 @@ DEFAULT_ITERATIONS = 2000
 # runs hold 41*L*n*B. A `random` run's n agents hold a block of their own,
 # and its rate step three (B, n, k) float64 arrays (the kernel's two
 # buffers and the copy through which `take` fills one), counted as four, so
-# n*B*(41 + 32*k). So a world may allocate
-#   (36*L*n + 48)*T + (48*L*n + 24*k + 4)*p + (41*L*n + (41 + 32*k)*n)*B
+# n*B*(41 + 32*k). A world's O(n^2) arrays, held while it lives, are
+# counted as 256 bytes per pair of APs: its float64 link budget (8) and
+# the rate kernel's stack of one copy per learning run (8 each), its
+# neighbor frozensets (up to about 140 per pair of APs that hear each
+# other: a set's table and an int per member), an frl run's reward
+# segments (about 48 per member while they are built) and the world's
+# distance and pathloss temporaries. tracemalloc peaks of a one-world
+# `_chunk_task` at T=1, k=1 read 32, 37 and 47 bytes per n^2 at n=1024 in
+# the 100 m square (fixed, frl, all four strategies), and 73, 122 and 139
+# in a 20 m square, where almost every AP hears every other; 129, 180 and
+# 194 at n=1536, where a frozenset's table takes 85 bytes per member. So a
+# world may allocate
+#   (36*L*n + 48)*T + (48*L*n + 24*k + 4)*p + (41*L*n + (41 + 32*k)*n)*B + 256*n^2
 # bytes, L counting at least 1, which also covers a fixed or random run.
 # A batch task steps its worlds together, of one AP count or several, and
 # reduces its runs one at a time, so it allocates at most the sum of its
@@ -104,8 +115,8 @@ RUN_BYTES_BUDGET = 2**32
 # experiment's worlds too, so a config runs at most
 # RUN_BYTES_BUDGET // WORLD_BYTES = 524,288 worlds. `_tasks` loads each
 # world at run_bytes + WORLD_BYTES: the first task of 13,000 such worlds
-# holds 2,917 of them and peaks at 0.44 of their loads (5,063 bytes per
-# world, 1.53 times a run_bytes of 3,311).
+# holds 2,853 of them and peaks at 0.43 of their loads (5,082 bytes per
+# world, 1.42 times a run_bytes of 3,567).
 WORLD_BYTES = 2**13
 # Bytes a batch task may allocate when it holds more than one world: `_tasks`
 # closes a task before a world that would take the sum of its worlds' loads
@@ -122,7 +133,7 @@ def run_bytes(config: "ExperimentConfig", n: int) -> int:
     agents = max(1, sum(s in LEARNING for s in config.strategies)) * n
     actions, block = 2**config.k - 1, min(_BLOCK, config.iterations)
     return ((36 * agents + 48) * config.iterations + (48 * agents + 24 * config.k + 4) * actions
-            + (41 * agents + (41 + 32 * config.k) * n) * block)
+            + (41 * agents + (41 + 32 * config.k) * n) * block + 256 * n * n)
 
 
 @dataclass(frozen=True)

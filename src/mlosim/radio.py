@@ -4,14 +4,15 @@ All SINR math happens in linear milliwatts; dBm appears only at the
 boundaries. Rates follow the per-link Shannon form
 B * log2(1 + P / (I + N)) summed over the active links, where I aggregates
 the power received from every other AP transmitting on the same link;
-`rate_kernel` is the one place that form is written, and the only place
-where an action index a becomes the link row of link mask a + 1.
+`rate_kernel` is the one place that form is written, the only place
+where an action index a becomes the link row of link mask a + 1, and the
+only place that stacks the link budgets of a task's runs.
 """
 
 from __future__ import annotations
 
 import functools
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,42 +98,43 @@ def all_neighbor_sets(scenario: Scenario) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(np.flatnonzero(row).tolist()) for row in hears)
 
 
+@functools.cache
 def link_mask_matrix(k: int) -> np.ndarray:
     """The (2**k - 1, k) float64 link rows: row a is the bit pattern of
     link mask a + 1 (bit j <=> link j active), so every row is nonempty and
-    the last activates all k links."""
+    the last activates all k links. Built once per k and read-only: every
+    kernel of k links shares it."""
     masks = np.arange(1, 2**k, dtype=np.uint32)
-    return ((masks[:, None] >> np.arange(k)) & 1).astype(np.float64)
+    bits = ((masks[:, None] >> np.arange(k)) & 1).astype(np.float64)
+    bits.setflags(write=False)
+    return bits
 
 
-def rate_kernel(budgets, k: int, physical: PhysicalConfig, runs: int = 1):
-    """The rate function of a task's worlds: index -> rates (bits/second)
-    of its A agents under joint actions, shape (..., A).
+def rate_kernel(budgets, k: int, physical: PhysicalConfig):
+    """The rate function of a task's runs: index -> rates (bits/second) of
+    its A agents under joint actions, shape (..., A).
 
-    `budgets` holds one entry per run of consecutive worlds of one AP count
-    n, in order: a lone world's (n, n) link budget (link_budget_matrix_mw)
-    or a stack of S of them, (S, n, n). Each world has `runs` runs of its n
-    APs, its agent r * n + i being AP i of run r, after the agents of the
-    worlds before it; `index[..., a]` is agent a's action index, shape
-    (..., A), and leading axes index independent joint actions. A call
-    gathers the link rows into a buffer, makes one matmul per entry, into
-    its slice of the totals, then one elementwise pass over all agents. The
-    terms of the budgets alone are taken once; the buffers of a shape of
-    `index`, with their views, when it is first rated, and kept until
-    another comes.
+    `budgets` holds one (n, n) link budget (link_budget_matrix_mw) per run
+    of n agents, in agent order: run r's agent i is AP i of its world,
+    after the agents of the runs before it. `index[..., a]` is agent a's
+    action index, shape (..., A), and leading axes index independent joint
+    actions. The kernel stacks each group of consecutive budgets of one AP
+    count into one (R, n, n) array; a call gathers the link rows into a
+    buffer, makes one matmul per group, into its slice of the totals, then
+    one elementwise pass over all agents. The terms of the budgets alone
+    are taken once; the buffers of a shape of `index`, with their views,
+    when it is first rated, and kept until another comes.
     """
     bits = link_mask_matrix(k)
     noise_mw, bandwidth = dbm_to_mw(physical.noise_floor_dbm), physical.bandwidth_hz_per_link
     parts, signals, lo = [], [], 0
-    for power in budgets:
-        # A lone world multiplies its (runs, n, k) link rows, a stack of S
-        # worlds, as (S, 1, n, n), its (S, runs, n, k) ones.
-        stack = power if power.ndim == 2 else power[:, None]
-        joint = (*stack.shape[:-3], runs, stack.shape[-1])
+    for n, group in itertools.groupby(budgets, key=len):
+        stack = np.stack(list(group))  # (R, n, n): the group's R runs
+        runs = len(stack)
         # gain is a view: a contiguous copy rounds differently
-        parts.append((stack.swapaxes(-1, -2), slice(lo, lo + math.prod(joint)), joint))
-        signals.append(np.broadcast_to(stack.diagonal(0, -2, -1), joint).ravel())
-        lo += math.prod(joint)
+        parts.append((stack.swapaxes(-1, -2), slice(lo, lo + runs * n), (runs, n)))
+        signals.append(stack.diagonal(0, -2, -1).ravel())
+        lo += runs * n
     signal = np.concatenate(signals)[:, None]  # each agent's own signal
     buffers: dict = {}
 
@@ -163,7 +165,6 @@ def rate_kernel(budgets, k: int, physical: PhysicalConfig, runs: int = 1):
     return rates
 
 
-@functools.lru_cache(maxsize=64)  # a batch's runs check one set of arguments
 def check_rates(k: int, d: float, physical: PhysicalConfig, sums: int) -> None:
     """Raise a ConfigError unless the rates of worlds of k links and AP-STA
     distance d stay finite, and so do sums of `sums` of them.

@@ -165,6 +165,20 @@ class TestMain:
         assert err.startswith("simulate: error:") and names in err and err.count("\n") == 1
         assert not out.exists()
 
+    # The file is checked with the flags filling only the fields it leaves
+    # out: its rates sum finitely over the 20 iterations and 2 worlds that
+    # the flags ask for, though not over the defaults' 2000 and 500.
+    @pytest.mark.filterwarnings("error")
+    def test_file_value_that_fits_the_flags_runs(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"physical": {"bandwidth_hz_per_link": 1e305}}))
+        out = tmp_path / "out"
+        code = run_cli("--config", str(cfg), "--aps", "4", "--scenarios", "2",
+                       "--iterations", "20", "--out", str(out))
+        assert code == 0 and capsys.readouterr().err == ""
+        summary = (out / "summary.json").read_text()
+        assert "Infinity" not in summary and "NaN" not in summary
+
     @pytest.mark.parametrize("aps", ["8,x", "", "8,,4"])
     def test_malformed_aps_rejected_by_parser(self, tmp_path, capsys, aps):
         out = tmp_path / "out"

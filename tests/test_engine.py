@@ -210,12 +210,12 @@ class TestRatesMatchScalarRadio:
 
 
 class TestWorldRateFunction:
-    """The rate function that the engine builds once per world (or stack of
-    worlds) must give, call after call, the bits of a fresh `rate_kernel`
-    call on each world's budget, and of the kernel's form written out with
-    a transposed view and `.sum`; for action indices of the dtypes and
-    shapes the engine passes too: intp or uint16 (the learning loop's
-    distinct rows), and a `random` run's (128, n) block."""
+    """The rate function that the engine builds once per world (or per
+    task, on one budget per run) must give, call after call, the bits of a
+    fresh `rate_kernel` call on each world's budget, and of the kernel's
+    form written out with a transposed view and `.sum`; for action indices
+    of the dtypes and shapes the engine passes too: intp or uint16 (the
+    learning loop's distinct rows), and a `random` run's (128, n) block."""
 
     @staticmethod
     def written_out(power, active, noise_mw, bandwidth):
@@ -231,19 +231,19 @@ class TestWorldRateFunction:
         index = generator(n * k).integers(0, len(bits), size=(3, 4, n))
         block = generator(n * k + 1).integers(0, len(bits), size=(128, n), dtype=np.intp)
         noise_mw, bandwidth = dbm_to_mw(-95.0), 80e6
-        stacked = engine._worlds(worlds, runs=4)[1]
+        power = [link_budget_matrix_mw(sc) for sc in worlds]
+        stacked = rate_kernel([p for p in power for _ in range(4)], k, worlds[0].physical)
         for w, sc in enumerate(worlds):
-            alone = engine._worlds([sc])[1]
-            power = link_budget_matrix_mw(sc)
-            expected = rate_kernel([power], k, sc.physical)(index[w])
-            assert np.array_equal(expected, self.written_out(power, bits[index[w]], noise_mw,
+            alone = rate_kernel([power[w]], k, sc.physical)
+            expected = rate_kernel([power[w]], k, sc.physical)(index[w])
+            assert np.array_equal(expected, self.written_out(power[w], bits[index[w]], noise_mw,
                                                              bandwidth))
             for _ in range(2):  # the kernel's second call too
                 assert np.array_equal(alone(index[w]), expected)
                 assert np.array_equal(alone(index[w].astype(np.uint16)), expected)
             for stack in (index, index.astype(np.uint16)):  # 4 runs of each world
                 assert np.array_equal(stacked(stack.reshape(-1)).reshape(3, 4, n)[w], expected)
-            expected = rate_kernel([power], k, sc.physical)(block)
+            expected = rate_kernel([power[w]], k, sc.physical)(block)
             assert np.array_equal(alone(block), expected)
             assert np.array_equal(alone(block.astype(np.uint16)), expected)
 
@@ -630,14 +630,16 @@ class TestMixedCounts:
             assert dumps(res) == dumps(run_scenario(res.scenario, res.strategy, T, res.seed))
 
     # From k = 8 on, numpy adds a link axis in eight partial sums, not in
-    # link order. The task's one rate pass over worlds of several AP counts
-    # (a stack of two worlds of n = 3 among them) must keep each world's
-    # order: each world's rates equal its own kernel's, bit for bit.
+    # link order. The task's one rate pass over the runs of worlds of
+    # several AP counts (the four runs of two worlds of n = 3 stacked among
+    # them) must keep each world's order: each world's rates equal its own
+    # kernel's, bit for bit.
     @pytest.mark.parametrize("k", [1, 7, 8, 9, 16])
     def test_one_pass_keeps_each_worlds_link_sum_at_any_k(self, k):
         counts, L = (1, 3, 3, 8, 16, 64), 2
         worlds = [world(n=n, seed=500 + w, k=k) for w, n in enumerate(counts)]
-        _, rates = engine._worlds(worlds, runs=L)
+        budgets = [link_budget_matrix_mw(sc) for sc in worlds for _ in range(L)]
+        rates = rate_kernel(budgets, k, worlds[0].physical)
         p = 2**k - 1
         index = generator(k).integers(0, p, size=(3, L * sum(counts)))
         index[0] = p - 1  # every agent on every link
@@ -652,6 +654,25 @@ class TestMixedCounts:
                         [scalar_rate_bps(sc, chosen + 1, i) for i in range(sc.n)], rel=1e-12)
                     lo += sc.n
             assert lo == len(row)
+
+    # The kernel decides how runs are stacked: the loop hands it one link
+    # budget per run, S * L of them in run order, each its world's own.
+    @pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
+    def test_kernel_takes_one_budget_per_run(self, monkeypatch, order):
+        taken = []
+
+        def recorded(budgets, k, physical):
+            taken.append(list(budgets))
+            return rate_kernel(budgets, k, physical)
+
+        monkeypatch.setattr(engine, "rate_kernel", recorded)
+        worlds = [world(n=n, seed=540 + w) for w, n in enumerate((3, 8, 8, 2))]
+        seeds = list(range(len(worlds) * len(order)))
+        list(run_learning(worlds, order, 20, seeds))
+        (budgets,) = taken
+        assert len(budgets) == len(worlds) * len(order)
+        for r, budget in enumerate(budgets):
+            assert np.array_equal(budget, link_budget_matrix_mw(worlds[r // len(order)]))
 
 
 def expected_random_rates(sc):

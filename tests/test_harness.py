@@ -204,6 +204,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="k=16 at 1000 APs"):
             replace(cfg, k=16, n_values=(1000,))
 
+    # A world's O(n^2) arrays alone would need about 141 GiB: rejected
+    # while the config is built, before any world is sampled.
+    def test_run_bytes_budget_counts_every_pair_of_aps(self):
+        with pytest.raises(ConfigError, match="at 24000 APs need about 141 GiB"):
+            ExperimentConfig(n_values=(24000,), num_scenarios=1)
+
     def test_world_count_limit_is_the_budget_over_world_bytes(self):
         fits = harness.RUN_BYTES_BUDGET // harness.WORLD_BYTES
         assert fits == 524_288
@@ -227,14 +233,14 @@ class TestConfig:
 
     # Where a task's batch state outweighs its runs: the first task of
     # 13,000 one-AP worlds of one iteration. `_tasks` loads each world at
-    # run_bytes + WORLD_BYTES, so the task holds 2,917 worlds and stays
-    # within their loads (0.44 of them); cut by run_bytes alone, it would
-    # hold 10,134 worlds and peak at 1.52 times the sum of their run_bytes.
+    # run_bytes + WORLD_BYTES, so the task holds 2,853 worlds and stays
+    # within their loads (0.43 of them); cut by run_bytes alone, it would
+    # hold 9,406 worlds and peak at 1.42 times the sum of their run_bytes.
     def test_task_of_many_small_worlds_stays_within_its_worlds_loads(self):
         cfg = ExperimentConfig(num_scenarios=13_000, iterations=1, n_values=(1,))
         task = harness._tasks(cfg, (1,))[0]
         worlds = sum(len(indices) for _, indices in task)
-        assert worlds == 2917
+        assert worlds == 2853
         tracemalloc.start()
         try:
             harness._chunk_task((cfg, task, frozenset()))
@@ -264,6 +270,23 @@ class TestConfig:
         finally:
             tracemalloc.stop()
         assert peak <= worlds * harness.run_bytes(cfg, n)
+
+    # Where a world's O(n^2) arrays weigh most: one world of many APs, one
+    # iteration and one link, its views kept, in the 100 m square and in a
+    # 20 m one, where almost every AP hears every other (without the n^2 term its
+    # peak reads 149 and 441 times run_bytes).
+    @pytest.mark.parametrize("area", [100.0, 20.0])
+    def test_world_peak_stays_within_run_bytes_at_large_n(self, area):
+        n = 1024
+        cfg = ExperimentConfig(num_scenarios=1, iterations=1, n_values=(n,), k=1,
+                               area_side_m=area)
+        tracemalloc.start()
+        try:
+            harness._chunk_task((cfg, [(n, range(1))], {(n, 0)}))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= harness.run_bytes(cfg, n)
 
     # Points where the per-action terms dominate: a world of all four
     # strategies over the 2**k - 1 link subsets of k links, its views kept.

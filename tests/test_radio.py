@@ -22,6 +22,7 @@ from mlosim.radio import (
     check_rates,
     dbm_to_mw,
     link_budget_matrix_mw,
+    link_mask_matrix,
     pathloss_db,
     rate_kernel,
 )
@@ -194,10 +195,10 @@ class TestInterference:
 
 
 class TestStackedWorlds:
-    # The engine steps several worlds through one rate kernel on their
-    # stacked (S, n, n) budgets, multiplied as (S, 1, n, n). The matmul must
-    # see each world's budget through the same transposed view as a lone
-    # call: a contiguous copy of it rounds differently from n = 16 on.
+    # The kernel takes one (n, n) budget per run and stacks each group of
+    # consecutive budgets of one AP count into one (R, n, n) array. The
+    # matmul must see each run's budget through the same transposed view as
+    # a lone call: a contiguous copy of it rounds differently from n = 16 on.
     @staticmethod
     def budgets(rng, n, count):
         power = []
@@ -212,25 +213,25 @@ class TestStackedWorlds:
         rng = np.random.default_rng(n)
         power = self.budgets(rng, n, 3)
         index = rng.integers(0, 15, size=(3, 2, n))
-        stacked = rate_kernel([np.stack(power)], 4, PHYS, runs=2)(index.reshape(-1))
+        stacked = rate_kernel([p for p in power for _ in range(2)], 4, PHYS)(index.reshape(-1))
         assert stacked.shape == (3 * 2 * n,)
         stacked = stacked.reshape(3, 2, n)
         for w in range(3):
-            runs = rate_kernel([power[w]], 4, PHYS, runs=2)(index[w].reshape(-1))
+            runs = rate_kernel([power[w]] * 2, 4, PHYS)(index[w].reshape(-1))
             assert np.array_equal(stacked[w], runs.reshape(2, n))
             for run in range(2):
                 alone = rate_kernel([power[w]], 4, PHYS)(index[w, run])
                 assert np.array_equal(stacked[w, run], alone)
 
-    # Consecutive stacks of several AP counts share one pass: each world's
-    # slice must equal the world alone, with leading axes too.
+    # Runs of several AP counts share one pass, a count that comes back
+    # after another making a group of its own: each run's slice must equal
+    # the run alone, with leading axes too.
     def test_stacks_of_several_counts_equal_per_world_calls(self):
         rng = np.random.default_rng(5)
-        counts = (16, 3, 3, 1, 8, 8)
+        counts = (16, 3, 3, 1, 8, 8, 3)
         power = [p for n in counts for p in self.budgets(rng, n, 1)]
-        budgets = [power[0], np.stack(power[1:3]), power[3], np.stack(power[4:])]
         index = rng.integers(0, 15, size=(5, 2 * sum(counts)))
-        rates = rate_kernel(budgets, 4, PHYS, runs=2)(index)
+        rates = rate_kernel([p for p in power for _ in range(2)], 4, PHYS)(index)
         assert rates.shape == (5, 2 * sum(counts))
         lo = 0
         for n, budget in zip(counts, power):
@@ -238,6 +239,19 @@ class TestStackedWorlds:
                 alone = rate_kernel([budget], 4, PHYS)(index[:, lo:lo + n])
                 assert np.array_equal(rates[:, lo:lo + n], alone)
                 lo += n
+
+    # The link rows are built once per k and shared by every kernel of k
+    # links, read-only so that no caller can change another's rows.
+    def test_kernels_of_one_k_share_one_read_only_set_of_link_rows(self):
+        budget = [link_budget_matrix_mw(make_world([(10.0, 10.0)], [(10.0, 20.0)]))]
+        rate_kernel(budget, 16, PHYS)(np.array([2**16 - 2]))
+        built = link_mask_matrix.cache_info().misses
+        assert rate_kernel(budget, 16, PHYS)(np.array([2**16 - 2])) > 0
+        assert link_mask_matrix.cache_info().misses == built
+        assert link_mask_matrix(16) is link_mask_matrix(16)
+        assert not link_mask_matrix(16).flags.writeable
+        with pytest.raises(ValueError):
+            link_mask_matrix(16)[0, 0] = 0.0
 
 
 class TestIsolatedRate:
