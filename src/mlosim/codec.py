@@ -31,13 +31,11 @@ def _plain(value):
         return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, frozenset):
-        return sorted(value)
     raise TypeError(f"cannot write {type(value).__name__} as JSON")
 
 
 def dumps(value, **kw) -> str:
-    """`value` as JSON with sorted keys; dataclasses, arrays and frozensets included."""
+    """`value` as JSON with sorted keys; dataclasses and arrays included."""
     return json.dumps(value, default=_plain, sort_keys=True, **kw)
 
 

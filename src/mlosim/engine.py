@@ -4,27 +4,28 @@ The n agents of a world advance together as arrays of action indices,
 action a being link mask a + 1, which the rate kernel takes as they are.
 `fixed` evaluates its one joint action once and `random` a block of
 iterations per rate call. The learning runs (`rl`, `frl`) of S worlds of
-one k step through t together in
-`run_learning`, as one population whose per-AP streams are the runs' own,
-with one policy step per iteration; a batch task passes its worlds, of one
-AP count or several, and `run_scenario` runs a learning strategy as the
-one-world, one-run case. Every learning agent is rewarded with the minimum
-rate over one segment of a flat member list: the AP alone under `rl`, the
-AP then its neighbors under `frl`. Actions travel through the loop as flat
+one k step through t together in `run_learning`, as one population whose
+per-AP streams are the runs' own, with one policy step per iteration; a
+batch task passes its worlds, of one AP count or several, and
+`run_scenario` runs a learning strategy as the one-world, one-run case.
+Every learning agent is rewarded with the minimum rate over the true
+entries of its row of an (n, n) bool matrix: the identity under `rl`, and
+under `frl` the identity or who hears whom (radio.all_neighbor_sets, built
+only when a task has `frl` runs). Actions travel through the loop as flat
 table indices (agents.Tables), each with the mean that `select` read for
 it. The whole population's joint action is the one key of the loop: each
 distinct one is rated once, by one pass of the rate kernel built once on
 one link budget per run (radio.rate_kernel decides how the runs are
 stacked), and rewarded by one call, into tables from which each run is
 gathered once the loop ends. The loop skips the explore merge on rows
-where no agent explores. A world's link budget and neighbor sets are built
-once while its Scenario lives, however many runs step it. Before any is
-built, the runs' rates are checked to stay finite (radio.check_rates).
+where no agent explores. A world's link budget is built once while its
+Scenario lives, however many runs step it. Before any is built, the runs'
+rates are checked to stay finite (radio.check_rates).
 
 Moves are simultaneous: every agent commits its link subset before any
 rate is computed, so no agent observes another's current-iteration choice.
 Reward sharing between federated agents is modeled as a lossless,
-instantaneous exchange within the iteration. Neighbor sets are frozen at
+instantaneous exchange within the iteration. Who hears whom is fixed at
 t=0 because the geometry never changes.
 """
 
@@ -59,7 +60,6 @@ class RunResult:
     scenario: Scenario
     strategy: Strategy
     seed: int
-    neighbor_sets: tuple[frozenset[int], ...]
     action_masks: np.ndarray  # (T, n) uint16
     rates_bps: np.ndarray  # (T, n) float64
     global_rewards: np.ndarray | None  # (T, n) float64, federated runs only
@@ -101,16 +101,16 @@ def _check_runs(scenarios, strategies, T: int, seeds) -> tuple[int, list[int]]:
     return T, seeds
 
 
-# Each live world's link budget and neighbor sets, by the identity of its
-# Scenario: a batch world's learning runs and its fixed and random runs
-# build them once. An entry goes when its Scenario is freed.
-_STATIC: dict[int, tuple] = {}
+# Each live world's link budget, by the identity of its Scenario: a batch
+# world's learning runs and its fixed and random runs build it once. An
+# entry goes when its Scenario is freed.
+_STATIC: dict[int, np.ndarray] = {}
 
 
-def _static(scenario: Scenario) -> tuple:
+def _static(scenario: Scenario) -> np.ndarray:
     key = id(scenario)
     if key not in _STATIC:
-        _STATIC[key] = link_budget_matrix_mw(scenario), all_neighbor_sets(scenario)
+        _STATIC[key] = link_budget_matrix_mw(scenario)
         weakref.finalize(scenario, _STATIC.pop, key)
     return _STATIC[key]
 
@@ -126,8 +126,7 @@ def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> R
     if strategy in LEARNING:
         return next(run_learning((scenario,), (strategy,), T, (seed,)))
     n, p = scenario.n, 2**scenario.num_links - 1
-    budget, neighbor_sets = _static(scenario)
-    rates = rate_kernel([budget], scenario.num_links, scenario.physical)
+    rates = rate_kernel([_static(scenario)], scenario.num_links, scenario.physical)
     action_index = np.empty((T, n), dtype=np.uint16)
     rates_hist = np.empty((T, n), dtype=np.float64)
     if strategy is Strategy.FIXED:
@@ -141,7 +140,6 @@ def run_scenario(scenario: Scenario, strategy: Strategy, T: int, seed: int) -> R
         scenario=scenario,
         strategy=strategy,
         seed=seed,
-        neighbor_sets=neighbor_sets,
         action_masks=action_index + np.uint16(1),  # action index a is link mask a + 1
         rates_bps=rates_hist,
         global_rewards=None,
@@ -158,7 +156,7 @@ def run_learning(scenarios, strategies, T: int, seeds) -> Iterator[RunResult]:
     + l's n APs are the next n agents after the runs before it. Each
     iteration makes one policy step; a learning agent's reward is the
     minimum instant rate over its segment: itself under `rl` (its own
-    rate), itself and its neighbors under `frl` (the global reward). The
+    rate), itself and the APs it hears under `frl` (the global reward). The
     geometry is static, so the intp bytes of `select`'s row of flat indices
     key one dict, and a new joint action makes one rate pass and one reward
     call, into the next free row of the (T, A) tables [actions, rates,
@@ -178,16 +176,17 @@ def run_learning(scenarios, strategies, T: int, seeds) -> Iterator[RunResult]:
     ns = [sc.n for sc in scenarios for _ in strategies]  # each run's AP count
     bounds = list(itertools.accumulate(ns, initial=0))  # run r's agents: bounds[r]:bounds[r + 1]
     tables = Tables(bounds[-1], p)
-    budgets, neighbor_sets = zip(*map(_static, scenarios))
-    rates_of = rate_kernel([b for b in budgets for _ in strategies], first.num_links,
-                           first.physical)
+    rates_of = rate_kernel([_static(sc) for sc in scenarios for _ in strategies],
+                           first.num_links, first.physical)
     # Agent a's reward is the minimum over members[starts[a]:starts[a + 1]]:
-    # itself (rl), or itself and its neighbors (frl). No segment is empty.
-    runs = zip(bounds, itertools.product(neighbor_sets, strategies))  # run r = w * L + l
-    segments = [[lo + j for j in ([i, *nbrs] if strategy is Strategy.FEDERATED_RL else [i])]
-                for lo, (nbr_sets, strategy) in runs for i, nbrs in enumerate(nbr_sets)]
-    members = np.array([m for segment in segments for m in segment])
-    starts = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
+    # the true entries of its row of its run's (n, n) reward matrix, itself
+    # (rl) or itself and the APs it hears (frl). No segment is empty.
+    eyes = [np.eye(sc.n, dtype=bool) for sc in scenarios]
+    matrices = [all_neighbor_sets(sc) | eye if strategy is Strategy.FEDERATED_RL else eye
+                for sc, eye in zip(scenarios, eyes) for strategy in strategies]  # run r's
+    members = np.concatenate([np.flatnonzero(m) % len(m) + lo for m, lo in zip(matrices, bounds)])
+    counts = np.concatenate([m.sum(axis=1) for m in matrices])
+    starts = np.cumsum(counts) - counts
     distinct: dict[bytes, int] = {}  # a joint action's flat indices' bytes: its row
     distinct_tables = [np.empty((T, bounds[-1]), dtype) for dtype in (np.uint16, float, float)]
     distinct_actions, distinct_rates, distinct_rewards = distinct_tables
@@ -219,8 +218,7 @@ def run_learning(scenarios, strategies, T: int, seeds) -> Iterator[RunResult]:
                     distinct_tables[i] = None
             masks, rates, rewards = columns
             yield RunResult(scenario=scenarios[w], strategy=strategy, seed=seed,
-                            neighbor_sets=neighbor_sets[w], action_masks=masks, rates_bps=rates,
-                            global_rewards=rewards)
+                            action_masks=masks, rates_bps=rates, global_rewards=rewards)
 
     return gather(np.array(source, dtype=np.intp))
 

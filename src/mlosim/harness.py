@@ -66,19 +66,15 @@ DEFAULT_ITERATIONS = 2000
 # runs hold 41*L*n*B. A `random` run's n agents hold a block of their own,
 # and its rate step three (B, n, k) float64 arrays (the kernel's two
 # buffers and the copy through which `take` fills one), counted as four, so
-# n*B*(41 + 32*k). A world's O(n^2) arrays, held while it lives, are
-# counted as 256 bytes per pair of APs: its float64 link budget (8) and
-# the rate kernel's stack of one copy per learning run (8 each), its
-# neighbor frozensets (up to about 140 per pair of APs that hear each
-# other: a set's table and an int per member), an frl run's reward
-# segments (about 48 per member while they are built) and the world's
-# distance and pathloss temporaries. tracemalloc peaks of a one-world
-# `_chunk_task` at T=1, k=1 read 32, 37 and 47 bytes per n^2 at n=1024 in
-# the 100 m square (fixed, frl, all four strategies), and 73, 122 and 139
-# in a 20 m square, where almost every AP hears every other; 129, 180 and
-# 194 at n=1536, where a frozenset's table takes 85 bytes per member. So a
-# world may allocate
-#   (36*L*n + 48)*T + (48*L*n + 24*k + 4)*p + (41*L*n + (41 + 32*k)*n)*B + 256*n^2
+# n*B*(41 + 32*k). A world's O(n^2) arrays are counted as 64 bytes per
+# pair of APs: the distance and pathloss temporaries of its link budget's
+# build and, under frl, of its bool neighbor matrix's (32), the float64
+# link budget (8), the rate kernel's stack of one copy per learning run (8
+# each), and frl's reward matrix and intp member list (1 per pair, 8 per
+# member). test_harness.py's test_world_peak_stays_within_run_bytes_at_large_n
+# holds the measured peaks, which do not grow with density. So a world may
+# allocate
+#   (36*L*n + 48)*T + (48*L*n + 24*k + 4)*p + (41*L*n + (41 + 32*k)*n)*B + 64*n^2
 # bytes, L counting at least 1, which also covers a fixed or random run.
 # A batch task steps its worlds together, of one AP count or several, and
 # reduces its runs one at a time, so it allocates at most the sum of its
@@ -114,9 +110,8 @@ RUN_BYTES_BUDGET = 2**32
 # x86-64, numpy 2.4.6). RUN_BYTES_BUDGET bounds the batch state of an
 # experiment's worlds too, so a config runs at most
 # RUN_BYTES_BUDGET // WORLD_BYTES = 524,288 worlds. `_tasks` loads each
-# world at run_bytes + WORLD_BYTES: the first task of 13,000 such worlds
-# holds 2,853 of them and peaks at 0.43 of their loads (5,082 bytes per
-# world, 1.42 times a run_bytes of 3,567).
+# world at run_bytes + WORLD_BYTES, which a task of many such worlds stays
+# within (test_task_of_many_small_worlds_stays_within_its_worlds_loads).
 WORLD_BYTES = 2**13
 # Bytes a batch task may allocate when it holds more than one world: `_tasks`
 # closes a task before a world that would take the sum of its worlds' loads
@@ -133,7 +128,7 @@ def run_bytes(config: "ExperimentConfig", n: int) -> int:
     agents = max(1, sum(s in LEARNING for s in config.strategies)) * n
     actions, block = 2**config.k - 1, min(_BLOCK, config.iterations)
     return ((36 * agents + 48) * config.iterations + (48 * agents + 24 * config.k + 4) * actions
-            + (41 * agents + (41 + 32 * config.k) * n) * block + 256 * n * n)
+            + (41 * agents + (41 + 32 * config.k) * n) * block + 64 * n * n)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""RF arithmetic: pathloss, link budget, neighborhoods, achievable rates.
+"""RF arithmetic: pathloss, link budget, who hears whom, achievable rates.
 
 All SINR math happens in linear milliwatts; dBm appears only at the
 boundaries. Rates follow the per-link Shannon form
@@ -84,10 +84,10 @@ def link_budget_matrix_mw(scenario: Scenario) -> np.ndarray:
     return dbm_to_mw(phys.tx_power_dbm - pathloss_db(dist, phys))
 
 
-def all_neighbor_sets(scenario: Scenario) -> tuple[frozenset[int], ...]:
-    """Neighbor sets for every AP, in index order: the APs whose
-    transmissions reach it at or above the sensitivity threshold (AP-to-AP
-    distance, full TX power). Symmetric and irreflexive.
+def all_neighbor_sets(scenario: Scenario) -> np.ndarray:
+    """The (n, n) bool matrix of who hears whom: hears[i, j] when AP j's
+    transmissions reach AP i at or above the sensitivity threshold (AP-to-AP
+    distance, full TX power). Symmetric, with a false diagonal.
     """
     phys = scenario.physical
     ap = np.asarray(scenario.ap_positions)
@@ -95,7 +95,7 @@ def all_neighbor_sets(scenario: Scenario) -> tuple[frozenset[int], ...]:
     np.fill_diagonal(dist, 1.0)  # any positive distance: the diagonal is cleared below
     hears = phys.tx_power_dbm - pathloss_db(dist, phys) >= phys.sensitivity_dbm
     np.fill_diagonal(hears, False)  # no AP hears itself
-    return tuple(frozenset(np.flatnonzero(row).tolist()) for row in hears)
+    return hears
 
 
 @functools.cache

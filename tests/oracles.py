@@ -3,8 +3,10 @@
 `scalar_rate_bps` is the rate model written again, one AP and one link at
 a time, from the world's `PhysicalConfig` fields with `math` alone: it
 calls no pathloss, dBm or rate function of `mlosim`, so a fault in those
-cannot also hide in it. `max_min_optima` is the brute-force max-min
-optimum over every joint action of a tiny world, through it.
+cannot also hide in it. `oracle_neighbor_sets` is who hears whom and
+`expected_random_rates` the exact mean rates under `random`, written the
+same way. `max_min_optima` is the brute-force max-min optimum over every
+joint action of a tiny world, through `scalar_rate_bps`.
 
 `monotonicity_case` draws the small worlds and activation profiles on
 which the model's link-monotonicity properties are checked.
@@ -14,7 +16,8 @@ one iteration at a time with Python floats. It reads the same three
 uniforms per agent-iteration from the same per-AP streams as the engine,
 so the engine's array form must match it bit for bit. That comparison
 needs the engine's own floats, so it takes its rates from `rate_kernel`,
-given the chosen action indices.
+given the chosen action indices; its `frl` neighbours come from
+`oracle_neighbor_sets`.
 """
 
 import itertools
@@ -23,8 +26,17 @@ import math
 import numpy as np
 
 from mlosim import Scenario, Strategy
-from mlosim.radio import all_neighbor_sets, link_budget_matrix_mw, rate_kernel
+from mlosim.radio import link_budget_matrix_mw, rate_kernel
 from mlosim.rng import PURPOSE_AGENT, generator
+
+
+def received_dbm(phys, src, dst):
+    """Power (dBm) received at point dst from a node at point src at full TX
+    power: the pathloss written out from the `PhysicalConfig` fields."""
+    d = math.dist(src, dst)
+    pathloss = (phys.pathloss_intercept_db + 10 * phys.attenuation_factor * math.log10(d)
+                + phys.wall_attenuation_db_per_wall * phys.walls_per_meter * d)
+    return phys.tx_power_dbm - pathloss
 
 
 def scalar_rate_bps(scenario, masks, i):
@@ -36,10 +48,7 @@ def scalar_rate_bps(scenario, masks, i):
     sta = scenario.sta_positions[i]
 
     def received_mw(j):
-        d = math.dist(scenario.ap_positions[j], sta)
-        pathloss = (phys.pathloss_intercept_db + 10 * phys.attenuation_factor * math.log10(d)
-                    + phys.wall_attenuation_db_per_wall * phys.walls_per_meter * d)
-        return 10 ** ((phys.tx_power_dbm - pathloss) / 10)
+        return 10 ** (received_dbm(phys, scenario.ap_positions[j], sta) / 10)
 
     noise_mw = 10 ** (phys.noise_floor_dbm / 10)
     rate = 0.0
@@ -50,6 +59,41 @@ def scalar_rate_bps(scenario, masks, i):
             rate += phys.bandwidth_hz_per_link * math.log2(
                 1 + received_mw(i) / (interference + noise_mw))
     return rate
+
+
+def oracle_neighbor_sets(scenario):
+    """Who hears whom, one AP pair at a time: the (n, n) bool matrix whose
+    entry [i, j] says that AP j reaches AP i at or above the sensitivity
+    threshold (AP-to-AP distance; the paper's 20 dBm TX and -82 dBm by
+    default). No AP hears itself."""
+    phys, aps = scenario.physical, scenario.ap_positions
+    return np.array([[j != i and received_dbm(phys, b, a) >= phys.sensitivity_dbm
+                      for j, b in enumerate(aps)] for i, a in enumerate(aps)], dtype=bool)
+
+
+def expected_random_rates(scenario):
+    """Exact E[rate_i] (bits/second) of every AP under `random`, from the
+    world's `PhysicalConfig` fields. An AP is active on a given link with
+    probability q = 2**(k-1) / (2**k - 1), independently of the others, so
+    E[rate_i] = k q B sum over subsets A of the other APs of
+    q**|A| (1-q)**(n-1-|A|) log2(1 + S_i / (I_A + N))."""
+    phys, aps = scenario.physical, scenario.ap_positions
+    k = scenario.num_links
+    q = 2 ** (k - 1) / (2**k - 1)
+    noise_mw = 10.0 ** (phys.noise_floor_dbm / 10.0)
+    expected = []
+    for i, sta in enumerate(scenario.sta_positions):
+        signal = 10.0 ** (received_dbm(phys, aps[i], sta) / 10.0)
+        others = [10.0 ** (received_dbm(phys, ap, sta) / 10.0)
+                  for j, ap in enumerate(aps) if j != i]
+        total = 0.0
+        for on in itertools.product((False, True), repeat=len(others)):
+            m = sum(on)
+            interference = sum(p for p, active in zip(others, on) if active)
+            total += q**m * (1 - q) ** (len(others) - m) * math.log2(
+                1.0 + signal / (interference + noise_mw))
+        expected.append(k * q * phys.bandwidth_hz_per_link * total)
+    return np.array(expected)
 
 
 def monotonicity_case(rng, k=3):
@@ -98,7 +142,8 @@ def reference_run(scenario, strategy, T, seed):
     n, k = scenario.n, scenario.num_links
     p = 2**k - 1
     agents = [ReferenceAgent(p, generator(seed, PURPOSE_AGENT, i)) for i in range(n)]
-    members = [{i, *nbrs} for i, nbrs in enumerate(all_neighbor_sets(scenario))]
+    hears = oracle_neighbor_sets(scenario)
+    members = [[j for j in range(n) if j == i or hears[i, j]] for i in range(n)]
     rates_of = rate_kernel([link_budget_matrix_mw(scenario)], k, scenario.physical)
     federated = strategy is Strategy.FEDERATED_RL
     masks, rates, globals_ = [], [], []

@@ -22,7 +22,13 @@ from mlosim.codec import dumps
 from mlosim.engine import RunResult, run_learning
 from mlosim.radio import all_neighbor_sets, dbm_to_mw, link_budget_matrix_mw, rate_kernel
 from mlosim.rng import generator
-from oracles import max_min_optima, reference_run, scalar_rate_bps
+from oracles import (
+    expected_random_rates,
+    max_min_optima,
+    oracle_neighbor_sets,
+    reference_run,
+    scalar_rate_bps,
+)
 
 
 def world(seed=42, n=4, k=4):
@@ -88,8 +94,7 @@ class TestTrace:
         assert res.action_masks.dtype == np.uint16
         data = json.loads(dumps(res))
         assert set(data) == {
-            "scenario", "strategy", "seed", "neighbor_sets",
-            "action_masks", "rates_bps", "global_rewards",
+            "scenario", "strategy", "seed", "action_masks", "rates_bps", "global_rewards",
         }
         assert len(data["action_masks"]) == 25
         assert data["action_masks"][7][1] == res.action_masks[7, 1]
@@ -102,13 +107,15 @@ class TestTrace:
         assert json.loads(dumps(res))["global_rewards"] is None
 
     def test_neighbor_sets_frozen_and_symmetric(self):
+        # The world's one neighbour matrix is the oracle's, symmetric and
+        # irreflexive, and every iteration's global reward is read through it.
         sc = world(n=6, seed=10)
         res = run_scenario(sc, Strategy.FEDERATED_RL, T=5, seed=2)
-        assert res.neighbor_sets == all_neighbor_sets(sc)
-        for i, nbrs in enumerate(res.neighbor_sets):
-            assert i not in nbrs
-            for j in nbrs:
-                assert i in res.neighbor_sets[j]
+        hears = all_neighbor_sets(sc)
+        assert np.array_equal(hears, oracle_neighbor_sets(sc))
+        assert np.array_equal(hears, hears.T) and not hears.diagonal().any()
+        for i, row in enumerate(hears | np.eye(6, dtype=bool)):
+            assert np.array_equal(res.global_rewards[:, i], res.rates_bps[:, row].min(axis=1))
 
     def test_rejects_zero_iterations(self):
         with pytest.raises(ConfigError):
@@ -252,22 +259,23 @@ class TestFederatedExchange:
     def test_global_is_min_over_self_and_neighbors(self):
         sc = world(n=6, seed=14)
         res = run_scenario(sc, Strategy.FEDERATED_RL, T=50, seed=5)
+        hears = oracle_neighbor_sets(sc)
         for t in range(res.T):
             for i in range(res.n):
-                members = {i} | set(res.neighbor_sets[i])
+                members = {i, *np.flatnonzero(hears[i])}
                 expected = min(res.rates_bps[t, j] for j in members)
                 assert res.global_rewards[t, i] == pytest.approx(expected, rel=1e-12)
 
     @staticmethod
     def assert_minima_exact(res):
-        for i, nbrs in enumerate(res.neighbor_sets):
-            members = [i, *nbrs]
+        for i, nbrs in enumerate(oracle_neighbor_sets(res.scenario)):
+            members = [i, *np.flatnonzero(nbrs)]
             for t in range(res.T):
                 assert res.global_rewards[t, i] == min(res.rates_bps[t, j] for j in members)
 
     def test_minimum_is_exact_at_n64(self):
         res = run_scenario(world(seed=16, n=64), Strategy.FEDERATED_RL, T=100, seed=8)
-        assert max(len(s) for s in res.neighbor_sets) > 1
+        assert oracle_neighbor_sets(res.scenario).sum(axis=1).max() > 1
         self.assert_minima_exact(res)
 
     def test_isolated_ap_is_its_own_minimum(self):
@@ -278,7 +286,8 @@ class TestFederatedExchange:
             ap_sta_distance_m=10.0,
             num_links=2,
         )
-        assert all_neighbor_sets(sc) == (frozenset({1}), frozenset({0}), frozenset())
+        assert all_neighbor_sets(sc).tolist() == [[False, True, False], [True, False, False],
+                                                  [False, False, False]]
         res = run_scenario(sc, Strategy.FEDERATED_RL, T=200, seed=9)
         self.assert_minima_exact(res)
         assert np.array_equal(res.global_rewards[:, 2], res.rates_bps[:, 2])
@@ -300,7 +309,7 @@ class TestFederatedExchange:
             ap_sta_distance_m=10.0,
             num_links=2,
         )
-        assert all(len(s) == 3 for s in all_neighbor_sets(sc))
+        assert np.all(all_neighbor_sets(sc).sum(axis=1) == 3)
         res = run_scenario(sc, Strategy.FEDERATED_RL, T=40, seed=7)
         spread = res.global_rewards.max(axis=1) - res.global_rewards.min(axis=1)
         assert np.all(spread == 0.0)
@@ -424,7 +433,8 @@ class TestRecurringJointActions:
         res = run_scenario(sc, strategy, T=2000, seed=67)
         assert self.recurring_share(res) > 0.5
         power = link_budget_matrix_mw(sc)
-        members = [[i, *nbrs] for i, nbrs in enumerate(res.neighbor_sets)]
+        hears = oracle_neighbor_sets(sc)
+        members = [[i, *np.flatnonzero(nbrs)] for i, nbrs in enumerate(hears)]
         for row in range(res.T):
             fresh = rate_kernel([power], sc.num_links, sc.physical)(res.action_masks[row] - 1)
             assert np.array_equal(res.rates_bps[row], fresh), row
@@ -675,36 +685,6 @@ class TestMixedCounts:
             assert np.array_equal(budget, link_budget_matrix_mw(worlds[r // len(order)]))
 
 
-def expected_random_rates(sc):
-    """Exact E[rate_i] under `random`, from README "Model summary" with its
-    literal constants. An AP is active on a given link with probability
-    q = 2**(k-1) / (2**k - 1), independently of the others, so
-    E[rate_i] = k q B sum over subsets A of the other APs of
-    q**|A| (1-q)**(n-1-|A|) log2(1 + S_i / (I_A + N))."""
-
-    def received_mw(ap, sta):
-        d = math.dist(ap, sta)
-        pathloss_db = 54.12 + 20.6067 * math.log10(d) + 5.25 * 0.1467 * d
-        return 10.0 ** ((20.0 - pathloss_db) / 10.0)
-
-    k = sc.num_links
-    q = 2 ** (k - 1) / (2**k - 1)
-    noise_mw = 10.0 ** (-95.0 / 10.0)
-    expected = []
-    for i, sta in enumerate(sc.sta_positions):
-        signal = received_mw(sc.ap_positions[i], sta)
-        others = [received_mw(ap, sta) for j, ap in enumerate(sc.ap_positions) if j != i]
-        total = 0.0
-        for on in itertools.product((False, True), repeat=len(others)):
-            m = sum(on)
-            interference = sum(p for p, active in zip(others, on) if active)
-            total += q**m * (1 - q) ** (len(others) - m) * math.log2(
-                1.0 + signal / (interference + noise_mw)
-            )
-        expected.append(k * q * 80e6 * total)
-    return np.array(expected)
-
-
 class TestExactExpectation:
     def test_random_run_means_match_exact_expectation(self):
         # 20 worlds x 8 APs: per-AP z-scores of the run mean against the
@@ -741,7 +721,6 @@ class TestMinRateTimeseries:
             scenario=sc,
             strategy=Strategy.FIXED,
             seed=0,
-            neighbor_sets=all_neighbor_sets(sc),
             action_masks=np.full((3, 2), 0b1111, dtype=np.uint16),
             rates_bps=rates,
             global_rewards=None,
@@ -751,7 +730,6 @@ class TestMinRateTimeseries:
     def test_empty_trace_rejected(self):
         sc = world(n=2, seed=18)
         res = RunResult(scenario=sc, strategy=Strategy.FIXED, seed=0,
-                        neighbor_sets=all_neighbor_sets(sc),
                         action_masks=np.empty((0, 2), dtype=np.uint16),
                         rates_bps=np.empty((0, 2)), global_rewards=None)
         with pytest.raises(ConfigError, match="empty trace"):

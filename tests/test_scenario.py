@@ -21,6 +21,7 @@ from mlosim.codec import dumps
 from mlosim.radio import all_neighbor_sets
 from mlosim.rng import generator
 from mlosim.scenario import MAX_AREA_SIDE_M
+from oracles import oracle_neighbor_sets
 
 PHYS = PhysicalConfig()
 
@@ -79,7 +80,7 @@ class TestSampling:
     def test_single_pair_world(self):
         sc = sample_scenario(generator(3), n=1, k=1, area_side_m=100.0, d=10.0)
         assert sc.n == 1
-        assert all_neighbor_sets(sc) == (frozenset(),)
+        assert all_neighbor_sets(sc).tolist() == [[False]]
 
     def test_same_seed_is_bitwise_identical(self):
         a = sample_scenario(generator(42), n=8, k=4, area_side_m=100.0, d=10.0)
@@ -232,54 +233,32 @@ class TestAreaRange:
             ExperimentConfig(area_side_m=100.0, d_m=1e-6)
 
 
-def oracle_neighbor_sets(sc):
-    """Scalar oracle: one AP pair at a time, math.dist and the pathloss
-    written out from the world's physical fields (the paper's by default:
-    20 dBm TX, -82 dBm sensitivity)."""
-    phys = sc.physical
-    out = []
-    for i, a in enumerate(sc.ap_positions):
-        heard = set()
-        for j, b in enumerate(sc.ap_positions):
-            if j != i:
-                d = math.dist(a, b)
-                pathloss = (phys.pathloss_intercept_db + 10 * phys.attenuation_factor * math.log10(d)
-                            + phys.wall_attenuation_db_per_wall * phys.walls_per_meter * d)
-                if phys.tx_power_dbm - pathloss >= phys.sensitivity_dbm:
-                    heard.add(j)
-        out.append(frozenset(heard))
-    return tuple(out)
-
-
 class TestNeighbors:
     def test_close_pair_hear_each_other(self):
         # At 5 m the received power is 20 - 72.374 = -52.374 dBm >= -82.
-        assert all_neighbor_sets(pair_world(5.0)) == ({1}, {0})
+        assert all_neighbor_sets(pair_world(5.0)).tolist() == [[False, True], [True, False]]
 
     def test_distant_pair_do_not(self):
-        assert all_neighbor_sets(pair_world(4000.0)) == (set(), set())
+        assert not all_neighbor_sets(pair_world(4000.0)).any()
 
     def test_coverage_edge_is_near_25m(self):
         # 20 - PL(r) crosses -82 dBm between 24 and 26 meters.
-        assert all_neighbor_sets(pair_world(24.0))[0] == {1}
-        assert all_neighbor_sets(pair_world(26.0))[0] == set()
+        assert all_neighbor_sets(pair_world(24.0))[0].tolist() == [False, True]
+        assert all_neighbor_sets(pair_world(26.0))[0].tolist() == [False, False]
 
     def test_symmetric_and_irreflexive_on_sampled_worlds(self):
         for seed in range(25):
             sc = sample_scenario(generator(100 + seed), n=7, k=4, area_side_m=100.0, d=10.0)
-            sets = all_neighbor_sets(sc)
-            for i, nbrs in enumerate(sets):
-                assert i not in nbrs
-                for j in nbrs:
-                    assert i in sets[j]
+            hears = all_neighbor_sets(sc)
+            assert np.array_equal(hears, hears.T) and not hears.diagonal().any()
+            assert np.array_equal(hears, oracle_neighbor_sets(sc)), seed
 
     def test_index_bounds(self):
-        # One set per AP, and only AP indices in them.
+        # One bool row and one bool column per AP.
         for n in (1, 2, 9, 40):
             sc = sample_scenario(generator(n), n=n, k=1, area_side_m=60.0, d=10.0)
-            sets = all_neighbor_sets(sc)
-            assert len(sets) == n
-            assert all(0 <= j < n for nbrs in sets for j in nbrs)
+            hears = all_neighbor_sets(sc)
+            assert hears.dtype == bool and hears.shape == (n, n)
 
     def test_matches_scalar_oracle_on_sampled_worlds(self):
         worlds = 0
@@ -288,7 +267,7 @@ class TestNeighbors:
                 sc = sample_scenario(
                     generator(7000 + 10 * n + rep), n=n, k=1, area_side_m=100.0, d=10.0
                 )
-                assert all_neighbor_sets(sc) == oracle_neighbor_sets(sc), (n, rep)
+                assert np.array_equal(all_neighbor_sets(sc), oracle_neighbor_sets(sc)), (n, rep)
                 worlds += 1
         assert worlds == 189
 
@@ -303,8 +282,8 @@ class TestNeighbors:
                                  physical=physical)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                sets = all_neighbor_sets(sc)
-            assert sets == oracle_neighbor_sets(sc), n
+                hears = all_neighbor_sets(sc)
+            assert np.array_equal(hears, oracle_neighbor_sets(sc)), n
 
     def test_colocated_aps_rejected(self):
         with pytest.raises(DomainError):
